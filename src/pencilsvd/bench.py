@@ -17,12 +17,16 @@ import numpy as np
 
 from .eigensolve import (
     CLASS_FINITE,
+    EigenSolution,
     NotDefiniteError,
     solve_general,
     solve_hpd,
 )
 from .genmat import GeneratedProblem, GeneratorConfig, generate_qsvd, generate_rsvd
-from .pencils import (
+from .pencils import FORMULATIONS, Pencil
+# the builders stay module attributes so a profiler can wrap them here;
+# evaluate_sample builds through the FORMULATIONS table
+from .pencils import (  # noqa: F401
     build_aug_qsvd,
     build_aug_rsvd,
     build_cpf_qsvd,
@@ -31,8 +35,17 @@ from .pencils import (
 )
 from .recovery import GroupingError, group_quadruples
 
-QSVD_FORMULATIONS = ("sq-qsvd", "aug-qsvd", "cpf-qsvd")
-RSVD_FORMULATIONS = ("aug-rsvd", "cpf-rsvd")
+
+def formulations_of(kind: str) -> tuple[str, ...]:
+    """Names of the formulations of one decomposition, in table order."""
+    return tuple(name for name, f in FORMULATIONS.items() if f.kind == kind)
+
+
+QSVD_FORMULATIONS = formulations_of("qsvd")
+RSVD_FORMULATIONS = formulations_of("rsvd")
+
+# relative phase tolerance when grouping cpf eigenvalues into quadruples
+GROUP_TOL = 1e-3
 
 SWEEP_AXES = ("kappa_y", "kappa_sigma", "kappa_xy")
 
@@ -85,64 +98,74 @@ class SampleFailure(RuntimeError):
     pass
 
 
-def _estimates_sq(problem: GeneratedProblem) -> np.ndarray:
-    pencil = build_sq_qsvd(problem.a, problem.c)
-    sol = solve_hpd(pencil)
+def solve_pencil(pencil: Pencil) -> EigenSolution:
+    """The solve policy of each pencil family.
+
+    sq and aug pencils are Hermitian: they take the definite path and fall
+    back to QZ when the right-hand side is not numerically positive
+    definite.  cpf pencils (and qqqq) always go through QZ.
+    """
+    if FORMULATIONS[pencil.formulation].family == "cpf":
+        return solve_general(pencil)
+    try:
+        return solve_hpd(pencil)
+    except NotDefiniteError:
+        return solve_general(pencil)
+
+
+def _estimates_sq(sol: EigenSolution, n: int) -> np.ndarray:
     lams = np.array([v.value.real for v in sol.values])
     return np.sqrt(np.clip(lams, 0.0, None))[::-1]
 
 
-def _estimates_aug(problem: GeneratedProblem) -> np.ndarray:
-    if problem.kind == "qsvd":
-        pencil = build_aug_qsvd(problem.a, problem.c)
-    else:
-        pencil = build_aug_rsvd(problem.a, problem.b, problem.c)
-    try:
-        sol = solve_hpd(pencil)
-    except NotDefiniteError:
-        sol = solve_general(pencil)
+def _estimates_aug(sol: EigenSolution, n: int) -> np.ndarray:
     mags = np.sort(np.abs([v.value for v in sol.values]))[::-1]
-    if mags.size != 2 * problem.n:
-        raise SampleFailure(f"expected {2 * problem.n} eigenvalues, got {mags.size}")
+    if mags.size != 2 * n:
+        raise SampleFailure(f"expected {2 * n} eigenvalues, got {mags.size}")
     # the spectrum is symmetric: average each +-sigma pair
     return 0.5 * (mags[0::2] + mags[1::2])
 
 
-def _estimates_cpf(problem: GeneratedProblem, group_tol: float) -> np.ndarray:
-    if problem.kind == "qsvd":
-        pencil = build_cpf_qsvd(problem.a, problem.c)
-    else:
-        pencil = build_cpf_rsvd(problem.a, problem.b, problem.c)
-    sol = solve_general(pencil)
+def _estimates_cpf(sol: EigenSolution, n: int) -> np.ndarray:
     finite = [v for v in sol.values if v.kind == CLASS_FINITE]
-    if len(finite) != 4 * problem.n:
+    if len(finite) != 4 * n:
         raise SampleFailure(
-            f"expected {4 * problem.n} finite eigenvalues, got {len(finite)} "
+            f"expected {4 * n} finite eigenvalues, got {len(finite)} "
             f"(counts {sol.counts()})")
     try:
-        quads = group_quadruples(finite, rel_tol=group_tol)
+        quads = group_quadruples(finite, rel_tol=GROUP_TOL)
     except GroupingError as exc:
         raise SampleFailure(str(exc)) from exc
     return np.array([q.sigma for q in quads])
 
 
-def evaluate_sample(problem: GeneratedProblem, formulation: str,
-                    group_tol: float = 1e-3) -> ExperimentRecord:
-    """Compute one formulation's chordal errors on an existing problem."""
-    valid = QSVD_FORMULATIONS if problem.kind == "qsvd" else RSVD_FORMULATIONS
-    if formulation not in valid:
+# singular value estimates from the spectrum of each family's pencil
+_ESTIMATORS = {"sq": _estimates_sq, "aug": _estimates_aug, "cpf": _estimates_cpf}
+
+
+def _build(problem: GeneratedProblem, formulation: str) -> Pencil:
+    return FORMULATIONS[formulation].build_from(vars(problem))
+
+
+def evaluate_sample(problem: GeneratedProblem, formulation: str) -> ExperimentRecord:
+    """Compute one formulation's chordal errors on an existing problem.
+
+    A sample fails (and is counted, not measured) when the spectrum does
+    not have the expected shape or any estimate is not finite.
+    """
+    if formulation not in formulations_of(problem.kind):
         raise ValueError(f"formulation {formulation!r} invalid for kind {problem.kind!r}")
     cfg = problem.config
     base = dict(kind=problem.kind, formulation=formulation, n=cfg.n,
                 kappa_x=cfg.kappa_x, kappa_y=cfg.kappa_y,
                 kappa_sigma=cfg.kappa_sigma, seed=cfg.seed)
     try:
-        if formulation.startswith("sq"):
-            estimates = _estimates_sq(problem)
-        elif formulation.startswith("aug"):
-            estimates = _estimates_aug(problem)
-        else:
-            estimates = _estimates_cpf(problem, group_tol)
+        sol = solve_pencil(_build(problem, formulation))
+        estimate = _ESTIMATORS[FORMULATIONS[formulation].family]
+        estimates = estimate(sol, problem.n)
+        if not np.all(np.isfinite(estimates)):
+            bad = int(np.count_nonzero(~np.isfinite(estimates)))
+            raise SampleFailure(f"{bad} of {estimates.size} estimates are not finite")
     except SampleFailure as exc:
         return ExperimentRecord(errors=(), max_error=math.nan, failed=True,
                                 failure_reason=str(exc), **base)
@@ -152,16 +175,17 @@ def evaluate_sample(problem: GeneratedProblem, formulation: str,
     return ExperimentRecord(errors=errors, max_error=max(errors), **base)
 
 
-def run_sample(kind: str, formulation: str, config: GeneratorConfig,
-               group_tol: float = 1e-3) -> ExperimentRecord:
-    """Generate one problem and measure one formulation on it."""
+def _generate(kind: str, config: GeneratorConfig) -> GeneratedProblem:
     if kind == "qsvd":
-        problem = generate_qsvd(config)
-    elif kind == "rsvd":
-        problem = generate_rsvd(config)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    return evaluate_sample(problem, formulation, group_tol)
+        return generate_qsvd(config)
+    if kind == "rsvd":
+        return generate_rsvd(config)
+    raise ValueError(f"unknown kind {kind!r}")
+
+
+def run_sample(kind: str, formulation: str, config: GeneratorConfig) -> ExperimentRecord:
+    """Generate one problem and measure one formulation on it."""
+    return evaluate_sample(_generate(kind, config), formulation)
 
 
 @dataclass(frozen=True)
@@ -206,10 +230,9 @@ def _cell_kappas(axis: str, value: float, kappa_sigma: float, kappa_y: float,
     raise ValueError(f"unknown axis {axis!r}; expected one of {SWEEP_AXES}")
 
 
-def run_sweep(kind: str, axis: str, grid, samples: int, formulations=None,
-              seed: int = 0, n: int = 10, kappa_sigma: float = 10.0,
-              kappa_y: float = 10.0, kappa_x: float = 10.0,
-              group_tol: float = 1e-3) -> SweepSummary:
+def run_sweep(kind: str, axis: str, grid, samples: int, seed: int = 0,
+              n: int = 10, kappa_sigma: float = 10.0, kappa_y: float = 10.0,
+              kappa_x: float = 10.0) -> SweepSummary:
     """Median-max chordal errors over a condition-number grid.
 
     Each (cell, sample) pair derives its own seed from ``seed``, and the
@@ -222,9 +245,7 @@ def run_sweep(kind: str, axis: str, grid, samples: int, formulations=None,
         raise ValueError("grid must be nonempty")
     if samples < 1:
         raise ValueError("need at least one sample per cell")
-    if formulations is None:
-        formulations = QSVD_FORMULATIONS if kind == "qsvd" else RSVD_FORMULATIONS
-    gen = generate_qsvd if kind == "qsvd" else generate_rsvd
+    formulations = formulations_of(kind)
     cells = []
     for ci, value in enumerate(grid):
         kx, ky, ks = _cell_kappas(axis, float(value), kappa_sigma, kappa_y, kappa_x)
@@ -232,9 +253,9 @@ def run_sweep(kind: str, axis: str, grid, samples: int, formulations=None,
         for s in range(samples):
             cfg = GeneratorConfig(n=n, kappa_sigma=ks, kappa_y=ky, kappa_x=kx,
                                   seed=np.random.SeedSequence((seed, ci, s)))
-            problem = gen(cfg)
+            problem = _generate(kind, cfg)
             for f in formulations:
-                records[f].append(evaluate_sample(problem, f, group_tol))
+                records[f].append(evaluate_sample(problem, f))
         for f in formulations:
             good = [r.max_error for r in records[f] if not r.failed]
             failures = sum(1 for r in records[f] if r.failed)
@@ -311,16 +332,15 @@ def worked_example(seed: int = 7, n: int = 4, kappa_y: float = 1e7,
     problem = generate_qsvd(cfg)
     truth = problem.true_sigmas_float()
 
-    sq = _estimates_sq(problem)
+    sq = _estimates_sq(solve_pencil(_build(problem, "sq-qsvd")), n)
 
-    sol_aug = solve_hpd(build_aug_qsvd(problem.a, problem.c))
+    sol_aug = solve_pencil(_build(problem, "aug-qsvd"))
     mags = np.sort(np.abs([v.value for v in sol_aug.values]))[::-1]
     aug_pairs = mags.reshape(n, 2).T  # both members of each +-pair, descending
 
-    pencil = build_cpf_qsvd(problem.a, problem.c)
-    sol = solve_general(pencil)
+    sol = solve_pencil(_build(problem, "cpf-qsvd"))
     finite = [v for v in sol.values if v.kind == CLASS_FINITE]
-    quads = group_quadruples(finite, rel_tol=1e-3)
+    quads = group_quadruples(finite, rel_tol=GROUP_TOL)
     sq_mags = np.zeros((4, n))
     means = np.zeros(n)
     for j, quad in enumerate(quads):

@@ -6,39 +6,27 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .bench import (
-    QSVD_FORMULATIONS,
-    RSVD_FORMULATIONS,
+    GROUP_TOL,
     SWEEP_AXES,
     run_sweep,
+    solve_pencil,
     worked_example,
     write_sweep_csv,
 )
 from .ddarith import dd_to_decimal_string
-from .eigensolve import CLASS_FINITE, NotDefiniteError, solve_general, solve_hpd
+from .eigensolve import CLASS_FINITE, solve_general
 from .genmat import GeneratorConfig, generate_qsvd, generate_rsvd
 from .kcf import (
+    partition_for,
     partition_from_ranks,
     predict_kcf,
     qsvd_partition_from_ranks,
     spectrum_counts_check,
-    svd_partition,
     verify_reduction,
 )
 from .matcore import rank_with_tol, read_matrix_text, write_matrix_text
-from .pencils import (
-    build_aug_qsvd,
-    build_aug_rsvd,
-    build_aug_svd,
-    build_cpf_qsvd,
-    build_cpf_rsvd,
-    build_cpf_svd,
-    build_qqqq,
-    build_sq_qsvd,
-    build_sq_svd,
-)
+from .pencils import FORMULATIONS
 from .recovery import classify_spectrum, group_quadruples
 
 
@@ -69,25 +57,13 @@ def _problem_kind(mats) -> str:
 
 def _build_pencil(form: str, mats):
     kind = _problem_kind(mats)
-    if form == "qqqq":
-        needed = {"a", "b", "c", "d", "e"}
-        if set(mats) < needed:
-            raise SystemExit("qqqq needs --a --b --c --d --e")
-        return build_qqqq(mats["a"], mats["b"], mats["c"], mats["d"], mats["e"]), kind
-    builders = {
-        ("sq", "svd"): lambda: build_sq_svd(mats["a"]),
-        ("aug", "svd"): lambda: build_aug_svd(mats["a"]),
-        ("cpf", "svd"): lambda: build_cpf_svd(mats["a"]),
-        ("sq", "qsvd"): lambda: build_sq_qsvd(mats["a"], mats["c"]),
-        ("aug", "qsvd"): lambda: build_aug_qsvd(mats["a"], mats["c"]),
-        ("cpf", "qsvd"): lambda: build_cpf_qsvd(mats["a"], mats["c"]),
-        ("aug", "rsvd"): lambda: build_aug_rsvd(mats["a"], mats["b"], mats["c"]),
-        ("cpf", "rsvd"): lambda: build_cpf_rsvd(mats["a"], mats["b"], mats["c"]),
-    }
-    try:
-        return builders[(form, kind)](), kind
-    except KeyError:
+    name = form if form in FORMULATIONS else f"{form}-{kind}"
+    if name not in FORMULATIONS:
         raise SystemExit(f"formulation {form!r} is not defined for a {kind} problem")
+    f = FORMULATIONS[name]
+    if not set(f.inputs) <= set(mats):
+        raise SystemExit(f"{name} needs " + " ".join(f"--{k}" for k in f.inputs))
+    return f.build_from(mats), kind
 
 
 def cmd_generate(args):
@@ -110,14 +86,7 @@ def cmd_generate(args):
 def cmd_solve(args):
     mats = _load_inputs(args)
     pencil, kind = _build_pencil(args.formulation, mats)
-    sol = None
-    if args.formulation in ("sq", "aug"):
-        try:
-            sol = solve_hpd(pencil)
-        except (ValueError, NotDefiniteError):
-            sol = None
-    if sol is None:
-        sol = solve_general(pencil)
+    sol = solve_pencil(pencil)
     for v in sol.values:
         lam = v.value
         print(f"{lam.real:.16e} {lam.imag:.16e} {v.kind}")
@@ -130,15 +99,7 @@ def cmd_solve(args):
                          pencil.row_blocks[2], pencil.row_blocks[3])}[kind]
         partition = None
         if kind == "rsvd":
-            a, b, c = mats["a"], mats["b"], mats["c"]
-            p, q = a.shape
-            m, n = b.shape[1], c.shape[0]
-            partition = partition_from_ranks(
-                p, q, m, n,
-                rank_with_tol(a).rank, rank_with_tol(b).rank, rank_with_tol(c).rank,
-                rank_with_tol(np.hstack([a, b])).rank,
-                rank_with_tol(np.vstack([a, c])).rank,
-                rank_with_tol(np.block([[a, b], [c, np.zeros((n, m), dtype=complex)]])).rank)
+            partition = partition_for(mats["a"], mats["b"], mats["c"])
         cls = classify_spectrum(sol, kind, dims, partition=partition)
         for t in cls.triplets:
             print(f"{t.kind} {t.alpha:.16e} {t.beta:.16e} {t.gamma:.16e} "
@@ -153,24 +114,17 @@ def cmd_kcf(args):
         kind = args.kind
         problem = generate_qsvd(cfg) if kind == "qsvd" else generate_rsvd(cfg)
         n = problem.n
+        # generated problems are full rank by construction
         if kind == "qsvd":
             partition = qsvd_partition_from_ranks(n, n, n, n, n, n)
-            pencil = build_cpf_qsvd(problem.a, problem.c)
-            formulation = "cpf-qsvd"
         else:
             partition = partition_from_ranks(n, n, n, n, n, n, n, n, n, 2 * n)
-            pencil = build_cpf_rsvd(problem.a, problem.b, problem.c)
-            formulation = "cpf-rsvd"
-        sigmas = problem.true_sigmas_float()
-        structure = predict_kcf(formulation, partition, sigmas)
+        formulation = f"cpf-{kind}"
+        pencil = FORMULATIONS[formulation].build_from(vars(problem))
+        structure = predict_kcf(formulation, partition, problem.true_sigmas_float())
         _print_structure(structure)
-        if kind == "qsvd":
-            report = verify_reduction(pencil, formulation, partition,
-                                      u=problem.u, v=problem.v, y=problem.y)
-        else:
-            report = verify_reduction(pencil, formulation, partition,
-                                      u=problem.u, v=problem.v,
-                                      x=problem.x, y=problem.y)
+        report = verify_reduction(pencil, formulation, partition, u=problem.u,
+                                  v=problem.v, x=problem.x, y=problem.y)
         print(f"verification: stage1 off-structure {report.stage1_off:.3e}, "
               f"stage2 {report.stage2_off:.3e}, relative {report.relative:.3e}")
         sol = solve_general(pencil, class_tol_rel=args.class_tol)
@@ -181,56 +135,24 @@ def cmd_kcf(args):
 
     mats = _load_inputs(args)
     kind = _problem_kind(mats)
-    a = mats["a"]
-    p, q = a.shape
+    partition = partition_for(mats["a"], mats.get("b"), mats.get("c"))
     sigmas = ()
     if kind == "svd":
-        r = rank_with_tol(a)
-        partition = svd_partition(p, q, r.rank)
-        sigmas = r.values[: r.rank]
-        formulation = f"{args.formulation}-svd"
-    elif kind == "qsvd":
-        c = mats["c"]
-        n = c.shape[0]
-        r_a = rank_with_tol(a).rank
-        r_c = rank_with_tol(c).rank
-        r_ac = rank_with_tol(np.vstack([a, c])).rank
-        partition = qsvd_partition_from_ranks(p, q, n, r_a, r_c, r_ac)
-        formulation = f"{args.formulation}-qsvd"
-        if partition.p1:
-            sigmas = _quotient_sigmas(a, c, partition.p1)
-    else:
-        b, c = mats["b"], mats["c"]
-        m, n = b.shape[1], c.shape[0]
-        partition = partition_from_ranks(
-            p, q, m, n,
-            rank_with_tol(a).rank, rank_with_tol(b).rank, rank_with_tol(c).rank,
-            rank_with_tol(np.hstack([a, b])).rank,
-            rank_with_tol(np.vstack([a, c])).rank,
-            rank_with_tol(np.block([[a, b], [c, np.zeros((n, m), dtype=complex)]])).rank)
-        formulation = f"{args.formulation}-rsvd"
-        if partition.p1:
-            sigmas = _restricted_sigmas(a, b, c, partition.p1)
-    structure = predict_kcf(formulation, partition, sigmas)
+        sigmas = rank_with_tol(mats["a"]).values[: partition.p1]
+    elif partition.p1:
+        sigmas = _cpf_sigmas(mats, kind, partition.p1)
+    structure = predict_kcf(f"{args.formulation}-{kind}", partition, sigmas)
     _print_structure(structure)
 
 
-def _quotient_sigmas(a, c, p1):
-    """Finite nonzero quotient values via the cpf pencil itself."""
-    sol = solve_general(build_cpf_qsvd(a, c), class_tol_rel=1e-4)
+def _cpf_sigmas(mats, kind, p1):
+    """Finite nonzero quotient or restricted values via the cpf pencil itself."""
+    pencil, _ = _build_pencil("cpf", mats)
+    sol = solve_general(pencil, class_tol_rel=1e-4)
     finite = [v for v in sol.values if v.kind == CLASS_FINITE]
-    quads = group_quadruples(finite, rel_tol=1e-3)
+    quads = group_quadruples(finite, rel_tol=GROUP_TOL)
     if len(quads) != p1:
-        raise SystemExit(f"recovered {len(quads)} quotient values, expected {p1}")
-    return [q.sigma for q in quads]
-
-
-def _restricted_sigmas(a, b, c, p1):
-    sol = solve_general(build_cpf_rsvd(a, b, c), class_tol_rel=1e-4)
-    finite = [v for v in sol.values if v.kind == CLASS_FINITE]
-    quads = group_quadruples(finite, rel_tol=1e-3)
-    if len(quads) != p1:
-        raise SystemExit(f"recovered {len(quads)} restricted values, expected {p1}")
+        raise SystemExit(f"recovered {len(quads)} {kind} values, expected {p1}")
     return [q.sigma for q in quads]
 
 
@@ -283,8 +205,9 @@ def main(argv=None):
     g.set_defaults(func=cmd_generate)
 
     s = sub.add_parser("solve", help="solve a pencil formulation for matrices")
-    s.add_argument("--formulation", choices=("sq", "aug", "cpf", "qqqq"),
-                   required=True)
+    # a pencil family, completed by the problem kind, or a full name (qqqq)
+    s.add_argument("--formulation", required=True,
+                   choices=tuple(dict.fromkeys(n.split("-")[0] for n in FORMULATIONS)))
     s.add_argument("--recover", action="store_true",
                    help="also print singular triplets (cpf only)")
     _add_matrix_args(s, ("a", "b", "c", "d", "e"))

@@ -35,6 +35,10 @@ CLASS_ZERO = "zero"
 CLASS_INFINITE = "infinite"
 CLASS_INDETERMINATE = "indeterminate"
 
+# per-eigenpair residual bound, relative to (||lhs|| + |lam| ||rhs||) ||x||,
+# that defines the ``backward_stable`` flag of solve_general
+RESIDUAL_TOL = 1e-12
+
 
 class NotDefiniteError(np.linalg.LinAlgError):
     """Right-hand side is not positive definite; use solve_general instead."""
@@ -113,7 +117,7 @@ def _common_nullspaces(lhs, rhs, tol_rel):
 
 
 def solve_general(pencil: Pencil, class_tol_rel: float | None = None,
-                  deflate: bool = True, residual_tol: float = 1e-12) -> EigenSolution:
+                  deflate: bool = True) -> EigenSolution:
     """Solve ``lhs x = lam rhs x`` for the full spectrum via QZ.
 
     Parameters
@@ -130,8 +134,6 @@ def solve_general(pencil: Pencil, class_tol_rel: float | None = None,
     deflate : bool
         Split off the common null space of (lhs, rhs) before QZ (see module
         docstring).  Disable only to observe raw QZ behaviour.
-    residual_tol : float
-        Per-eigenpair residual bound defining the ``backward_stable`` flag.
     """
     lhs = np.ascontiguousarray(pencil.lhs, dtype=np.complex128)
     rhs = np.ascontiguousarray(pencil.rhs, dtype=np.complex128)
@@ -191,7 +193,7 @@ def solve_general(pencil: Pencil, class_tol_rel: float | None = None,
         lam = val.value
         w = vectors[:, i]
         res = np.linalg.norm(lhs_full @ w - lam * (rhs_full @ w))
-        if res > residual_tol * (norm_a + abs(lam) * norm_b) * np.linalg.norm(w):
+        if res > RESIDUAL_TOL * (norm_a + abs(lam) * norm_b) * np.linalg.norm(w):
             stable = False
     return EigenSolution(tuple(values), vectors, stable)
 
@@ -212,13 +214,12 @@ def solve_hpd(pencil: Pencil, class_tol_rel: float | None = None) -> EigenSoluti
     if np.abs(rhs - rhs.conj().T).max(initial=0.0) > herm_tol * max(1.0, np.abs(rhs).max(initial=0.0)):
         raise ValueError("rhs is not Hermitian")
     try:
-        np.linalg.cholesky(rhs)
+        w, v = sla.eigh(lhs, rhs)
     except np.linalg.LinAlgError as exc:
         raise NotDefiniteError(
             "rhs is not positive definite; fall back to solve_general") from exc
     if class_tol_rel is None:
         class_tol_rel = k * EPS
-    w, v = sla.eigh(lhs, rhs)
     scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs))
     tol_abs = class_tol_rel * scale
     values = tuple(GeneralizedEigenvalue(complex(x), 1.0 + 0j,

@@ -29,7 +29,8 @@ from .eigensolve import (
     CLASS_ZERO,
     EigenSolution,
 )
-from .pencils import GENERIC, Pencil, generic_pencil
+from .matcore import rank_with_tol
+from .pencils import FORMULATIONS, Pencil, generic_pencil
 
 KIND_ZERO_BLOCK = "zero-block"
 KIND_L_RIGHT = "l-right"
@@ -271,6 +272,93 @@ def partition_from_ranks(p: int, q: int, m: int, n: int,
     )
 
 
+def partition_for(a, b=None, c=None):
+    """Partition of A (svd), (A, C) (qsvd) or (A, B, C) (rsvd) from the
+    numerical ranks of the inputs; B without C is ignored."""
+    def rank(m):
+        return rank_with_tol(m).rank
+
+    p, q = a.shape
+    if c is None:
+        return svd_partition(p, q, rank(a))
+    n = c.shape[0]
+    if b is None:
+        return qsvd_partition_from_ranks(p, q, n, rank(a), rank(c),
+                                         rank(np.vstack([a, c])))
+    m = b.shape[1]
+    return partition_from_ranks(
+        p, q, m, n, rank(a), rank(b), rank(c),
+        rank(np.hstack([a, b])), rank(np.vstack([a, c])),
+        rank(np.block([[a, b], [c, np.zeros((n, m), dtype=complex)]])))
+
+
+# -- canonical layouts ---------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """Canonical layout of one formulation; counts are sums of partition fields.
+
+    ``block_rows`` are the fields giving the sizes of the pencil's block
+    rows (their sum is its order), ``groups`` the canonical blocks ahead of
+    the sigma part as
+    ``(block kind, block size, count fields)``, in canonical order.  The cpf
+    formulations also carry their transformation chain: ``factors`` of the
+    diagonal congruence (one per block row), the fields of the blocks that
+    the permutations ``perm_x``/``perm_y`` (1-indexed) move, and the lemma
+    kind of the per-sigma 4x4 reduction.
+    """
+
+    block_rows: str
+    groups: tuple[tuple[str, int, str], ...]
+    factors: str = ""
+    sizes: str = ""
+    perm_x: tuple[int, ...] = ()
+    perm_y: tuple[int, ...] = ()
+    lemma: str = ""
+
+
+_LAYOUTS = {
+    "aug-svd": _Layout("p q", ((KIND_J, 1, "p2 q2"),)),
+    "aug-qsvd": _Layout("p q", ((KIND_ZERO_BLOCK, 1, "q1"), (KIND_N, 2, "p2"),
+                                (KIND_J, 1, "p3 q2"))),
+    "aug-rsvd": _Layout("p q", ((KIND_ZERO_BLOCK, 1, "p6 q1"), (KIND_N, 1, "p4 q6"),
+                                (KIND_N, 2, "p2"), (KIND_N, 2, "p3"),
+                                (KIND_J, 1, "p5 q2"))),
+    "cpf-svd": _Layout(
+        "p q p q", ((KIND_J, 2, "p2"), (KIND_J, 2, "q2")),
+        factors="u v u v", sizes="p1 p2 q1 q2 p1 p2 q1 q2",
+        perm_x=(2, 6, 4, 8, 1, 3, 5, 7), perm_y=(6, 2, 8, 4, 1, 3, 5, 7),
+        lemma="osvd"),
+    "cpf-qsvd": _Layout(
+        "p q p n", ((KIND_ZERO_BLOCK, 1, "q1"), (KIND_N, 1, "n3"), (KIND_N, 3, "p2"),
+                    (KIND_J, 2, "p3"), (KIND_J, 2, "q2")),
+        factors="u y u v", sizes="p1 p2 p3 q1 q2 q3 q4 p1 p2 p3 n1 n2 n3",
+        perm_x=(4, 13, 7, 9, 2, 3, 10, 5, 11, 1, 6, 8, 12),
+        perm_y=(4, 13, 2, 9, 7, 10, 3, 11, 5, 1, 6, 8, 12),
+        lemma="qsvd"),
+    "cpf-rsvd": _Layout(
+        "p q m n", ((KIND_ZERO_BLOCK, 1, "p6 q1"), (KIND_N, 1, "p4 q6 m3 n4"),
+                    (KIND_N, 3, "p2"), (KIND_N, 3, "p3"),
+                    (KIND_J, 2, "p5"), (KIND_J, 2, "q2")),
+        factors="x y u v",
+        sizes="p1 p2 p3 p4 p5 p6 q1 q2 q3 q4 q5 q6 m1 m2 m3 m4 n1 n2 n3 n4",
+        perm_x=(6, 7, 12, 4, 15, 20, 10, 14, 2, 3, 19, 11, 5, 16, 8, 17, 1, 9, 13, 18),
+        perm_y=(6, 7, 4, 12, 15, 20, 2, 14, 10, 11, 19, 3, 16, 5, 17, 8, 1, 9, 13, 18),
+        lemma="rsvd"),
+}
+
+
+def _fields(partition, names: str) -> list[int]:
+    return [getattr(partition, name) for name in names.split()]
+
+
+def _groups(layout: _Layout, partition):
+    """``(block kind, block size, count)`` of each group ahead of the sigma part."""
+    return [(kind, size, sum(_fields(partition, names)))
+            for kind, size, names in layout.groups]
+
+
 # -- block multiset prediction ------------------------------------------------
 
 
@@ -290,72 +378,27 @@ def predict_kcf(formulation: str, partition, sigmas=()) -> KcfStructure:
     classical augmented restricted form needs the per-sigma weights only
     for eigenvalue positions, which stay ``+-sigma`` regardless.
     """
-    sigmas = tuple(float(s) for s in sigmas)
-    blocks: list[KcfBlock] = []
-    if formulation == "cpf-svd":
-        part: SvdPartition = partition
-        if len(sigmas) != part.p1:
-            raise ValueError(f"expected {part.p1} singular values, got {len(sigmas)}")
-        blocks += [j_block(2, 0.0)] * (part.p2 + part.q2)
-        blocks += _sigma_quadruple_blocks(sigmas)
-        dim = 2 * (part.p + part.q)
-    elif formulation == "cpf-qsvd":
-        qp: QsvdPartition = partition
-        if len(sigmas) != qp.p1:
-            raise ValueError(f"expected {qp.p1} singular values, got {len(sigmas)}")
-        if qp.q1:
-            blocks.append(zero_block(qp.q1, qp.q1))
-        blocks += [n_block(1)] * qp.n3
-        blocks += [n_block(3)] * qp.p2
-        blocks += [j_block(2, 0.0)] * (qp.p3 + qp.q2)
-        blocks += _sigma_quadruple_blocks(sigmas)
-        dim = 2 * qp.p + qp.q + qp.n
-    elif formulation == "cpf-rsvd":
-        rp: RsvdPartition = partition
-        if len(sigmas) != rp.p1:
-            raise ValueError(f"expected {rp.p1} singular values, got {len(sigmas)}")
-        if rp.p6 + rp.q1:
-            blocks.append(zero_block(rp.p6 + rp.q1, rp.p6 + rp.q1))
-        blocks += [n_block(1)] * (rp.p4 + rp.q6 + rp.m3 + rp.n4)
-        blocks += [n_block(3)] * rp.p2
-        blocks += [n_block(3)] * rp.p3
-        blocks += [j_block(2, 0.0)] * (rp.p5 + rp.q2)
-        blocks += _sigma_quadruple_blocks(sigmas)
-        dim = rp.p + rp.q + rp.m + rp.n
-    elif formulation == "aug-rsvd":
-        rp = partition
-        if len(sigmas) != rp.p1:
-            raise ValueError(f"expected {rp.p1} singular values, got {len(sigmas)}")
-        if rp.p6 + rp.q1:
-            blocks.append(zero_block(rp.p6 + rp.q1, rp.p6 + rp.q1))
-        blocks += [n_block(1)] * (rp.p4 + rp.q6)
-        blocks += [n_block(2)] * rp.p2
-        blocks += [n_block(2)] * rp.p3
-        blocks += [j_block(1, 0.0)] * (rp.p5 + rp.q2)
-        for s in sigmas:
-            blocks += [j_block(1, s), j_block(1, -s)]
-        dim = rp.p + rp.q
-    elif formulation == "aug-qsvd":
-        qp = partition
-        if len(sigmas) != qp.p1:
-            raise ValueError(f"expected {qp.p1} singular values, got {len(sigmas)}")
-        if qp.q1:
-            blocks.append(zero_block(qp.q1, qp.q1))
-        blocks += [n_block(2)] * qp.p2
-        blocks += [j_block(1, 0.0)] * (qp.p3 + qp.q2)
-        for s in sigmas:
-            blocks += [j_block(1, s), j_block(1, -s)]
-        dim = qp.p + qp.q
-    elif formulation == "aug-svd":
-        part = partition
-        if len(sigmas) != part.p1:
-            raise ValueError(f"expected {part.p1} singular values, got {len(sigmas)}")
-        blocks += [j_block(1, 0.0)] * (part.p2 + part.q2)
-        for s in sigmas:
-            blocks += [j_block(1, s), j_block(1, -s)]
-        dim = part.p + part.q
-    else:
+    layout = _LAYOUTS.get(formulation)
+    if layout is None:
         raise ValueError(f"no structure prediction for formulation {formulation!r}")
+    sigmas = tuple(float(s) for s in sigmas)
+    if len(sigmas) != partition.p1:
+        raise ValueError(f"expected {partition.p1} singular values, got {len(sigmas)}")
+    blocks: list[KcfBlock] = []
+    for kind, size, count in _groups(layout, partition):
+        if kind == KIND_ZERO_BLOCK:
+            # the singular part is one square zero block
+            blocks += [zero_block(count, count)] if count else []
+        elif kind == KIND_N:
+            blocks += [n_block(size)] * count
+        else:
+            blocks += [j_block(size, 0.0)] * count
+    if FORMULATIONS[formulation].family == "cpf":
+        blocks += _sigma_quadruple_blocks(sigmas)
+    else:
+        for s in sigmas:
+            blocks += [j_block(1, s), j_block(1, -s)]
+    dim = sum(_fields(partition, layout.block_rows))
     return KcfStructure(tuple(blocks), dim, dim)
 
 
@@ -453,35 +496,6 @@ def lemma_reduce(kind: str, alpha: float, beta: float = 1.0,
 
 # -- full transformation chains -------------------------------------------------
 
-# block permutations that sort the congruence-transformed pencils into
-# canonical order, stored 1-indexed
-_PERMS = {
-    "cpf-svd": ((2, 6, 4, 8, 1, 3, 5, 7),
-                (6, 2, 8, 4, 1, 3, 5, 7)),
-    "cpf-qsvd": ((4, 13, 7, 9, 2, 3, 10, 5, 11, 1, 6, 8, 12),
-                 (4, 13, 2, 9, 7, 10, 3, 11, 5, 1, 6, 8, 12)),
-    "cpf-rsvd": ((6, 7, 12, 4, 15, 20, 10, 14, 2, 3, 19, 11, 5, 16, 8, 17, 1, 9, 13, 18),
-                 (6, 7, 4, 12, 15, 20, 2, 14, 10, 11, 19, 3, 16, 5, 17, 8, 1, 9, 13, 18)),
-}
-
-
-def _block_sizes(formulation: str, partition):
-    if formulation == "cpf-svd":
-        pt: SvdPartition = partition
-        return (pt.p1, pt.p2, pt.q1, pt.q2, pt.p1, pt.p2, pt.q1, pt.q2)
-    if formulation == "cpf-qsvd":
-        qp: QsvdPartition = partition
-        return (qp.p1, qp.p2, qp.p3, qp.q1, qp.q2, qp.q3, qp.q4,
-                qp.p1, qp.p2, qp.p3, qp.n1, qp.n2, qp.n3)
-    if formulation == "cpf-rsvd":
-        rp: RsvdPartition = partition
-        return (rp.p1, rp.p2, rp.p3, rp.p4, rp.p5, rp.p6,
-                rp.q1, rp.q2, rp.q3, rp.q4, rp.q5, rp.q6,
-                rp.m1, rp.m2, rp.m3, rp.m4,
-                rp.n1, rp.n2, rp.n3, rp.n4)
-    raise ValueError(f"no transformation chain for formulation {formulation!r}")
-
-
 def _block_permutation_indices(perm, sizes):
     """Column indices of the block permutation matrix [e_perm(1) ... e_perm(k)]."""
     offsets = np.concatenate(([0], np.cumsum(sizes)))
@@ -491,63 +505,35 @@ def _block_permutation_indices(perm, sizes):
     return np.array(cols, dtype=int)
 
 
-def _canonical_cpf_expected(formulation, partition, d_alpha, d_beta, d_gamma):
-    """Expected (lhs, rhs) after stages 0 and 1, built block by block."""
-    def nil(k):
-        return np.eye(k, k, 1)
+def _canonical_pair(kind: str, size: int):
+    """(lhs, rhs) of one canonical block: N_k is (I, nil), J_k(0) is (nil, I)."""
+    nil = np.eye(size, size, 1)
+    if kind == KIND_N:
+        return np.eye(size), nil
+    if kind == KIND_J:
+        return nil, np.eye(size)
+    return np.zeros((size, size)), np.zeros((size, size))
 
+
+def _canonical_cpf_expected(layout, partition, d_alpha, d_beta, d_gamma):
+    """Expected (lhs, rhs) after stages 0 and 1, built group by group."""
     parts = []  # (lhs_block, rhs_block)
-    if formulation == "cpf-svd":
-        pt = partition
-        z2 = pt.p2 + pt.q2
-        if z2:
-            parts.append((np.kron(np.array([[0, 1], [0, 0]]), np.eye(pt.p2)),
-                          np.eye(2 * pt.p2)))
-            parts.append((np.kron(np.array([[0, 1], [0, 0]]), np.eye(pt.q2)),
-                          np.eye(2 * pt.q2)))
-        p1 = pt.p1
-        ident = np.eye(p1)
-        parts.append((_four_block(d_alpha, ident, ident),
-                      _four_rhs(ident, ident)))
-    elif formulation == "cpf-qsvd":
-        qp = partition
-        parts.append((np.zeros((qp.q1, qp.q1)), np.zeros((qp.q1, qp.q1))))
-        parts.append((np.eye(qp.n3), np.zeros((qp.n3, qp.n3))))
-        parts.append((np.eye(3 * qp.p2), np.kron(nil(3), np.eye(qp.p2))))
-        parts.append((np.kron(np.array([[0, 1], [0, 0]]), np.eye(qp.p3)),
-                      np.eye(2 * qp.p3)))
-        parts.append((np.kron(np.array([[0, 1], [0, 0]]), np.eye(qp.q2)),
-                      np.eye(2 * qp.q2)))
-        ident = np.eye(qp.p1)
-        parts.append((_four_block(d_alpha, ident, ident),
-                      _four_rhs(ident, np.diag(d_gamma))))
-    elif formulation == "cpf-rsvd":
-        rp = partition
-        z = rp.p6 + rp.q1
-        parts.append((np.zeros((z, z)), np.zeros((z, z))))
-        f = rp.p4 + rp.q6 + rp.m3 + rp.n4
-        parts.append((np.eye(f), np.zeros((f, f))))
-        parts.append((np.eye(3 * rp.p2), np.kron(nil(3), np.eye(rp.p2))))
-        parts.append((np.eye(3 * rp.p3), np.kron(nil(3), np.eye(rp.p3))))
-        parts.append((np.kron(np.array([[0, 1], [0, 0]]), np.eye(rp.p5)),
-                      np.eye(2 * rp.p5)))
-        parts.append((np.kron(np.array([[0, 1], [0, 0]]), np.eye(rp.q2)),
-                      np.eye(2 * rp.q2)))
-        parts.append((_four_block(d_alpha, np.eye(rp.p1), np.eye(rp.p1)),
-                      _four_rhs(np.diag(d_beta), np.diag(d_gamma))))
+    for kind, size, count in _groups(layout, partition):
+        lhs, rhs = _canonical_pair(kind, size)
+        parts.append((np.kron(lhs, np.eye(count)), np.kron(rhs, np.eye(count))))
+    parts.append((_four_block(d_alpha), _four_rhs(np.diag(d_beta), np.diag(d_gamma))))
     lhs = _block_diag([a for a, _ in parts])
     rhs = _block_diag([b for _, b in parts])
     return lhs, rhs
 
 
-def _four_block(d_alpha, i3, i4):
+def _four_block(d_alpha):
     da = np.diag(d_alpha)
     k = da.shape[0]
-    out = np.zeros((2 * k + i3.shape[0] + i4.shape[0],) * 2, dtype=complex)
+    out = np.zeros((4 * k, 4 * k), dtype=complex)
     out[:k, k:2 * k] = da
     out[k:2 * k, :k] = da
-    out[2 * k:2 * k + i3.shape[0], 2 * k:2 * k + i3.shape[0]] = i3
-    out[2 * k + i3.shape[0]:, 2 * k + i3.shape[0]:] = i4
+    out[2 * k:, 2 * k:] = np.eye(2 * k)
     return out
 
 
@@ -600,21 +586,13 @@ def verify_reduction(pencil: Pencil, formulation: str, partition,
     report carries the largest deviation from the predicted canonical
     form, checked separately for the constant and the lambda coefficient.
     """
-    if formulation not in _PERMS:
+    layout = _LAYOUTS.get(formulation)
+    if layout is None or not layout.lemma:
         raise ValueError(f"no transformation chain for formulation {formulation!r}")
-    sizes = _block_sizes(formulation, partition)
-    if formulation == "cpf-svd":
-        diag_factors = [u, v, u, v]
-        group_dims = (partition.p, partition.q, partition.p, partition.q)
-        lemma_kind = "osvd"
-    elif formulation == "cpf-qsvd":
-        diag_factors = [u, y, u, v]
-        group_dims = (partition.p, partition.q, partition.p, partition.n)
-        lemma_kind = "qsvd"
-    else:
-        diag_factors = [x, y, u, v]
-        group_dims = (partition.p, partition.q, partition.m, partition.n)
-        lemma_kind = "rsvd"
+    sizes = _fields(partition, layout.sizes)
+    given = dict(u=u, v=v, x=x, y=y)
+    diag_factors = [given[name] for name in layout.factors.split()]
+    group_dims = _fields(partition, layout.block_rows)
     for f, blk in zip(diag_factors, group_dims):
         if f is None:
             raise ValueError("missing decomposition factor")
@@ -625,9 +603,8 @@ def verify_reduction(pencil: Pencil, formulation: str, partition,
     lhs1 = t.conj().T @ pencil.lhs @ t
     rhs1 = t.conj().T @ pencil.rhs @ t
 
-    perm_x, perm_y = _PERMS[formulation]
-    cols = _block_permutation_indices(perm_x, sizes)
-    rows = _block_permutation_indices(perm_y, sizes)
+    cols = _block_permutation_indices(layout.perm_x, sizes)
+    rows = _block_permutation_indices(layout.perm_y, sizes)
     lhs2 = lhs1[np.ix_(rows, cols)]
     rhs2 = rhs1[np.ix_(rows, cols)]
 
@@ -635,16 +612,17 @@ def verify_reduction(pencil: Pencil, formulation: str, partition,
     k = lhs2.shape[0]
     f0 = k - 4 * p1
     d_alpha = np.real(np.diagonal(lhs2[f0:f0 + p1, f0 + p1:f0 + 2 * p1]))
-    if formulation == "cpf-rsvd":
+    # the lemma kind fixes which of beta, gamma are 1 (see lemma_pencil)
+    if layout.lemma == "rsvd":
         d_beta = np.real(np.diagonal(rhs2[f0:f0 + p1, f0 + 2 * p1:f0 + 3 * p1]))
     else:
         d_beta = np.ones(p1)
-    if formulation == "cpf-svd":
+    if layout.lemma == "osvd":
         d_gamma = np.ones(p1)
     else:
         d_gamma = np.real(np.diagonal(rhs2[f0 + p1:f0 + 2 * p1, f0 + 3 * p1:]))
 
-    exp_lhs, exp_rhs = _canonical_cpf_expected(formulation, partition,
+    exp_lhs, exp_rhs = _canonical_cpf_expected(layout, partition,
                                                d_alpha, d_beta, d_gamma)
     stage1 = max(np.abs(lhs2 - exp_lhs).max(initial=0.0),
                  np.abs(rhs2 - exp_rhs).max(initial=0.0))
@@ -654,7 +632,7 @@ def verify_reduction(pencil: Pencil, formulation: str, partition,
         idx = np.array([f0 + j, f0 + p1 + j, f0 + 2 * p1 + j, f0 + 3 * p1 + j])
         sub_l = lhs2[np.ix_(idx, idx)]
         sub_r = rhs2[np.ix_(idx, idx)]
-        red = lemma_reduce(lemma_kind, d_alpha[j], d_beta[j], d_gamma[j])
+        red = lemma_reduce(layout.lemma, d_alpha[j], d_beta[j], d_gamma[j])
         tl = red.y.conj().T @ sub_l @ red.x
         tr = red.y.conj().T @ sub_r @ red.x
         stage2 = max(stage2,

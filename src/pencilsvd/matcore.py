@@ -150,17 +150,27 @@ def write_matrix_text(path, m: np.ndarray) -> None:
 
 
 def read_matrix_text(path) -> np.ndarray:
+    """Read the text format above; a short file, a missing number or an
+    entry that is not a finite number raises ValueError naming the entry."""
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 3 or header[2] not in ("real", "complex"):
             raise ValueError(f"malformed matrix header in {path}")
         rows, cols, field = int(header[0]), int(header[1]), header[2]
+        width = 1 if field == "real" else 2
         out = np.zeros((rows, cols), dtype=np.complex128)
         for i in range(rows):
             for j in range(cols):
                 parts = fh.readline().split()
+                try:
+                    nums = [float(x) for x in parts]
+                except ValueError:
+                    nums = []
+                if len(nums) != width or not np.all(np.isfinite(nums)):
+                    raise ValueError(f"{path}: {field} entry ({i}, {j}) needs {width} "
+                                     f"finite number(s), got {' '.join(parts)!r}")
                 if field == "real":
-                    out[i, j] = float(parts[0])
+                    out[i, j] = nums[0]
                 else:
-                    out[i, j] = float(parts[0]) + 1j * float(parts[1])
+                    out[i, j] = nums[0] + 1j * nums[1]
     return out

@@ -17,20 +17,9 @@ reintroduces cross products and is kept for completeness only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-
-FORMULATIONS = (
-    "sq-svd",
-    "aug-svd",
-    "sq-qsvd",
-    "aug-qsvd",
-    "aug-rsvd",
-    "cpf-svd",
-    "cpf-qsvd",
-    "cpf-rsvd",
-    "qqqq",
-)
 
 # plain pencils with no decomposition semantics (lemma targets, ad hoc input)
 GENERIC = "generic"
@@ -220,3 +209,38 @@ def build_qqqq(a, b, c, d, e) -> Pencil:
                          lhs33=_hermitize(d.conj().T @ d),
                          lhs44=_hermitize(e @ e.conj().T))
     return pencil
+
+
+@dataclass(frozen=True)
+class Formulation:
+    """One pencil formulation: what it decomposes and how it is built.
+
+    ``kind`` is the decomposition (``svd``, ``qsvd``, ``rsvd``; ``qqqq`` has
+    none), ``family`` the pencil family (``sq``, ``aug``, ``cpf``; ``qqqq``
+    shares the cpf layout) and ``inputs`` the names of the matrices the
+    builder takes, in order.
+    """
+
+    name: str
+    kind: str
+    family: str
+    inputs: tuple[str, ...]
+    build: Callable[..., Pencil]
+
+    def build_from(self, mats) -> Pencil:
+        """Build from a mapping of input names (``"a"``, ``"b"``, ...) to matrices."""
+        return self.build(*(mats[k] for k in self.inputs))
+
+
+# every formulation, keyed by name
+FORMULATIONS = {f.name: f for f in (
+    Formulation("sq-svd", "svd", "sq", ("a",), build_sq_svd),
+    Formulation("aug-svd", "svd", "aug", ("a",), build_aug_svd),
+    Formulation("sq-qsvd", "qsvd", "sq", ("a", "c"), build_sq_qsvd),
+    Formulation("aug-qsvd", "qsvd", "aug", ("a", "c"), build_aug_qsvd),
+    Formulation("aug-rsvd", "rsvd", "aug", ("a", "b", "c"), build_aug_rsvd),
+    Formulation("cpf-svd", "svd", "cpf", ("a",), build_cpf_svd),
+    Formulation("cpf-qsvd", "qsvd", "cpf", ("a", "c"), build_cpf_qsvd),
+    Formulation("cpf-rsvd", "rsvd", "cpf", ("a", "b", "c"), build_cpf_rsvd),
+    Formulation("qqqq", "qqqq", "cpf", ("a", "b", "c", "d", "e"), build_qqqq),
+)}

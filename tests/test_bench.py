@@ -156,3 +156,24 @@ def test_failed_sample_record():
     rec = evaluate_sample(bad, "cpf-qsvd")
     assert rec.failed and rec.failure_reason
     assert math.isnan(rec.max_error)
+
+
+def test_sq_falls_back_to_qz_when_not_definite():
+    # C*C is numerically indefinite at kappa_y = 1e9: the definite path
+    # refuses and the sample is solved by QZ instead of aborting
+    prob = generate_qsvd(GeneratorConfig(n=10, kappa_sigma=10.0, kappa_y=1e9, seed=0))
+    rec = evaluate_sample(prob, "sq-qsvd")
+    assert not rec.failed and len(rec.errors) == 10
+    summary = run_sweep("qsvd", "kappa_y", [1e9], samples=2, n=6)
+    assert [c.samples for c in summary.cells] == [2, 2, 2]
+
+
+def test_non_finite_estimate_is_a_failure():
+    prob = generate_qsvd(GeneratorConfig(n=10, kappa_sigma=10.0, kappa_y=1e10, seed=0))
+    rec = evaluate_sample(prob, "aug-qsvd")
+    assert rec.failed and "not finite" in rec.failure_reason
+    assert math.isnan(rec.max_error)
+    # a failed sample is counted, and the cell median is over the others
+    cell = run_sweep("qsvd", "kappa_y", [1e10], samples=4, n=4).cell(1e10, "aug-qsvd")
+    assert cell.failures >= 1
+    assert math.isfinite(cell.median_max_error)

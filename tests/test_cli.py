@@ -95,3 +95,46 @@ def test_example_command(capsys):
     out = run_cli(capsys, "example", "--seed", "7")
     assert "3.162277660168" in out
     assert "squared geometric means" in out
+
+
+def _write_rsvd(tmp_path, capsys):
+    out = tmp_path / "prob"
+    run_cli(capsys, "generate", "--kind", "rsvd", "--n", "3", "--kappa-y", "10",
+            "--kappa-x", "10", "--seed", "4", "--out", str(out))
+    return [str(out / f"{name}.txt") for name in "ABC"]
+
+
+def test_solve_cpf_recover_rsvd(tmp_path, capsys):
+    a, b, c = _write_rsvd(tmp_path, capsys)
+    truth = [float(x) for x in (tmp_path / "prob" / "truth.txt").read_text().split()]
+    out = run_cli(capsys, "solve", "--formulation", "cpf", "--recover",
+                  "--a", a, "--b", b, "--c", c)
+    sigmas = sorted(float(ln.split()[4]) for ln in out.splitlines()
+                    if ln.startswith("regular"))
+    assert sigmas == pytest.approx(sorted(truth), rel=1e-10)
+
+
+def test_kcf_aug_from_rsvd_files(tmp_path, capsys):
+    a, b, c = _write_rsvd(tmp_path, capsys)
+    out = run_cli(capsys, "kcf", "--formulation", "aug", "--a", a, "--b", b, "--c", c)
+    assert "predicted canonical structure (6 x 6)" in out
+    assert out.count("J_1(") == 6
+    assert "finite-nonzero=6" in out
+
+
+def test_solve_qqqq(tmp_path, capsys):
+    paths = []
+    for name in "abcde":
+        paths += [f"--{name}", str(tmp_path / f"{name}.txt")]
+        write_matrix_text(tmp_path / f"{name}.txt", np.array([[2.0 if name == "a" else 1.0]]))
+    out = run_cli(capsys, "solve", "--formulation", "qqqq", *paths)
+    mags = sorted(abs(complex(float(ln.split()[0]), float(ln.split()[1])))
+                  for ln in out.strip().splitlines())
+    # with B = C = D = E = 1 the pencil is the cpf pencil of the scalar 2
+    assert np.allclose(mags, [np.sqrt(2.0)] * 4, atol=1e-12)
+
+
+def test_solve_sq_rejects_rsvd_inputs(tmp_path, capsys):
+    a, b, c = _write_rsvd(tmp_path, capsys)
+    with pytest.raises(SystemExit, match="not defined for a rsvd problem"):
+        main(["solve", "--formulation", "sq", "--a", a, "--b", b, "--c", c])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -151,4 +153,16 @@ def test_matrix_text_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("3 2 quaternion\n")
     with pytest.raises(ValueError):
+        read_matrix_text(path)
+
+
+@pytest.mark.parametrize("body, entry", [
+    ("2 1 real\n1.0\n", "real entry (1, 0)"),                 # file ends early
+    ("1 2 complex\n1.0 2.0\n3.0\n", "complex entry (0, 1)"),  # no imaginary part
+    ("2 1 real\n1.0\nnan\n", "real entry (1, 0)"),            # not finite
+])
+def test_matrix_text_rejects_hostile_entries(tmp_path, body, entry):
+    path = tmp_path / "hostile.txt"
+    path.write_text(body)
+    with pytest.raises(ValueError, match=rf"hostile\.txt: {re.escape(entry)}"):
         read_matrix_text(path)
