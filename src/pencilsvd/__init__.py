@@ -55,12 +55,9 @@ from .kcf import (
 )
 from .matcore import (
     RankReport,
-    SingularMatrixError,
-    cond2_estimate,
     haar_unitary,
     rank_with_tol,
     read_matrix_text,
-    solve_linear,
     write_matrix_text,
 )
 from .pencils import (
@@ -108,7 +105,6 @@ __all__ = [
     "RankReport",
     "RecoveredVectors",
     "RsvdPartition",
-    "SingularMatrixError",
     "SingularPencilError",
     "SingularTriplet",
     "SpectrumClassification",
@@ -126,7 +122,6 @@ __all__ = [
     "build_sq_svd",
     "chordal",
     "classify_spectrum",
-    "cond2_estimate",
     "evaluate_sample",
     "extract_vectors",
     "generate_qsvd",
@@ -146,7 +141,6 @@ __all__ = [
     "run_sweep",
     "solve_general",
     "solve_hpd",
-    "solve_linear",
     "spectrum_counts_check",
     "svd_partition",
     "true_sigma_grid",

@@ -47,6 +47,9 @@ RSVD_FORMULATIONS = formulations_of("rsvd")
 # relative phase tolerance when grouping cpf eigenvalues into quadruples
 GROUP_TOL = 1e-3
 
+# an sq spectrum is real when every |Im lambda| <= NONREAL_TOL * max |lambda|
+NONREAL_TOL = math.sqrt(np.finfo(np.float64).eps)
+
 SWEEP_AXES = ("kappa_y", "kappa_sigma", "kappa_xy")
 
 CSV_COLUMNS = ("kind", "formulation", "axis", "axis_value", "n", "kappa_x",
@@ -114,8 +117,12 @@ def solve_pencil(pencil: Pencil) -> EigenSolution:
 
 
 def _estimates_sq(sol: EigenSolution, n: int) -> np.ndarray:
-    lams = np.array([v.value.real for v in sol.values])
-    return np.sqrt(np.clip(lams, 0.0, None))[::-1]
+    lams = np.array([v.value for v in sol.values])
+    # the QZ fallback of an indefinite pencil can return a non-real spectrum
+    imag = np.abs(lams.imag).max(initial=0.0)
+    if imag > NONREAL_TOL * np.abs(lams).max(initial=0.0):
+        raise SampleFailure(f"non-real spectrum: largest |Im lambda| is {imag:.2e}")
+    return np.sqrt(np.clip(lams.real, 0.0, None))[::-1]
 
 
 def _estimates_aug(sol: EigenSolution, n: int) -> np.ndarray:

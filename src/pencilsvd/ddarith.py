@@ -7,8 +7,8 @@ renormalized elementwise operations, so they vectorize over ndarrays.
 
 Only what the generators and ground-truth bookkeeping need is implemented:
 real arithmetic (:class:`DD`), complex arithmetic (:class:`CDD`), square
-roots, integer roots/powers, matrix products and LU solves with partial
-pivoting.
+roots, integer roots/powers, diagonal scalings, matrix products and LU
+solves with partial pivoting.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 _SPLITTER = 134217729.0  # 2**27 + 1, Dekker split constant
-
-_EPS_DD = 2.0 ** -104
 
 
 def _two_sum(a, b):
@@ -111,13 +109,8 @@ class DD:
         hi, lo = _quick_two_sum(s, e)
         return DD(hi, lo)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return self + (-_as_dd(other))
-
-    def __rsub__(self, other):
-        return _as_dd(other) + (-self)
 
     def __mul__(self, other):
         other = _as_dd(other)
@@ -125,8 +118,6 @@ class DD:
         e = e + (self.hi * other.lo + self.lo * other.hi)
         hi, lo = _quick_two_sum(p, e)
         return DD(hi, lo)
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = _as_dd(other)
@@ -138,13 +129,6 @@ class DD:
         s, e = _quick_two_sum(q1, q2)
         return DD(s, e) + DD(q3)
 
-    def __rtruediv__(self, other):
-        return _as_dd(other) / self
-
-    def abs(self):
-        sign = np.where(self.hi < 0.0, -1.0, 1.0)
-        return DD(self.hi * sign, self.lo * sign)
-
     def sqrt(self):
         """Elementwise square root (one dd Newton step from a binary64 seed)."""
         y = np.sqrt(self.hi)
@@ -154,13 +138,6 @@ class DD:
         corr = (self - DD(p, e)).to_float() / (2.0 * ysafe)
         hi, lo = _quick_two_sum(ysafe, corr)
         return DD(np.where(nonzero, hi, 0.0), np.where(nonzero, lo, 0.0))
-
-    # comparisons on hi are enough for pivot selection and monotone grids
-    def __lt__(self, other):
-        return self.hi < _as_dd(other).hi
-
-    def __gt__(self, other):
-        return self.hi > _as_dd(other).hi
 
 
 def _as_dd(x):
@@ -213,16 +190,8 @@ class CDD:
         return cls(DD.from_float(z.real.copy()), DD.from_float(z.imag.copy()))
 
     @classmethod
-    def from_dd(cls, re: DD):
-        return cls(re.copy(), DD.zeros(re.shape))
-
-    @classmethod
     def zeros(cls, shape):
         return cls(DD.zeros(shape), DD.zeros(shape))
-
-    @classmethod
-    def eye(cls, n):
-        return cls.from_complex(np.eye(n, dtype=np.complex128))
 
     @property
     def shape(self):
@@ -250,11 +219,16 @@ class CDD:
         return CDD(DD(self.re.hi.T.copy(), self.re.lo.T.copy()),
                    DD(-self.im.hi.T, -self.im.lo.T))
 
+    def scaled(self, d: DD) -> "CDD":
+        """Elementwise product with the real dd array ``d`` (broadcast).
+
+        ``m.scaled(d)`` is ``m @ diag(d)`` and ``m.scaled(d[:, None])`` is
+        ``diag(d) @ m``, without forming the diagonal matrix.
+        """
+        return CDD(self.re * d, self.im * d)
+
     def abs2(self) -> DD:
         return self.re * self.re + self.im * self.im
-
-    def __neg__(self):
-        return CDD(-self.re, -self.im)
 
     def __add__(self, other):
         other = _as_cdd(other)
@@ -283,23 +257,14 @@ class CDD:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         out = CDD.zeros((n, m))
         for j in range(k):
-            col = self[:, j]
-            row = other[j, :]
-            out = out + CDD(
-                DD(col.re.hi[:, None], col.re.lo[:, None]),
-                DD(col.im.hi[:, None], col.im.lo[:, None]),
-            ) * CDD(
-                DD(row.re.hi[None, :], row.re.lo[None, :]),
-                DD(row.im.hi[None, :], row.im.lo[None, :]),
-            )
+            # outer product of column j and row j, broadcast (n, 1) * (1, m)
+            out = out + self[:, j:j + 1] * other[j:j + 1, :]
         return out
 
 
 def _as_cdd(x):
     if isinstance(x, CDD):
         return x
-    if isinstance(x, DD):
-        return CDD.from_dd(x)
     return CDD.from_complex(np.asarray(x, dtype=np.complex128))
 
 
@@ -325,50 +290,34 @@ def cdd_solve(a: CDD, b: CDD) -> CDD:
     if n != n2:
         raise ValueError("coefficient matrix must be square")
     lu = a.copy()
-    x = b.copy()
-    if x.re.hi.ndim == 1:
-        x = CDD(DD(x.re.hi[:, None], x.re.lo[:, None]),
-                DD(x.im.hi[:, None], x.im.lo[:, None]))
+    vector = len(b.shape) == 1
+    # copy before adding the axis: b[:, None] is a view into b
+    x = b.copy()[:, None] if vector else b.copy()
     for k in range(n):
         col_mag = np.abs(lu.re.hi[k:, k]) + np.abs(lu.im.hi[k:, k])
         piv = k + int(np.argmax(col_mag))
         if col_mag[piv - k] == 0.0:
             raise ZeroDivisionError("singular matrix in cdd_solve")
         if piv != k:
-            for arr in (lu.re.hi, lu.re.lo, lu.im.hi, lu.im.lo):
+            for arr in (lu.re.hi, lu.re.lo, lu.im.hi, lu.im.lo,
+                        x.re.hi, x.re.lo, x.im.hi, x.im.lo):
                 arr[[k, piv], :] = arr[[piv, k], :]
-            for arr in (x.re.hi, x.re.lo, x.im.hi, x.im.lo):
-                arr[[k, piv], :] = arr[[piv, k], :]
-        pivot = lu[k, k]
         if k + 1 < n:
-            mult = lu[k + 1:, k] / pivot
-            lu[k + 1:, k] = mult
-            mcol = CDD(DD(mult.re.hi[:, None], mult.re.lo[:, None]),
-                       DD(mult.im.hi[:, None], mult.im.lo[:, None]))
-            krow = lu[k, k + 1:]
-            krow = CDD(DD(krow.re.hi[None, :], krow.re.lo[None, :]),
-                       DD(krow.im.hi[None, :], krow.im.lo[None, :]))
-            lu[k + 1:, k + 1:] = lu[k + 1:, k + 1:] - mcol * krow
-            xrow = x[k, :]
-            xrow = CDD(DD(xrow.re.hi[None, :], xrow.re.lo[None, :]),
-                       DD(xrow.im.hi[None, :], xrow.im.lo[None, :]))
-            x[k + 1:, :] = x[k + 1:, :] - mcol * xrow
-    # back substitution
+            lu[k + 1:, k] = lu[k + 1:, k] / lu[k, k]
+            mcol = lu[k + 1:, k:k + 1]
+            lu[k + 1:, k + 1:] = lu[k + 1:, k + 1:] - mcol * lu[k:k + 1, k + 1:]
+            x[k + 1:, :] = x[k + 1:, :] - mcol * x[k:k + 1, :]
+    # back substitution; the row sum runs left to right
     for k in range(n - 1, -1, -1):
         acc = x[k, :]
         if k + 1 < n:
-            ucol = lu[k, k + 1:]
-            ucol = CDD(DD(ucol.re.hi[:, None], ucol.re.lo[:, None]),
-                       DD(ucol.im.hi[:, None], ucol.im.lo[:, None]))
-            prod = ucol * x[k + 1:, :]
+            prod = lu[k, k + 1:, None] * x[k + 1:, :]
             s = CDD.zeros(acc.shape)
             for j in range(prod.shape[0]):
                 s = s + prod[j, :]
             acc = acc - s
         x[k, :] = acc / lu[k, k]
-    if b.re.hi.ndim == 1:
-        return x[:, 0]
-    return x
+    return x[:, 0] if vector else x
 
 
 def dd_to_decimal_string(x: DD, digits: int = 32) -> str:

@@ -13,9 +13,14 @@ number ``kappa_X``) and assembles ``A = X^-* Sigma_alpha Y^-1``,
 
 Random numbers are generated in binary64 and promoted exactly; everything
 downstream (grids, products, solves) runs in double-double and is rounded
-to working precision only at the very end, so the grid values are the
-singular values of the generated problem to roughly 30 digits.  Problems
-are square (p = q = m = n) and full rank by construction.
+to working precision only at the very end.  The Haar factors are binary64
+samples, unitary only to about 1e-16, so the grid values match the
+singular values of the double-double problem to 5e-18..3e-16 relative
+(n = 4, kappa_Y = 1e7), not to 30 digits; rounding the matrices to
+binary64 moves the stored problem's values further (5e-13..1.3e-10
+relative at kappa_Y = 1e7).
+``truth.txt`` of the CLI prints 30 digits of the grid.  Problems are
+square (p = q = m = n) and full rank by construction.
 """
 
 from __future__ import annotations
@@ -108,7 +113,7 @@ def _conditioned_factor(n: int, kappa: float, rng) -> CDD:
     u = haar_unitary(n, rng)
     v = haar_unitary(n, rng)
     eta = true_sigma_grid(n, kappa) if kappa > 1.0 else DD(np.ones(n))
-    return CDD.from_complex(u).matmul(cdd_diag(eta)).matmul(CDD.from_complex(v).conj_t())
+    return CDD.from_complex(u).scaled(eta).matmul(CDD.from_complex(v).conj_t())
 
 
 def generate_qsvd(config: GeneratorConfig) -> GeneratedProblem:
@@ -121,8 +126,8 @@ def generate_qsvd(config: GeneratorConfig) -> GeneratedProblem:
     sigmas = true_sigma_grid(n, config.kappa_sigma)
     alpha, gamma = _alpha_gamma(sigmas)
     y_ct = y_dd.conj_t()
-    a_dd = cdd_solve(y_ct, cdd_diag(alpha).matmul(CDD.from_complex(u).conj_t())).conj_t()
-    c_dd = cdd_solve(y_ct, cdd_diag(gamma).matmul(CDD.from_complex(v).conj_t())).conj_t()
+    a_dd = cdd_solve(y_ct, CDD.from_complex(u).conj_t().scaled(alpha[:, None])).conj_t()
+    c_dd = cdd_solve(y_ct, CDD.from_complex(v).conj_t().scaled(gamma[:, None])).conj_t()
     return GeneratedProblem(
         kind="qsvd", config=config,
         a=a_dd.to_complex(), b=None, c=c_dd.to_complex(),
@@ -146,7 +151,7 @@ def generate_rsvd(config: GeneratorConfig) -> GeneratedProblem:
     w = cdd_solve(x_ct, cdd_diag(alpha))             # X^-* Sigma_alpha
     a_dd = cdd_solve(y_ct, w.conj_t()).conj_t()      # (X^-* Sigma_alpha) Y^-1
     b_dd = cdd_solve(x_ct, CDD.from_complex(u).conj_t())
-    c_dd = cdd_solve(y_ct, cdd_diag(gamma).matmul(CDD.from_complex(v).conj_t())).conj_t()
+    c_dd = cdd_solve(y_ct, CDD.from_complex(v).conj_t().scaled(gamma[:, None])).conj_t()
     return GeneratedProblem(
         kind="rsvd", config=config,
         a=a_dd.to_complex(), b=b_dd.to_complex(), c=c_dd.to_complex(),

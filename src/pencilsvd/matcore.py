@@ -1,9 +1,7 @@
-"""Dense matrix foundation: Haar sampling, rank decisions, solves, text I/O.
+"""Dense matrix foundation: Haar sampling, rank decisions, text I/O.
 
-Working precision is ``numpy.complex128``; extended precision is the
-double-double layer from :mod:`pencilsvd.ddarith` (:class:`~pencilsvd.ddarith.CDD`
-matrices, :class:`~pencilsvd.ddarith.DD` reals).  Converting extended to
-working rounds each real component to nearest binary64.
+Everything here works in ``numpy.complex128``; the extended-precision
+generator layer lives in :mod:`pencilsvd.ddarith`.
 """
 
 from __future__ import annotations
@@ -12,13 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ddarith import CDD, cdd_solve
-
 EPS = np.finfo(np.float64).eps
-
-
-class SingularMatrixError(np.linalg.LinAlgError):
-    """Coefficient matrix is singular at the requested precision."""
 
 
 @dataclass(frozen=True)
@@ -81,49 +73,6 @@ def rank_with_tol(m: np.ndarray, tol_rel: float | None = None) -> RankReport:
     smax = s[0] if s.size else 0.0
     cutoff = tol_rel * smax
     return RankReport(int(np.count_nonzero(s > cutoff)), s, float(cutoff))
-
-
-def solve_linear(m, rhs):
-    """Solve ``m @ z = rhs`` at the precision of the inputs.
-
-    ``m`` and ``rhs`` may be complex128 ndarrays (working precision) or
-    :class:`CDD` matrices (extended precision).  Raises
-    :class:`SingularMatrixError` when a pivot falls at or below roundoff of
-    the largest entry.
-    """
-    if isinstance(m, CDD):
-        try:
-            return cdd_solve(m, rhs if isinstance(rhs, CDD) else CDD.from_complex(rhs))
-        except ZeroDivisionError as exc:
-            raise SingularMatrixError(str(exc)) from exc
-    m = np.asarray(m, dtype=np.complex128)
-    rhs = np.asarray(rhs, dtype=np.complex128)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("coefficient matrix must be square")
-    import warnings
-
-    import scipy.linalg as sla
-
-    with warnings.catch_warnings():
-        # singularity is detected from the pivots below and raised explicitly
-        warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu, piv = sla.lu_factor(m, check_finite=False)
-    diag = np.abs(np.diagonal(lu))
-    floor = m.shape[0] * EPS * (diag.max() if diag.size else 0.0)
-    if diag.size == 0 or np.any(diag <= floor):
-        raise SingularMatrixError("matrix is singular to working precision")
-    return sla.lu_solve((lu, piv), rhs, check_finite=False)
-
-
-def cond2_estimate(m: np.ndarray) -> float:
-    """Spectral condition number s_max / s_min (inf for numerically singular)."""
-    m = np.asarray(m)
-    if m.size == 0 or not np.any(m):
-        raise ValueError("condition number of a zero or empty matrix")
-    s = np.linalg.svd(m, compute_uv=False)
-    if s[-1] <= s[0] / np.finfo(np.float64).max:
-        return np.inf
-    return float(s[0] / s[-1])
 
 
 # -- text format ------------------------------------------------------------

@@ -42,6 +42,8 @@ class Pencil:
     def __post_init__(self):
         if self.lhs.shape != self.rhs.shape:
             raise ValueError("lhs and rhs must have identical shape")
+        if not (np.isfinite(self.lhs).all() and np.isfinite(self.rhs).all()):
+            raise ValueError("pencil lhs and rhs must not hold non-finite (NaN or Inf) entries")
         if self.formulation not in FORMULATIONS and self.formulation != GENERIC:
             raise ValueError(f"unknown formulation {self.formulation!r}")
         if sum(self.row_blocks) != self.lhs.shape[0]:

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from pencilsvd.bench import (
+    NONREAL_TOL,
     ExperimentRecord,
+    SampleFailure,
+    _estimates_sq,
     chordal,
     chordal_reciprocal,
     evaluate_sample,
@@ -14,6 +17,7 @@ from pencilsvd.bench import (
     worked_example,
     write_sweep_csv,
 )
+from pencilsvd.eigensolve import CLASS_FINITE, EigenSolution, GeneralizedEigenvalue
 from pencilsvd.genmat import GeneratorConfig, generate_qsvd
 
 
@@ -160,12 +164,25 @@ def test_failed_sample_record():
 
 def test_sq_falls_back_to_qz_when_not_definite():
     # C*C is numerically indefinite at kappa_y = 1e9: the definite path
-    # refuses and the sample is solved by QZ instead of aborting
+    # refuses and the sample is solved by QZ instead of aborting; QZ returns
+    # a non-real spectrum here, so the sample is a counted failure
     prob = generate_qsvd(GeneratorConfig(n=10, kappa_sigma=10.0, kappa_y=1e9, seed=0))
     rec = evaluate_sample(prob, "sq-qsvd")
-    assert not rec.failed and len(rec.errors) == 10
+    assert rec.failed and "non-real spectrum" in rec.failure_reason
     summary = run_sweep("qsvd", "kappa_y", [1e9], samples=2, n=6)
     assert [c.samples for c in summary.cells] == [2, 2, 2]
+
+
+def test_sq_estimates_nonreal_tolerance_edge():
+    # |Im lambda| just under / over NONREAL_TOL * max |lambda| (here 4)
+    def solution(lams):
+        vals = tuple(GeneralizedEigenvalue(complex(x), 1 + 0j, CLASS_FINITE) for x in lams)
+        return EigenSolution(vals, np.eye(len(lams), dtype=complex), False)
+    below = 0.5 * NONREAL_TOL * 4.0
+    est = _estimates_sq(solution([1.0, 4.0 + below * 1j]), 2)
+    assert np.allclose(est, [2.0, 1.0])
+    with pytest.raises(SampleFailure, match="non-real spectrum"):
+        _estimates_sq(solution([1.0, 4.0 + 4 * below * 1j]), 2)
 
 
 def test_non_finite_estimate_is_a_failure():

@@ -111,6 +111,44 @@ def test_cdd_matmul_precision():
             assert abs(got - ref[i, j]) <= Fraction(1, 10 ** 30)
 
 
+def test_cdd_matmul_complex_rectangular():
+    # 3x5 @ 5x2 against exact rational arithmetic, real and imaginary parts
+    rng = np.random.default_rng(6)
+    a = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+    b = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
+    prod = CDD.from_complex(a).matmul(CDD.from_complex(b))
+    assert prod.shape == (3, 2)
+    fa = [[(Fraction(z.real), Fraction(z.imag)) for z in row] for row in a]
+    fb = [[(Fraction(z.real), Fraction(z.imag)) for z in row] for row in b]
+    for i in range(3):
+        for j in range(2):
+            re = sum(fa[i][k][0] * fb[k][j][0] - fa[i][k][1] * fb[k][j][1] for k in range(5))
+            im = sum(fa[i][k][0] * fb[k][j][1] + fa[i][k][1] * fb[k][j][0] for k in range(5))
+            assert abs(exact(prod.re[i, j]) - re) <= Fraction(1, 10 ** 29)
+            assert abs(exact(prod.im[i, j]) - im) <= Fraction(1, 10 ** 29)
+
+
+@pytest.mark.parametrize("rhs_shape", [(4,), (4, 2)])
+def test_cdd_solve_row_swap_leaves_inputs_unchanged(rhs_shape):
+    # a tiny (0, 0) entry forces a row swap at step 0
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    a[0, 0] = 1e-3 + 1e-3j
+    b = rng.standard_normal(rhs_shape) + 1j * rng.standard_normal(rhs_shape)
+    ac, bc = CDD.from_complex(a), CDD.from_complex(b)
+    a_before, b_before = ac.copy(), bc.copy()
+    x = cdd_solve(ac, bc)
+    assert x.shape == rhs_shape
+    x2 = x if len(rhs_shape) == 2 else CDD(x.re[:, None], x.im[:, None])
+    b2 = bc if len(rhs_shape) == 2 else CDD(bc.re[:, None], bc.im[:, None])
+    resid = ac.matmul(x2) - b2
+    assert (np.abs(resid.re.hi) + np.abs(resid.im.hi)).max() <= 1e-28
+    for got, want in ((ac, a_before), (bc, b_before)):
+        for part in ("re", "im"):
+            g, w = getattr(got, part), getattr(want, part)
+            assert np.array_equal(g.hi, w.hi) and np.array_equal(g.lo, w.lo)
+
+
 def test_cdd_solve_residual_in_dd():
     rng = np.random.default_rng(5)
     n = 8
@@ -138,6 +176,18 @@ def test_cdd_diag_and_conj_t():
     assert np.array_equal(d.to_complex(), np.diag([1.0 + 0j, 2.0 + 0j]))
     z = CDD.from_complex(np.array([[1 + 2j, 3j], [0, 4.0]]))
     assert np.array_equal(z.conj_t().to_complex(), np.array([[1 + 2j, 3j], [0, 4.0]]).conj().T)
+
+
+def test_scaled_equals_diagonal_product_bitwise():
+    # a diagonal scaling must round exactly like the product with cdd_diag
+    rng = np.random.default_rng(8)
+    m = CDD.from_complex(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    d = DD(rng.standard_normal(4)) / DD(np.array(3.0))   # nonzero lo parts
+    for got, want in ((m.scaled(d), m.matmul(cdd_diag(d))),
+                      (m.scaled(d[:, None]), cdd_diag(d).matmul(m))):
+        for part in ("re", "im"):
+            g, w = getattr(got, part), getattr(want, part)
+            assert np.array_equal(g.hi, w.hi) and np.array_equal(g.lo, w.lo)
 
 
 def test_decimal_string_30_digits():

@@ -3,16 +3,12 @@ import re
 import numpy as np
 import pytest
 
-from pencilsvd.ddarith import CDD
 from pencilsvd.matcore import (
     EPS,
     RankReport,
-    SingularMatrixError,
-    cond2_estimate,
     haar_unitary,
     rank_with_tol,
     read_matrix_text,
-    solve_linear,
     write_matrix_text,
 )
 
@@ -85,47 +81,6 @@ def test_rank_empty_matrix():
 def test_rank_report_rejects_increasing_values():
     with pytest.raises(ValueError):
         RankReport(2, np.array([1.0, 2.0]), 0.0)
-
-
-def test_solve_identity_and_diag():
-    b = np.array([1.0 + 1j, 2.0])
-    assert np.allclose(solve_linear(np.eye(2), b), b)
-    assert np.allclose(solve_linear(np.diag([2.0, 4.0]), np.array([2.0, 4.0])), [1.0, 1.0])
-
-
-def test_solve_residual_well_conditioned():
-    rng = np.random.default_rng(21)
-    for _ in range(200):
-        q1 = haar_unitary(8, rng)
-        q2 = haar_unitary(8, rng)
-        m = q1 @ np.diag(np.exp(rng.uniform(0, np.log(1e3), 8)) / 1e3) @ q2
-        rhs = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        z = solve_linear(m, rhs)
-        assert np.linalg.norm(m @ z - rhs) <= 1e-12 * np.linalg.norm(rhs)
-
-
-def test_solve_singular_raises():
-    m = np.array([[1.0, 2.0], [2.0, 4.0]])
-    with pytest.raises(SingularMatrixError):
-        solve_linear(m, np.ones(2))
-
-
-def test_solve_extended_precision_dispatch():
-    m = CDD.from_complex(np.diag([2.0, 4.0]).astype(complex))
-    rhs = CDD.from_complex(np.array([2.0, 4.0]).astype(complex))
-    z = solve_linear(m, rhs)
-    assert np.allclose(z.to_complex(), [1.0, 1.0])
-
-
-def test_cond2_identity_and_diag():
-    assert cond2_estimate(np.eye(3)) == pytest.approx(1.0)
-    assert cond2_estimate(np.diag([10.0, 1.0])) == pytest.approx(10.0)
-
-
-def test_cond2_singular_is_inf():
-    assert cond2_estimate(np.diag([1.0, 0.0])) == np.inf
-    with pytest.raises(ValueError):
-        cond2_estimate(np.zeros((2, 2)))
 
 
 def test_matrix_text_roundtrip_complex(tmp_path):

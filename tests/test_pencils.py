@@ -12,6 +12,7 @@ from pencilsvd.pencils import (
     build_qqqq,
     build_sq_qsvd,
     build_sq_svd,
+    generic_pencil,
 )
 
 
@@ -156,3 +157,15 @@ def test_dimension_mismatch_errors():
         build_aug_rsvd(a, np.zeros((3, 2)), np.zeros((2, 3)))
     with pytest.raises(ValueError):
         build_qqqq(a, np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("route", ["generic", "cpf-qsvd"])
+@pytest.mark.parametrize("side", ["lhs", "rhs"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_entries_rejected(route, side, bad):
+    # A lands in lhs of cpf-qsvd, C* in its rhs
+    first, second = np.eye(2, dtype=complex), np.eye(2, dtype=complex)
+    (first if side == "lhs" else second)[1, 0] = bad
+    build = generic_pencil if route == "generic" else build_cpf_qsvd
+    with pytest.raises(ValueError, match="non-finite"):
+        build(first, second)
