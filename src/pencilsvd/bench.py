@@ -72,16 +72,6 @@ def chordal(sigma: float, approx: float) -> float:
     return abs(sigma - approx) / (math.hypot(1.0, sigma) * math.hypot(1.0, approx))
 
 
-def chordal_reciprocal(sigma: float, approx: float) -> float:
-    """Same metric written in the reciprocals; agrees with :func:`chordal`."""
-    if sigma == 0 and approx == 0:
-        return 0.0
-    if sigma == 0 or approx == 0:
-        return chordal(approx, sigma) if sigma == 0 else chordal(sigma, approx)
-    return abs(1.0 / sigma - 1.0 / approx) / (
-        math.hypot(1.0, 1.0 / sigma) * math.hypot(1.0, 1.0 / approx))
-
-
 @dataclass(frozen=True)
 class ExperimentRecord:
     kind: str

@@ -193,6 +193,17 @@ class CDD:
     def zeros(cls, shape):
         return cls(DD.zeros(shape), DD.zeros(shape))
 
+    @staticmethod
+    def hstack(*blocks: "CDD") -> "CDD":
+        """Place 2-d blocks with equal row counts side by side.
+
+        Raises ``ValueError`` if the row counts differ.
+        """
+        def cat(parts):
+            return DD(np.concatenate([p.hi for p in parts], axis=1),
+                      np.concatenate([p.lo for p in parts], axis=1))
+        return CDD(cat([b.re for b in blocks]), cat([b.im for b in blocks]))
+
     @property
     def shape(self):
         return self.re.shape
@@ -280,6 +291,13 @@ def cdd_diag(values: DD) -> CDD:
 
 def cdd_solve(a: CDD, b: CDD) -> CDD:
     """Solve a @ x = b in complex double-double via LU with partial pivoting.
+
+    The pivots depend on ``a`` alone, and every update of ``x``, back
+    substitution included, is elementwise per column: each column of a 2-d
+    ``b`` is solved with the same pivots and independently of the others.
+    A solve with right-hand sides stacked by :meth:`CDD.hstack` therefore
+    equals the separate solves bit for bit, which lets a generator factor
+    a coefficient matrix once for all its right-hand sides.
 
     Raises
     ------

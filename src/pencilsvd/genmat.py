@@ -146,12 +146,14 @@ def generate_rsvd(config: GeneratorConfig) -> GeneratedProblem:
     v = haar_unitary(n, rng)
     sigmas = true_sigma_grid(n, config.kappa_sigma)
     alpha, gamma = _alpha_gamma(sigmas)
-    x_ct = x_dd.conj_t()
-    y_ct = y_dd.conj_t()
-    w = cdd_solve(x_ct, cdd_diag(alpha))             # X^-* Sigma_alpha
-    a_dd = cdd_solve(y_ct, w.conj_t()).conj_t()      # (X^-* Sigma_alpha) Y^-1
-    b_dd = cdd_solve(x_ct, CDD.from_complex(u).conj_t())
-    c_dd = cdd_solve(y_ct, CDD.from_complex(v).conj_t().scaled(gamma[:, None])).conj_t()
+    # one solve per factor: [W | B] = X^-* [Sigma_alpha | U*], then
+    # [A* | C*] = Y^-* [W* | Sigma_gamma V*]
+    wb = cdd_solve(x_dd.conj_t(), CDD.hstack(cdd_diag(alpha), CDD.from_complex(u).conj_t()))
+    w, b_dd = wb[:, :n], wb[:, n:]
+    ac_ct = cdd_solve(y_dd.conj_t(), CDD.hstack(
+        w.conj_t(), CDD.from_complex(v).conj_t().scaled(gamma[:, None])))
+    a_dd = ac_ct[:, :n].conj_t()
+    c_dd = ac_ct[:, n:].conj_t()
     return GeneratedProblem(
         kind="rsvd", config=config,
         a=a_dd.to_complex(), b=b_dd.to_complex(), c=c_dd.to_complex(),

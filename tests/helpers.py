@@ -1,7 +1,11 @@
-"""Shared test constructions: structured matrices with known partitions."""
+"""Shared test constructions: structured matrices with known partitions,
+and the chordal metric written in the reciprocals."""
+
+import math
 
 import numpy as np
 
+from pencilsvd.bench import chordal
 from pencilsvd.kcf import (
     QsvdPartition,
     RsvdPartition,
@@ -107,3 +111,13 @@ def assembled_rsvd_triplet(part: RsvdPartition, sigmas, rng):
     b = xict @ sb @ u.conj().T
     c = v @ sg @ yinv
     return a, b, c, u, v, x, yq
+
+
+def chordal_reciprocal(sigma: float, approx: float) -> float:
+    """The chordal metric written in the reciprocals; agrees with ``chordal``."""
+    if sigma == 0 and approx == 0:
+        return 0.0
+    if sigma == 0 or approx == 0:
+        return chordal(approx, sigma) if sigma == 0 else chordal(sigma, approx)
+    return abs(1.0 / sigma - 1.0 / approx) / (
+        math.hypot(1.0, 1.0 / sigma) * math.hypot(1.0, 1.0 / approx))

@@ -14,12 +14,13 @@ import pytest
 from helpers import (
     assembled_qsvd_pair,
     assembled_rsvd_triplet,
+    chordal_reciprocal,
     qsvd_partition_from_counts,
     random_qsvd_counts,
     random_rsvd_counts,
     rsvd_partition_from_counts,
 )
-from pencilsvd.bench import chordal, chordal_reciprocal, run_sample, run_sweep
+from pencilsvd.bench import chordal, run_sample, run_sweep
 from pencilsvd.eigensolve import solve_general
 from pencilsvd.genmat import GeneratorConfig, generate_qsvd, generate_rsvd, true_sigma_grid
 from pencilsvd.kcf import (

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from helpers import chordal_reciprocal
 from pencilsvd.bench import (
     NONREAL_TOL,
     ExperimentRecord,
     SampleFailure,
     _estimates_sq,
     chordal,
-    chordal_reciprocal,
     evaluate_sample,
     matched_decimal_digits,
     run_sample,

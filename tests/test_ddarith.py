@@ -171,6 +171,38 @@ def test_cdd_solve_vector_rhs_and_singular():
         cdd_solve(sing, b)
 
 
+def _parts(x: CDD):
+    return (x.re.hi, x.re.lo, x.im.hi, x.im.lo)
+
+
+def test_stacked_solve_equals_separate_solves_bitwise():
+    # a tiny (0, 0) entry forces a row swap at step 0; the diagonal block's
+    # exact zeros run through the elimination, and tobytes tells -0.0 from 0.0
+    rng = np.random.default_rng(9)
+    a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    a[0, 0] = 1e-3 - 1e-3j
+    ac = CDD.from_complex(a)
+    b1 = cdd_diag(DD(rng.standard_normal(5)) / DD(np.array(3.0)))
+    b2 = CDD.from_complex(rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3)))
+    x = cdd_solve(ac, CDD.hstack(b1, b2))
+    x1, x2 = cdd_solve(ac, b1), cdd_solve(ac, b2)
+    got = _parts(x[:, :5]) + _parts(x[:, 5:])
+    want = _parts(x1) + _parts(x2)
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+def test_hstack_shapes_and_row_mismatch():
+    rng = np.random.default_rng(10)
+    m1 = CDD.from_complex(rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)))
+    m2 = CDD.from_complex(rng.standard_normal((3, 4)) + 0j)
+    m = CDD.hstack(m1, m2)
+    assert m.shape == (3, 6)
+    assert CDD.hstack(m1).shape == (3, 2)
+    assert np.array_equal(m.to_complex(), np.hstack([m1.to_complex(), m2.to_complex()]))
+    with pytest.raises(ValueError):
+        CDD.hstack(m1, CDD.zeros((4, 2)))
+
+
 def test_cdd_diag_and_conj_t():
     d = cdd_diag(DD(np.array([1.0, 2.0])))
     assert np.array_equal(d.to_complex(), np.diag([1.0 + 0j, 2.0 + 0j]))

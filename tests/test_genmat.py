@@ -162,3 +162,39 @@ def test_generator_determinism():
     p2 = generate_qsvd(cfg)
     assert np.array_equal(p1.a, p2.a)
     assert np.array_equal(p1.c, p2.c)
+
+
+@pytest.mark.parametrize("n,kappa_sigma,kappa_y,kappa_x,seed", [
+    (4, 10.0, 100.0, 50.0, 31),
+    (7, 1e6, 1e7, 1e3, 37),
+    (10, 1e13, 10.0, 1.0, 41),
+])
+def test_generators_match_one_solve_per_right_hand_side(n, kappa_sigma, kappa_y, kappa_x, seed):
+    # rebuild the binary64 matrices with a separate cdd_solve for every
+    # right-hand side; the stacked solves must round to the same bits
+    from pencilsvd.ddarith import cdd_solve
+
+    def u_ct(p):
+        return CDD.from_complex(p.u).conj_t()
+
+    def gamma_v_ct(p):
+        return CDD.from_complex(p.v).conj_t().scaled(p.sigma_gamma[:, None])
+
+    cfg = GeneratorConfig(n=n, kappa_sigma=kappa_sigma, kappa_y=kappa_y,
+                          kappa_x=kappa_x, seed=seed)
+    q = generate_qsvd(cfg)
+    y_ct = q.y_dd.conj_t()
+    a = cdd_solve(y_ct, u_ct(q).scaled(q.sigma_alpha[:, None])).conj_t()
+    c = cdd_solve(y_ct, gamma_v_ct(q)).conj_t()
+    assert q.a.tobytes() == a.to_complex().tobytes()
+    assert q.c.tobytes() == c.to_complex().tobytes()
+
+    r = generate_rsvd(cfg)
+    x_ct, y_ct = r.x_dd.conj_t(), r.y_dd.conj_t()
+    w = cdd_solve(x_ct, cdd_diag(r.sigma_alpha))
+    a = cdd_solve(y_ct, w.conj_t()).conj_t()
+    b = cdd_solve(x_ct, u_ct(r))
+    c = cdd_solve(y_ct, gamma_v_ct(r)).conj_t()
+    assert r.a.tobytes() == a.to_complex().tobytes()
+    assert r.b.tobytes() == b.to_complex().tobytes()
+    assert r.c.tobytes() == c.to_complex().tobytes()
