@@ -338,12 +338,8 @@ def worked_example(seed: int = 7, n: int = 4, kappa_y: float = 1e7,
     sol = solve_pencil(_build(problem, "cpf-qsvd"))
     finite = [v for v in sol.values if v.kind == CLASS_FINITE]
     quads = group_quadruples(finite, rel_tol=GROUP_TOL)
-    sq_mags = np.zeros((4, n))
-    means = np.zeros(n)
-    for j, quad in enumerate(quads):
-        member_mags = np.sort(np.abs([m.value for m in quad.members]) ** 2)
-        sq_mags[:, j] = member_mags
-        means[j] = quad.sigma
+    sq_mags = np.sort(np.abs([[m.value for m in q.members] for q in quads]) ** 2, axis=1).T
+    means = np.array([q.sigma for q in quads])
 
     return WorkedExample(
         exact=truth,

@@ -163,11 +163,9 @@ def _print_structure(structure):
             print(f"  zero block {b.rows} x {b.cols}")
         elif b.kind == "n-infinite":
             print(f"  N_{b.rows} (infinite eigenvalue)")
-        elif b.kind == "j-finite":
+        else:
             z = b.eigenvalue
             print(f"  J_{b.rows}({z.real:+.6e}{z.imag:+.6e}i)")
-        else:
-            print(f"  {b.kind} {b.rows} x {b.cols}")
     counts = structure.eigenvalue_counts()
     print("expected eigenvalue counts: " +
           ", ".join(f"{k}={v}" for k, v in counts.items()))

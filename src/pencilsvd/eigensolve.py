@@ -102,14 +102,14 @@ def classify_pair(alpha_e: complex, beta_e: complex, tol_zero: float, tol_inf: f
 def _common_nullspaces(lhs, rhs, tol_rel):
     k = lhs.shape[0]
     stacked = np.vstack([lhs, rhs])
-    _, s_r, vh = np.linalg.svd(stacked)
+    _, s_r, vh = np.linalg.svd(stacked, full_matrices=False)
     smax = s_r[0] if s_r.size else 0.0
     nr = int(np.count_nonzero(s_r <= tol_rel * smax))
     right_null = vh[k - nr:, :].conj().T if nr else np.zeros((k, 0), dtype=complex)
     right_keep = vh[: k - nr, :].conj().T
 
     side = np.hstack([lhs, rhs])
-    u, s_l, _ = np.linalg.svd(side)
+    u, s_l, _ = np.linalg.svd(side, full_matrices=False)
     smax = s_l[0] if s_l.size else 0.0
     nl = int(np.count_nonzero(s_l <= tol_rel * smax))
     left_keep = u[:, : k - nl]
@@ -157,8 +157,6 @@ def solve_general(pencil: Pencil, class_tol_rel: float | None = None,
             lhs = left_keep.conj().T @ lhs @ right_keep
             rhs = left_keep.conj().T @ rhs @ right_keep
             w_right = right_keep
-        else:
-            null_vecs = np.zeros((k, 0), dtype=complex)
 
     if lhs.shape[0]:
         aw, vr = sla.eig(lhs, rhs, right=True, homogeneous_eigvals=True)
@@ -182,20 +180,15 @@ def solve_general(pencil: Pencil, class_tol_rel: float | None = None,
         values += [GeneralizedEigenvalue(0j, 0j, CLASS_INDETERMINATE)] * s
         vectors = np.hstack([vectors, null_vecs])
 
-    stable = True
-    lhs_full = pencil.lhs
-    rhs_full = pencil.rhs
-    norm_a = np.linalg.norm(lhs_full, 2) if k else 0.0
-    norm_b = np.linalg.norm(rhs_full, 2) if k else 0.0
-    for i, val in enumerate(values):
-        if val.kind != CLASS_FINITE:
-            continue
-        lam = val.value
-        w = vectors[:, i]
-        res = np.linalg.norm(lhs_full @ w - lam * (rhs_full @ w))
-        if res > RESIDUAL_TOL * (norm_a + abs(lam) * norm_b) * np.linalg.norm(w):
-            stable = False
-    return EigenSolution(tuple(values), vectors, stable)
+    # backward error of every finite eigenpair at once, one column each
+    fin = [i for i, val in enumerate(values) if val.kind == CLASS_FINITE]
+    lam = np.array([values[i].value for i in fin], dtype=complex)
+    w = vectors[:, fin]
+    norm_a = np.linalg.norm(pencil.lhs, 2) if k else 0.0
+    norm_b = np.linalg.norm(pencil.rhs, 2) if k else 0.0
+    res = np.linalg.norm(pencil.lhs @ w - (pencil.rhs @ w) * lam, axis=0)
+    bound = RESIDUAL_TOL * (norm_a + np.abs(lam) * norm_b) * np.linalg.norm(w, axis=0)
+    return EigenSolution(tuple(values), vectors, not np.any(res > bound))
 
 
 def solve_hpd(pencil: Pencil, class_tol_rel: float | None = None) -> EigenSolution:

@@ -30,11 +30,9 @@ from .eigensolve import (
     EigenSolution,
 )
 from .matcore import rank_with_tol
-from .pencils import FORMULATIONS, Pencil, generic_pencil
+from .pencils import FORMULATIONS, Pencil, build_cpf_rsvd, generic_pencil
 
 KIND_ZERO_BLOCK = "zero-block"
-KIND_L_RIGHT = "l-right"
-KIND_L_LEFT = "l-left"
 KIND_N = "n-infinite"
 KIND_J = "j-finite"
 
@@ -45,7 +43,7 @@ class PartitionError(ValueError):
 
 @dataclass(frozen=True)
 class KcfBlock:
-    """One canonical block; ``size`` is the minimal index for L blocks."""
+    """One canonical block: a zero block, ``N_k`` at infinity or ``J_k``."""
 
     kind: str
     rows: int
@@ -53,11 +51,9 @@ class KcfBlock:
     eigenvalue: complex | None = None
 
     def __post_init__(self):
-        if self.kind == KIND_L_RIGHT and self.cols != self.rows + 1:
-            raise ValueError("right singular block must be k x (k+1)")
-        if self.kind == KIND_L_LEFT and self.rows != self.cols + 1:
-            raise ValueError("left singular block must be (k+1) x k")
-        if self.kind in (KIND_N, KIND_J) and self.rows != self.cols:
+        if self.kind not in (KIND_ZERO_BLOCK, KIND_N, KIND_J):
+            raise ValueError(f"unknown canonical block kind {self.kind!r}")
+        if self.kind != KIND_ZERO_BLOCK and self.rows != self.cols:
             raise ValueError("N and J blocks are square")
 
 
@@ -86,7 +82,7 @@ class KcfStructure:
                 or sum(b.cols for b in self.blocks) != self.cols:
             raise ValueError("block dimensions do not sum to the pencil shape")
 
-    def eigenvalue_counts(self, finite_tol: float = 0.0) -> dict[str, int]:
+    def eigenvalue_counts(self) -> dict[str, int]:
         """Expected spectrum counts: N sizes at infinity, J(0) sizes at zero,
         square zero blocks as indeterminate pairs, remaining J sizes finite."""
         counts = {CLASS_FINITE: 0, CLASS_ZERO: 0, CLASS_INFINITE: 0,
@@ -95,7 +91,7 @@ class KcfStructure:
             if b.kind == KIND_N:
                 counts[CLASS_INFINITE] += b.rows
             elif b.kind == KIND_J:
-                if abs(b.eigenvalue) <= finite_tol:
+                if b.eigenvalue == 0:
                     counts[CLASS_ZERO] += b.rows
                 else:
                     counts[CLASS_FINITE] += b.rows
@@ -427,30 +423,27 @@ _LEMMA_KINDS = ("osvd", "qsvd", "rsvd")
 
 def lemma_pencil(kind: str, alpha: float, beta: float = 1.0,
                  gamma: float = 1.0) -> Pencil:
-    """Order-4 pencil of one singular value: lhs couples alpha, rhs beta/gamma."""
+    """Order-4 pencil of one singular value: lhs couples alpha, rhs beta/gamma.
+
+    Every kind gives the 1x1 ``cpf-rsvd`` pencil of ``([[alpha]], [[beta]],
+    [[gamma]])``, row blocks ``(1, 1, 1, 1)``, with beta (and gamma) set to 1
+    for the quotient (and ordinary) kind.
+    """
     if kind not in _LEMMA_KINDS:
         raise ValueError(f"unknown lemma kind {kind!r}")
     if kind == "osvd":
         beta = gamma = 1.0
     elif kind == "qsvd":
         beta = 1.0
-    lhs = np.array([
-        [0, alpha, 0, 0],
-        [alpha, 0, 0, 0],
-        [0, 0, 1, 0],
-        [0, 0, 0, 1],
-    ], dtype=complex)
-    rhs = np.array([
-        [0, 0, beta, 0],
-        [0, 0, 0, gamma],
-        [beta, 0, 0, 0],
-        [0, gamma, 0, 0],
-    ], dtype=complex)
-    return generic_pencil(lhs, rhs)
+    return build_cpf_rsvd([[alpha]], [[beta]], [[gamma]])
 
 
 @dataclass(frozen=True)
 class LemmaReduction:
+    """Reduction of one singular value's pencil ``source`` (the ``cpf-rsvd``
+    pencil of :func:`lemma_pencil`, row blocks ``(1, 1, 1, 1)``) to ``target``
+    = ``(D, I)``."""
+
     x: np.ndarray
     y: np.ndarray
     source: Pencil
@@ -521,30 +514,12 @@ def _canonical_cpf_expected(layout, partition, d_alpha, d_beta, d_gamma):
     for kind, size, count in _groups(layout, partition):
         lhs, rhs = _canonical_pair(kind, size)
         parts.append((np.kron(lhs, np.eye(count)), np.kron(rhs, np.eye(count))))
-    parts.append((_four_block(d_alpha), _four_rhs(np.diag(d_beta), np.diag(d_gamma))))
+    # the sigma part is the cpf layout of the diagonal (alpha, beta, gamma)
+    tail = build_cpf_rsvd(np.diag(d_alpha), np.diag(d_beta), np.diag(d_gamma))
+    parts.append((tail.lhs, tail.rhs))
     lhs = _block_diag([a for a, _ in parts])
     rhs = _block_diag([b for _, b in parts])
     return lhs, rhs
-
-
-def _four_block(d_alpha):
-    da = np.diag(d_alpha)
-    k = da.shape[0]
-    out = np.zeros((4 * k, 4 * k), dtype=complex)
-    out[:k, k:2 * k] = da
-    out[k:2 * k, :k] = da
-    out[2 * k:, 2 * k:] = np.eye(2 * k)
-    return out
-
-
-def _four_rhs(d_beta, d_gamma):
-    k = d_beta.shape[0]
-    out = np.zeros((4 * k, 4 * k), dtype=complex)
-    out[:k, 2 * k:3 * k] = d_beta
-    out[k:2 * k, 3 * k:] = d_gamma
-    out[2 * k:3 * k, :k] = d_beta
-    out[3 * k:, k:2 * k] = d_gamma
-    return out
 
 
 def _block_diag(blocks):

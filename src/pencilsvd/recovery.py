@@ -3,11 +3,18 @@
 Each finite nonzero singular value sigma contributes the eigenvalue
 quadruple ``+-sqrt(sigma), +-i*sqrt(sigma)``.  Computed quadruple members
 do not agree in magnitude to full accuracy, so sigma is estimated by the
-squared absolute geometric mean ``(|l1| |l2| |l3| |l4|)**(1/2)``.
+squared absolute geometric mean ``(|l1| |l2| |l3| |l4|)**(1/2)`` of the
+magnitudes sorted in ascending order.
 
-Grouping uses the key ``lam**4``, which all members of an exact quadruple
-share (it equals ``sigma**2``), together with a phase-pattern check: the
-members must occupy the four quadrant classes of a common rotation.
+Grouping puts each value in the class of its nearest quarter turn,
+``rint(angle / (pi/2)) mod 4``, sorts each class by magnitude and joins
+the j-th value of every class into quadruple j; a phase-pattern check then
+rejects quadruples whose members, turned back onto class 0, disagree.  The
+classes are absolute, so members must lie less than pi/4 off the axes: a
+quadruple near the diagonals, where perturbations can push members across a
+class boundary, raises ``GroupingError``.  Since a quadruple is unchanged by
+a quarter turn, a common rotation counts modulo pi/2.  The cpf spectra of
+real sigma >= 0 lie on the axes.
 """
 
 from __future__ import annotations
@@ -90,13 +97,14 @@ class RecoveredVectors:
     residual_c: float
 
 
-def _phase_class(z: complex, anchor: complex) -> int:
-    ang = np.angle(z / anchor)
-    return int(np.round(ang / (np.pi / 2))) % 4
+# conjugate quarter turns taking phase classes 0..3 back onto class 0
+_UNTURN = np.array([1, -1j, -1, 1j])
 
 
 def group_quadruples(values, rel_tol: float = 1e-6) -> list[Quadruple]:
     """Partition finite-nonzero eigenvalues into sigma quadruples.
+
+    The grouping rule and its pi/4 limit are in the module docstring.
 
     Parameters
     ----------
@@ -113,42 +121,27 @@ def group_quadruples(values, rel_tol: float = 1e-6) -> list[Quadruple]:
                      for v in vals])
     if np.any(lams == 0) or not np.all(np.isfinite(lams)):
         raise GroupingError("grouping expects finite nonzero eigenvalues")
-    keys = lams ** 4
-    order = list(np.argsort(np.abs(lams)))
-    quads = []
-    while order:
-        anchor = order.pop(0)
-        chosen = [anchor]
-        classes = {0}
-        # nearest lam**4 first, but each member must occupy a new quadrant
-        for j in sorted(order, key=lambda i: abs(keys[i] - keys[anchor])):
-            cls = _phase_class(lams[j], lams[anchor])
-            if cls in classes:
-                continue
-            classes.add(cls)
-            chosen.append(j)
-            if len(chosen) == 4:
-                break
-        if len(chosen) != 4:
+    quarter = np.rint(np.angle(lams) / (np.pi / 2)).astype(int) % 4
+    sizes = np.bincount(quarter, minlength=4)
+    if np.any(sizes != len(vals) // 4):
+        raise GroupingError(f"quarter-turn classes hold {sizes.tolist()} eigenvalues; "
+                            "each quadruple needs one member in every class")
+    # class-major, magnitude-minor (stable): row j takes the j-th of each class
+    rows = np.lexsort((np.abs(lams), quarter)).reshape(4, -1).T
+    rotated = lams[rows] * _UNTURN
+    center = rotated.mean(axis=1)
+    residuals = np.abs(rotated - center[:, None]).max(axis=1) / np.abs(center)
+    for row, res in zip(rows, residuals):
+        if res > rel_tol:
             raise GroupingError(
-                "could not complete a quadruple with distinct phase classes; "
-                f"anchor eigenvalue {lams[anchor]}")
-        for j in chosen[1:]:
-            order.remove(j)
-        members = [vals[i] if isinstance(vals[i], GeneralizedEigenvalue)
-                   else GeneralizedEigenvalue(complex(lams[i]), 1.0 + 0j, CLASS_FINITE)
-                   for i in chosen]
-        rotated = np.array([lams[i] / (1j ** _phase_class(lams[i], lams[anchor]))
-                            for i in chosen])
-        center = rotated.mean()
-        residual = float(np.max(np.abs(rotated - center)) / abs(center))
-        if residual > rel_tol:
-            raise GroupingError(
-                f"phase-pattern residual {residual:.3e} exceeds {rel_tol:.1e} "
-                f"for quadruple around |lam| = {abs(lams[anchor]):.6g}")
-        sigma = geometric_mean_sigma(lams[chosen])
-        quads.append(Quadruple(tuple(members), tuple(int(i) for i in chosen),
-                               sigma, residual))
+                f"phase-pattern residual {res:.3e} exceeds {rel_tol:.1e} "
+                f"for quadruple around |lam| = {np.abs(lams[row]).min():.6g}")
+    members = [v if isinstance(v, GeneralizedEigenvalue)
+               else GeneralizedEigenvalue(complex(lam), 1.0 + 0j, CLASS_FINITE)
+               for v, lam in zip(vals, lams)]
+    quads = [Quadruple(tuple(members[i] for i in row), tuple(int(i) for i in row),
+                       geometric_mean_sigma(lams[row]), float(res))
+             for row, res in zip(rows, residuals)]
     quads.sort(key=lambda q: -q.sigma)
     return quads
 
@@ -157,9 +150,10 @@ def geometric_mean_sigma(lams) -> float:
     """Squared absolute geometric mean of a quadruple: approximates sigma.
 
     With ``|lam_i| ~ sqrt(sigma)`` the product of the four magnitudes is
-    ``~ sigma**2``, so the exponent is +1/2.
+    ``~ sigma**2``, so the exponent is +1/2.  The magnitudes are multiplied
+    in ascending order, so the result does not depend on the member order.
     """
-    mags = np.abs(np.asarray(lams, dtype=complex))
+    mags = np.sort(np.abs(np.asarray(lams, dtype=complex)))
     if mags.size != 4:
         raise ValueError("a quadruple has exactly four members")
     return float(np.sqrt(mags[0] * mags[1] * mags[2] * mags[3]))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pencilsvd import eigensolve
 from pencilsvd.eigensolve import (
     CLASS_FINITE,
     CLASS_INDETERMINATE,
@@ -67,6 +68,22 @@ def test_eigenvector_residuals():
         lam = val.value
         res = np.linalg.norm(a @ w - lam * (b @ w))
         assert res <= 1e-12 * (np.linalg.norm(a, 2) + abs(lam) * np.linalg.norm(b, 2)) * np.linalg.norm(w)
+
+
+def test_residual_tol_edge(monkeypatch):
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    b = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    pencil = generic_pencil(a, b)
+    norm_a, norm_b = np.linalg.norm(a, 2), np.linalg.norm(b, 2)
+    worst = max(np.linalg.norm(a @ w - v.value * (b @ w))
+                / ((norm_a + abs(v.value) * norm_b) * np.linalg.norm(w))
+                for v, w in solve_general(pencil).finite())
+    assert worst > 0
+    monkeypatch.setattr(eigensolve, "RESIDUAL_TOL", 2 * worst)
+    assert solve_general(pencil).backward_stable
+    monkeypatch.setattr(eigensolve, "RESIDUAL_TOL", 0.5 * worst)
+    assert not solve_general(pencil).backward_stable
 
 
 def test_unitary_equivalence_invariance():

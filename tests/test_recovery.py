@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pencilsvd.eigensolve import solve_general
 from pencilsvd.pencils import build_cpf_qsvd, build_cpf_rsvd, build_cpf_svd
@@ -64,6 +67,73 @@ def test_group_count_not_divisible():
 def test_group_inconsistent_phases():
     with pytest.raises(GroupingError):
         group_quadruples([1, -1, 1j, -1.5j])
+
+
+def test_group_rotation_counts_modulo_quarter_turn():
+    # absolute quarter-turn classes: a common rotation acts modulo pi/2, so
+    # 0.9 rad groups as the same set rotated by 0.9 - pi/2 = -0.67 rad
+    for theta in (0.7, 0.9):
+        rot = np.exp(1j * theta)
+        quads = group_quadruples([rot * v for v in (1.5, -1.5, 1.5j, -1.5j)])
+        assert quads[0].sigma == pytest.approx(2.25)
+
+
+def test_group_diagonal_quadruple_raises():
+    # members 1e-9 rad either side of the diagonals fall into classes 0 and 2
+    # only; the phase residual alone (1e-9) would have passed
+    offsets = (-1e-9, 1e-9, -1e-9, 1e-9)
+    vals = [1.5 * np.exp(1j * (np.pi / 4 + k * np.pi / 2 + d))
+            for k, d in enumerate(offsets)]
+    with pytest.raises(GroupingError, match="quarter-turn classes"):
+        group_quadruples(vals)
+
+
+def test_group_phase_residual_edge():
+    vals = [2 * (1 + 3e-5), -2, 2j * (1 - 1e-5j), -2j]
+    (quad,) = group_quadruples(vals, rel_tol=1.0)
+    assert quad.phase_residual > 0
+    assert group_quadruples(vals, rel_tol=2 * quad.phase_residual)[0].sigma == quad.sigma
+    with pytest.raises(GroupingError, match="phase-pattern residual .* exceeds"):
+        group_quadruples(vals, rel_tol=0.5 * quad.phase_residual)
+
+
+def test_geometric_mean_independent_of_member_order():
+    quad = [1.1, -1.3j, -0.97 * np.exp(1e-3j), 1.07j]
+    got = {geometric_mean_sigma(list(perm)) for perm in itertools.permutations(quad)}
+    assert len(got) == 1
+
+
+def _member_values(quads):
+    return sorted(tuple(sorted((m.value.real, m.value.imag) for m in q.members))
+                  for q in quads)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_group_property_order_rotation_perturbation(data):
+    base = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=5), label="base")
+    picks = st.integers(0, len(base) - 1)
+    dups = data.draw(st.lists(picks, max_size=2), label="duplicates")
+    near = data.draw(st.lists(st.tuples(picks, st.floats(1e-12, 1e-3)), max_size=2),
+                     label="clustered")
+    sigmas = base + [base[i] for i in dups] + [base[i] * (1 + d) for i, d in near]
+    theta = data.draw(st.floats(-0.6, 0.6), label="rotation")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="noise seed"))
+    lams = []
+    for s in sigmas:
+        r = math.sqrt(s)
+        lams += [r, -r, 1j * r, -1j * r]
+    noise = rng.uniform(-1e-9, 1e-9, len(lams)) + 1j * rng.uniform(-1e-9, 1e-9, len(lams))
+    lams = np.exp(1j * theta) * np.array(lams) * (1 + noise / np.sqrt(2))
+    want = None
+    for _ in range(3):
+        perm = data.draw(st.permutations(range(len(lams))), label="input order")
+        quads = group_quadruples(lams[list(perm)])
+        if want is None:
+            want = _member_values(quads)
+            got = sorted(q.sigma for q in quads)
+            assert np.allclose(got, sorted(sigmas), rtol=1e-8, atol=0)
+        assert _member_values(quads) == want
 
 
 def test_geometric_mean_constant():
