@@ -44,9 +44,6 @@ def formulations_of(kind: str) -> tuple[str, ...]:
 QSVD_FORMULATIONS = formulations_of("qsvd")
 RSVD_FORMULATIONS = formulations_of("rsvd")
 
-# relative phase tolerance when grouping cpf eigenvalues into quadruples
-GROUP_TOL = 1e-3
-
 # an sq spectrum is real when every |Im lambda| <= NONREAL_TOL * max |lambda|
 NONREAL_TOL = math.sqrt(np.finfo(np.float64).eps)
 
@@ -130,7 +127,7 @@ def _estimates_cpf(sol: EigenSolution, n: int) -> np.ndarray:
             f"expected {4 * n} finite eigenvalues, got {len(finite)} "
             f"(counts {sol.counts()})")
     try:
-        quads = group_quadruples(finite, rel_tol=GROUP_TOL)
+        quads = group_quadruples(finite)
     except GroupingError as exc:
         raise SampleFailure(str(exc)) from exc
     return np.array([q.sigma for q in quads])
@@ -337,7 +334,7 @@ def worked_example(seed: int = 7, n: int = 4, kappa_y: float = 1e7,
 
     sol = solve_pencil(_build(problem, "cpf-qsvd"))
     finite = [v for v in sol.values if v.kind == CLASS_FINITE]
-    quads = group_quadruples(finite, rel_tol=GROUP_TOL)
+    quads = group_quadruples(finite)
     sq_mags = np.sort(np.abs([[m.value for m in q.members] for q in quads]) ** 2, axis=1).T
     means = np.array([q.sigma for q in quads])
 

@@ -7,7 +7,6 @@ import sys
 from pathlib import Path
 
 from .bench import (
-    GROUP_TOL,
     SWEEP_AXES,
     run_sweep,
     solve_pencil,
@@ -140,17 +139,17 @@ def cmd_kcf(args):
     if kind == "svd":
         sigmas = rank_with_tol(mats["a"]).values[: partition.p1]
     elif partition.p1:
-        sigmas = _cpf_sigmas(mats, kind, partition.p1)
+        sigmas = _cpf_sigmas(mats, kind, partition.p1, args.class_tol)
     structure = predict_kcf(f"{args.formulation}-{kind}", partition, sigmas)
     _print_structure(structure)
 
 
-def _cpf_sigmas(mats, kind, p1):
+def _cpf_sigmas(mats, kind, p1, class_tol):
     """Finite nonzero quotient or restricted values via the cpf pencil itself."""
     pencil, _ = _build_pencil("cpf", mats)
-    sol = solve_general(pencil, class_tol_rel=1e-4)
+    sol = solve_general(pencil, class_tol_rel=class_tol)
     finite = [v for v in sol.values if v.kind == CLASS_FINITE]
-    quads = group_quadruples(finite, rel_tol=GROUP_TOL)
+    quads = group_quadruples(finite)
     if len(quads) != p1:
         raise SystemExit(f"recovered {len(quads)} {kind} values, expected {p1}")
     return [q.sigma for q in quads]

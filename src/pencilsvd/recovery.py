@@ -8,13 +8,20 @@ magnitudes sorted in ascending order.
 
 Grouping puts each value in the class of its nearest quarter turn,
 ``rint(angle / (pi/2)) mod 4``, sorts each class by magnitude and joins
-the j-th value of every class into quadruple j; a phase-pattern check then
-rejects quadruples whose members, turned back onto class 0, disagree.  The
-classes are absolute, so members must lie less than pi/4 off the axes: a
-quadruple near the diagonals, where perturbations can push members across a
-class boundary, raises ``GroupingError``.  Since a quadruple is unchanged by
-a quarter turn, a common rotation counts modulo pi/2.  The cpf spectra of
-real sigma >= 0 lie on the axes.
+the j-th value of every class into quadruple j.  The checks are structural
+only: ``GroupingError`` is raised when the count is not a multiple of 4, a
+value is zero or not finite, or the four classes differ in size.  Each
+quadruple's phase residual (the spread of its members turned back onto
+class 0) is reported as evidence and rejects nothing: it exceeds the
+value error by orders of magnitude, growing with the conditioning, so no
+fixed bound on it tells accurate estimates from wrong ones.  Sorting each
+class by magnitude already matches clustered values best.
+
+The classes are absolute, so members must lie less than pi/4 off the
+axes: a quadruple near the diagonals, where perturbations can push members
+across a class boundary, unbalances the classes.  Since a quadruple is
+unchanged by a quarter turn, a common rotation counts modulo pi/2.  The
+cpf spectra of real sigma >= 0 lie on the axes.
 """
 
 from __future__ import annotations
@@ -100,19 +107,21 @@ class RecoveredVectors:
 # conjugate quarter turns taking phase classes 0..3 back onto class 0
 _UNTURN = np.array([1, -1j, -1, 1j])
 
+# an eigenvector block with norm at or below NORM_FLOOR * |w| carries no
+# direction, so the singular vectors cannot be read from it
+NORM_FLOOR = 1e-12
 
-def group_quadruples(values, rel_tol: float = 1e-6) -> list[Quadruple]:
+
+def group_quadruples(values) -> list[Quadruple]:
     """Partition finite-nonzero eigenvalues into sigma quadruples.
 
-    The grouping rule and its pi/4 limit are in the module docstring.
+    The grouping rule, its structural checks and its pi/4 limit are in the
+    module docstring.
 
     Parameters
     ----------
     values : sequence of GeneralizedEigenvalue or complex
         Finite nonzero eigenvalues; the count must be divisible by 4.
-    rel_tol : float
-        Phase-pattern residual above which grouping is reported as
-        ambiguous rather than silently resolved.
     """
     vals = list(values)
     if len(vals) % 4:
@@ -131,11 +140,6 @@ def group_quadruples(values, rel_tol: float = 1e-6) -> list[Quadruple]:
     rotated = lams[rows] * _UNTURN
     center = rotated.mean(axis=1)
     residuals = np.abs(rotated - center[:, None]).max(axis=1) / np.abs(center)
-    for row, res in zip(rows, residuals):
-        if res > rel_tol:
-            raise GroupingError(
-                f"phase-pattern residual {res:.3e} exceeds {rel_tol:.1e} "
-                f"for quadruple around |lam| = {np.abs(lams[row]).min():.6g}")
     members = [v if isinstance(v, GeneralizedEigenvalue)
                else GeneralizedEigenvalue(complex(lam), 1.0 + 0j, CLASS_FINITE)
                for v, lam in zip(vals, lams)]
@@ -178,8 +182,8 @@ class SpectrumClassification:
         return sum(1 for t in self.triplets if t.kind == kind)
 
 
-def classify_spectrum(sol: EigenSolution, kind: str, dims, partition=None,
-                      rel_tol: float = 1e-6) -> SpectrumClassification:
+def classify_spectrum(sol: EigenSolution, kind: str, dims,
+                      partition=None) -> SpectrumClassification:
     """Convert a cpf pencil spectrum into singular triplets.
 
     Parameters
@@ -203,13 +207,11 @@ def classify_spectrum(sol: EigenSolution, kind: str, dims, partition=None,
     n_inf = counts[CLASS_INFINITE]
     n_zero = counts[CLASS_ZERO]
     n_ind = counts[CLASS_INDETERMINATE]
-    if n_fin % 4:
-        raise GroupingError(f"finite eigenvalue count {n_fin} is not divisible by 4")
     if n_zero % 2:
         raise GroupingError(f"zero eigenvalue count {n_zero} is odd")
 
     finite_vals = [v for v in sol.values if v.kind == CLASS_FINITE]
-    quads = group_quadruples(finite_vals, rel_tol=rel_tol)
+    quads = group_quadruples(finite_vals)
     triplets = [_sigma_to_triplet(q.sigma, kind, q.phase_residual) for q in quads]
 
     n110 = n101 = n100 = 0
@@ -264,8 +266,7 @@ def classify_spectrum(sol: EigenSolution, kind: str, dims, partition=None,
 
 
 def extract_vectors(sol: EigenSolution, quad: Quadruple, kind: str,
-                    pencil: Pencil, a, b=None, c=None,
-                    norm_floor: float = 1e-12) -> RecoveredVectors:
+                    pencil: Pencil, a, b=None, c=None) -> RecoveredVectors:
     """Slice one quadruple's eigenvector into singular vector estimates.
 
     The eigenvector blocks of the cpf pencils are, up to a common scale,
@@ -289,7 +290,7 @@ def extract_vectors(sol: EigenSolution, quad: Quadruple, kind: str,
     w = sol.vectors[:, idx]
     off = pencil.row_offsets()
     w1, w2, w3, w4 = (w[off[i]:off[i + 1]] for i in range(4))
-    floor = norm_floor * np.linalg.norm(w)
+    floor = NORM_FLOOR * np.linalg.norm(w)
     needed = [w2, w3, w4] + ([w1] if kind == "rsvd" else [])
     if any(np.linalg.norm(blk) <= floor for blk in needed):
         raise ValueError("degenerate eigenvector: a block norm is below the floor")

@@ -8,6 +8,7 @@ from pencilsvd.bench import (
     NONREAL_TOL,
     ExperimentRecord,
     SampleFailure,
+    _estimates_cpf,
     _estimates_sq,
     chordal,
     evaluate_sample,
@@ -194,3 +195,18 @@ def test_non_finite_estimate_is_a_failure():
     cell = run_sweep("qsvd", "kappa_y", [1e10], samples=4, n=4).cell(1e10, "aug-qsvd")
     assert cell.failures >= 1
     assert math.isfinite(cell.median_max_error)
+
+
+def test_ill_conditioned_cpf_samples_are_measured():
+    # at kappa_y = 1e10 the cpf quadruple phases spread by up to ~1e-3 while
+    # the values stay accurate: every sample is grouped and measured
+    cell = run_sweep("qsvd", "kappa_y", [1e10], samples=4, n=4).cell(1e10, "cpf-qsvd")
+    assert cell.failures == 0
+    assert cell.median_max_error <= 1e-6
+    # a quadruple split across the diagonals unbalances the quarter-turn
+    # classes: still a counted failure
+    lams = [1.5 * np.exp(1j * (np.pi / 4 + k * np.pi / 2 + d))
+            for k, d in enumerate((-1e-9, 1e-9, -1e-9, 1e-9))]
+    vals = tuple(GeneralizedEigenvalue(complex(x), 1 + 0j, CLASS_FINITE) for x in lams)
+    with pytest.raises(SampleFailure, match="quarter-turn classes"):
+        _estimates_cpf(EigenSolution(vals, np.eye(4, dtype=complex), False), 1)

@@ -74,6 +74,16 @@ def test_kcf_predict_from_files(tmp_path, capsys):
     assert "finite-nonzero=8" in out
 
 
+def test_kcf_class_tol_reaches_file_inputs(tmp_path):
+    ap = tmp_path / "a.txt"
+    cp = tmp_path / "c.txt"
+    write_matrix_text(ap, np.diag([2.0, 0.5]))
+    write_matrix_text(cp, np.eye(2))
+    # a class threshold above every |alpha|, |beta| leaves no finite value
+    with pytest.raises(SystemExit, match="recovered 0 qsvd values, expected 2"):
+        main(["kcf", "--a", str(ap), "--c", str(cp), "--class-tol", "1e3"])
+
+
 def test_kcf_generated_verification(capsys):
     out = run_cli(capsys, "kcf", "--generated", "--kind", "rsvd", "--n", "3",
                   "--kappa-y", "100", "--kappa-x", "10", "--seed", "2")

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pencilsvd.eigensolve import solve_general
+from pencilsvd.genmat import GeneratorConfig, generate_qsvd
 from pencilsvd.pencils import build_cpf_qsvd, build_cpf_rsvd, build_cpf_svd
 from pencilsvd.recovery import (
     TRIPLET_100,
@@ -65,8 +66,11 @@ def test_group_count_not_divisible():
 
 
 def test_group_inconsistent_phases():
-    with pytest.raises(GroupingError):
-        group_quadruples([1, -1, 1j, -1.5j])
+    # one member per quarter-turn class, so it groups; turned back onto
+    # class 0 the members are 1, 1, 1, 1.5, and their spread is reported
+    (quad,) = group_quadruples([1, -1, 1j, -1.5j])
+    assert quad.sigma == math.sqrt(1.5)
+    assert quad.phase_residual == 1 / 3
 
 
 def test_group_rotation_counts_modulo_quarter_turn():
@@ -90,11 +94,13 @@ def test_group_diagonal_quadruple_raises():
 
 def test_group_phase_residual_edge():
     vals = [2 * (1 + 3e-5), -2, 2j * (1 - 1e-5j), -2j]
-    (quad,) = group_quadruples(vals, rel_tol=1.0)
-    assert quad.phase_residual > 0
-    assert group_quadruples(vals, rel_tol=2 * quad.phase_residual)[0].sigma == quad.sigma
-    with pytest.raises(GroupingError, match="phase-pattern residual .* exceeds"):
-        group_quadruples(vals, rel_tol=0.5 * quad.phase_residual)
+    (quad,) = group_quadruples(vals)
+    # members turned back onto class 0, and their relative spread
+    rotated = np.array([2 * (1 + 3e-5), 2, 2 - 2e-5j, 2])
+    center = rotated.mean()
+    assert quad.phase_residual == pytest.approx(
+        np.abs(rotated - center).max() / abs(center), rel=1e-12)
+    assert quad.sigma == geometric_mean_sigma(vals)
 
 
 def test_geometric_mean_independent_of_member_order():
@@ -182,6 +188,21 @@ def test_classify_zero_and_trivial_classes():
     cls = classify_spectrum(sol, "qsvd", (1, 3, 2))
     kinds = sorted(t.kind for t in cls.triplets)
     assert kinds == sorted([TRIPLET_110, TRIPLET_100, TRIPLET_011, TRIPLET_TRIVIAL])
+
+
+def test_classify_ill_conditioned_quotient_keeps_every_triplet():
+    # kappa_Y = 1e10 spreads the quadruple phases by up to ~1e-3 while the
+    # values stay accurate to ~1e-7; each triplet carries its spread
+    # as evidence
+    problem = generate_qsvd(GeneratorConfig(n=4, kappa_sigma=10.0, kappa_y=1e10, seed=0))
+    sol = solve_general(build_cpf_qsvd(problem.a, problem.c))
+    cls = classify_spectrum(sol, "qsvd", (4, 4, 4))
+    assert [t.kind for t in cls.triplets] == [TRIPLET_REGULAR] * 4
+    residuals = [t.phase_residual for t in cls.triplets]
+    assert residuals == [q.phase_residual for q in cls.quadruples]
+    assert max(residuals) > 1e-3
+    sigmas = sorted(t.sigma for t in cls.triplets)
+    assert np.allclose(sigmas, sorted(problem.true_sigmas_float()), rtol=1e-6, atol=0)
 
 
 def test_classify_rejects_bad_counts():
