@@ -5,6 +5,13 @@ values with ``|lo| <= 0.5 ulp(hi)``, giving roughly 32 significant decimal
 digits (106-bit mantissa).  All primitives below are error-free or correctly
 renormalized elementwise operations, so they vectorize over ndarrays.
 
+Each formula has one home, a helper on raw ``(hi, lo)`` arrays.  A complex
+array (:class:`CDD`) stacks (re, im) on a leading axis of size 2 of its
+``hi`` and ``lo`` arrays, so one helper call covers both parts, and
+:func:`cdd_solve` eliminates on the augmented pair ``[A | B]``.  The
+kernels perform the IEEE operations of the per-operator formulas (one real
+dd operation at a time) in the same order, so they match those bit for bit.
+
 Only what the generators and ground-truth bookkeeping need is implemented:
 real arithmetic (:class:`DD`), complex arithmetic (:class:`CDD`), square
 roots, integer roots/powers, diagonal scalings, matrix products and LU
@@ -45,6 +52,63 @@ def _two_prod(a, b):
     return p, e
 
 
+def _dd_add(ahi, alo, bhi, blo):
+    """Double-double sum of (ahi, alo) and (bhi, blo), as (hi, lo)."""
+    s, e = _two_sum(ahi, bhi)
+    t, f = _two_sum(alo, blo)
+    e = e + t
+    s, e = _quick_two_sum(s, e)
+    e = e + f
+    return _quick_two_sum(s, e)
+
+
+def _dd_mul(ahi, alo, bhi, blo):
+    """Double-double product of (ahi, alo) and (bhi, blo), as (hi, lo)."""
+    p, e = _two_prod(ahi, bhi)
+    e = e + (ahi * blo + alo * bhi)
+    return _quick_two_sum(p, e)
+
+
+def _dd_div(ahi, alo, bhi, blo):
+    """Double-double quotient from three binary64 quotient digits."""
+    q1 = ahi / bhi
+    phi, plo = _dd_mul(bhi, blo, q1, 0.0)
+    rhi, rlo = _dd_add(ahi, alo, -phi, -plo)
+    q2 = rhi / bhi
+    phi, plo = _dd_mul(bhi, blo, q2, 0.0)
+    rhi, rlo = _dd_add(rhi, rlo, -phi, -plo)
+    q3 = rhi / bhi
+    s, e = _quick_two_sum(q1, q2)
+    return _dd_add(s, e, q3, 0.0)
+
+
+def _conj(x):
+    """Copy of a stacked (re, im) array with the imaginary half negated."""
+    y = x.copy()
+    np.negative(y[1], out=y[1])
+    return y
+
+
+def _cdd_mul(ahi, alo, bhi, blo):
+    """Complex dd product of stacked (re, im) operands of equal rank.
+
+    One broadcast product gives ``p[i, j] = a_i * b_j`` for all four pairs
+    of parts, and ``(re, im) = (p_rr, p_ri) + (-p_ii, p_ir)``.
+    """
+    phi, plo = _dd_mul(ahi[:, None], alo[:, None], bhi, blo)
+    np.negative(phi[1, 1], out=phi[1, 1])
+    np.negative(plo[1, 1], out=plo[1, 1])
+    return _dd_add(phi[0], plo[0], phi[1, ::-1], plo[1, ::-1])
+
+
+def _cdd_div(ahi, alo, bhi, blo):
+    """Complex dd quotient ``a conj(b) / |b|^2`` of stacked operands of equal rank."""
+    shi, slo = _dd_mul(bhi, blo, bhi, blo)
+    dhi, dlo = _dd_add(shi[0], slo[0], shi[1], slo[1])
+    nhi, nlo = _cdd_mul(ahi, alo, _conj(bhi), _conj(blo))
+    return _dd_div(nhi, nlo, dhi, dlo)
+
+
 class DD:
     """Array of real double-double values, stored as (hi, lo) float64 pairs."""
 
@@ -66,10 +130,6 @@ class DD:
         """Promote binary64 data exactly (lo = 0)."""
         return cls(np.array(x, dtype=np.float64), None)
 
-    @classmethod
-    def zeros(cls, shape):
-        return cls(np.zeros(shape), np.zeros(shape))
-
     # -- bookkeeping -------------------------------------------------------
 
     @property
@@ -81,11 +141,6 @@ class DD:
 
     def __getitem__(self, key):
         return DD(self.hi[key], self.lo[key])
-
-    def __setitem__(self, key, value):
-        value = _as_dd(value)
-        self.hi[key] = value.hi
-        self.lo[key] = value.lo
 
     def to_float(self):
         """Round to nearest binary64 (exact because |lo| <= 0.5 ulp(hi))."""
@@ -101,33 +156,18 @@ class DD:
 
     def __add__(self, other):
         other = _as_dd(other)
-        s, e = _two_sum(self.hi, other.hi)
-        t, f = _two_sum(self.lo, other.lo)
-        e = e + t
-        s, e = _quick_two_sum(s, e)
-        e = e + f
-        hi, lo = _quick_two_sum(s, e)
-        return DD(hi, lo)
+        return DD(*_dd_add(self.hi, self.lo, other.hi, other.lo))
 
     def __sub__(self, other):
         return self + (-_as_dd(other))
 
     def __mul__(self, other):
         other = _as_dd(other)
-        p, e = _two_prod(self.hi, other.hi)
-        e = e + (self.hi * other.lo + self.lo * other.hi)
-        hi, lo = _quick_two_sum(p, e)
-        return DD(hi, lo)
+        return DD(*_dd_mul(self.hi, self.lo, other.hi, other.lo))
 
     def __truediv__(self, other):
         other = _as_dd(other)
-        q1 = self.hi / other.hi
-        r = self - other * DD(q1)
-        q2 = r.hi / other.hi
-        r = r - other * DD(q2)
-        q3 = r.hi / other.hi
-        s, e = _quick_two_sum(q1, q2)
-        return DD(s, e) + DD(q3)
+        return DD(*_dd_div(self.hi, self.lo, other.hi, other.lo))
 
     def sqrt(self):
         """Elementwise square root (one dd Newton step from a binary64 seed)."""
@@ -176,22 +216,34 @@ def dd_nth_root(x: DD, m: int) -> DD:
 
 
 class CDD:
-    """Array of complex double-double values (a DD pair for re and im)."""
+    """Array of complex double-double values.
 
-    __slots__ = ("re", "im")
+    ``hi`` and ``lo`` are float64 arrays of shape ``(2, *shape)``: index 0
+    of the leading axis holds the real part, index 1 the imaginary part.
+    """
+
+    __slots__ = ("hi", "lo")
 
     def __init__(self, re: DD, im: DD):
-        self.re = re
-        self.im = im
+        self.hi = np.stack([re.hi, im.hi])
+        self.lo = np.stack([re.lo, im.lo])
+
+    @classmethod
+    def _of(cls, hi, lo):
+        """Wrap stacked (re, im) arrays without copying."""
+        z = object.__new__(cls)
+        z.hi, z.lo = hi, lo
+        return z
 
     @classmethod
     def from_complex(cls, z):
         z = np.asarray(z, dtype=np.complex128)
-        return cls(DD.from_float(z.real.copy()), DD.from_float(z.imag.copy()))
+        hi = np.stack([z.real, z.imag])
+        return cls._of(hi, np.zeros_like(hi))
 
     @classmethod
     def zeros(cls, shape):
-        return cls(DD.zeros(shape), DD.zeros(shape))
+        return cls._of(np.zeros((2, *shape)), np.zeros((2, *shape)))
 
     @staticmethod
     def hstack(*blocks: "CDD") -> "CDD":
@@ -199,36 +251,35 @@ class CDD:
 
         Raises ``ValueError`` if the row counts differ.
         """
-        def cat(parts):
-            return DD(np.concatenate([p.hi for p in parts], axis=1),
-                      np.concatenate([p.lo for p in parts], axis=1))
-        return CDD(cat([b.re for b in blocks]), cat([b.im for b in blocks]))
+        return CDD._of(np.concatenate([b.hi for b in blocks], axis=2),
+                       np.concatenate([b.lo for b in blocks], axis=2))
 
     @property
     def shape(self):
-        return self.re.shape
+        return self.hi.shape[1:]
+
+    @property
+    def re(self) -> DD:
+        return DD(self.hi[0], self.lo[0])
+
+    @property
+    def im(self) -> DD:
+        return DD(self.hi[1], self.lo[1])
 
     def copy(self):
-        return CDD(self.re.copy(), self.im.copy())
+        return CDD._of(self.hi.copy(), self.lo.copy())
 
     def __getitem__(self, key):
-        return CDD(self.re[key], self.im[key])
-
-    def __setitem__(self, key, value):
-        value = _as_cdd(value)
-        self.re[key] = value.re
-        self.im[key] = value.im
+        key = (slice(None),) + (key if isinstance(key, tuple) else (key,))
+        return CDD._of(self.hi[key], self.lo[key])
 
     def to_complex(self):
-        return self.re.to_float() + 1j * self.im.to_float()
-
-    def conj(self):
-        return CDD(self.re.copy(), -self.im)
+        f = self.hi + self.lo
+        return f[0] + 1j * f[1]
 
     def conj_t(self):
         """Conjugate transpose of a 2-d array."""
-        return CDD(DD(self.re.hi.T.copy(), self.re.lo.T.copy()),
-                   DD(-self.im.hi.T, -self.im.lo.T))
+        return CDD._of(_conj(self.hi).swapaxes(1, 2), _conj(self.lo).swapaxes(1, 2))
 
     def scaled(self, d: DD) -> "CDD":
         """Elementwise product with the real dd array ``d`` (broadcast).
@@ -236,47 +287,42 @@ class CDD:
         ``m.scaled(d)`` is ``m @ diag(d)`` and ``m.scaled(d[:, None])`` is
         ``diag(d) @ m``, without forming the diagonal matrix.
         """
-        return CDD(self.re * d, self.im * d)
-
-    def abs2(self) -> DD:
-        return self.re * self.re + self.im * self.im
-
-    def __add__(self, other):
-        other = _as_cdd(other)
-        return CDD(self.re + other.re, self.im + other.im)
+        return CDD._of(*_dd_mul(self.hi, self.lo, d.hi, d.lo))
 
     def __sub__(self, other):
-        other = _as_cdd(other)
-        return CDD(self.re - other.re, self.im - other.im)
+        ahi, alo, bhi, blo = _operands(self, other)
+        return CDD._of(*_dd_add(ahi, alo, -bhi, -blo))
 
     def __mul__(self, other):
-        other = _as_cdd(other)
-        return CDD(self.re * other.re - self.im * other.im,
-                   self.re * other.im + self.im * other.re)
+        return CDD._of(*_cdd_mul(*_operands(self, other)))
 
     def __truediv__(self, other):
-        other = _as_cdd(other)
-        d = other.abs2()
-        num = self * other.conj()
-        return CDD(num.re / d, num.im / d)
+        return CDD._of(*_cdd_div(*_operands(self, other)))
 
     def matmul(self, other: "CDD") -> "CDD":
-        """Dense product of 2-d arrays, accumulated in double-double."""
+        """Dense product of 2-d arrays, accumulated in double-double.
+
+        The outer products of column j and row j are added in order of j,
+        each formed as one stacked (2, n, m) complex product.
+        """
         n, k = self.shape
         k2, m = other.shape
         if k != k2:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        out = CDD.zeros((n, m))
+        hi, lo = np.zeros((2, n, m)), np.zeros((2, n, m))
         for j in range(k):
-            # outer product of column j and row j, broadcast (n, 1) * (1, m)
-            out = out + self[:, j:j + 1] * other[j:j + 1, :]
-        return out
+            hi, lo = _dd_add(hi, lo, *_cdd_mul(
+                self.hi[:, :, j:j + 1], self.lo[:, :, j:j + 1],
+                other.hi[:, j:j + 1], other.lo[:, j:j + 1]))
+        return CDD._of(hi, lo)
 
 
-def _as_cdd(x):
-    if isinstance(x, CDD):
-        return x
-    return CDD.from_complex(np.asarray(x, dtype=np.complex128))
+def _operands(a: CDD, b: CDD):
+    """Stacked parts of a and b, the lower-rank one padded with unit axes
+    after its (re, im) axis so that the (re, im) axes line up."""
+    nd = max(a.hi.ndim, b.hi.ndim)
+    return [x.reshape(x.shape[:1] + (1,) * (nd - x.ndim) + x.shape[1:])
+            for x in (a.hi, a.lo, b.hi, b.lo)]
 
 
 def cdd_diag(values: DD) -> CDD:
@@ -284,57 +330,63 @@ def cdd_diag(values: DD) -> CDD:
     n = values.shape[0]
     out = CDD.zeros((n, n))
     idx = np.arange(n)
-    out.re.hi[idx, idx] = values.hi
-    out.re.lo[idx, idx] = values.lo
+    out.hi[0, idx, idx] = values.hi
+    out.lo[0, idx, idx] = values.lo
     return out
 
 
 def cdd_solve(a: CDD, b: CDD) -> CDD:
     """Solve a @ x = b in complex double-double via LU with partial pivoting.
 
-    The pivots depend on ``a`` alone, and every update of ``x``, back
-    substitution included, is elementwise per column: each column of a 2-d
-    ``b`` is solved with the same pivots and independently of the others.
-    A solve with right-hand sides stacked by :meth:`CDD.hstack` therefore
-    equals the separate solves bit for bit, which lets a generator factor
-    a coefficient matrix once for all its right-hand sides.
+    The elimination runs on the augmented pair ``[a | b]``.  The pivots
+    depend on ``a`` alone, and every update of ``x``, back substitution
+    included, is elementwise per column: each column of a 2-d ``b`` is
+    solved with the same pivots and independently of the others.  A solve
+    with right-hand sides stacked by :meth:`CDD.hstack` therefore equals the
+    separate solves bit for bit, which lets a generator factor a
+    coefficient matrix once for all its right-hand sides.
 
     Raises
     ------
+    ValueError
+        If ``a`` is not square or ``b`` does not have one row per row of ``a``.
     ZeroDivisionError
         If a pivot is exactly zero (matrix singular at dd precision).
     """
     n, n2 = a.shape
     if n != n2:
         raise ValueError("coefficient matrix must be square")
-    lu = a.copy()
+    if b.shape[:1] != (n,):
+        raise ValueError(f"right-hand side of shape {b.shape} does not fit "
+                         f"a coefficient matrix of shape {a.shape}")
     vector = len(b.shape) == 1
-    # copy before adding the axis: b[:, None] is a view into b
-    x = b.copy()[:, None] if vector else b.copy()
+    b2 = b[:, None] if vector else b
+    # w[0] holds the hi parts and w[1] the lo parts of [a | b]
+    w = np.concatenate([np.stack([a.hi, a.lo]), np.stack([b2.hi, b2.lo])], axis=3)
     for k in range(n):
-        col_mag = np.abs(lu.re.hi[k:, k]) + np.abs(lu.im.hi[k:, k])
+        col_mag = np.abs(w[0, 0, k:, k]) + np.abs(w[0, 1, k:, k])
         piv = k + int(np.argmax(col_mag))
         if col_mag[piv - k] == 0.0:
             raise ZeroDivisionError("singular matrix in cdd_solve")
         if piv != k:
-            for arr in (lu.re.hi, lu.re.lo, lu.im.hi, lu.im.lo,
-                        x.re.hi, x.re.lo, x.im.hi, x.im.lo):
-                arr[[k, piv], :] = arr[[piv, k], :]
+            w[:, :, [k, piv]] = w[:, :, [piv, k]]
         if k + 1 < n:
-            lu[k + 1:, k] = lu[k + 1:, k] / lu[k, k]
-            mcol = lu[k + 1:, k:k + 1]
-            lu[k + 1:, k + 1:] = lu[k + 1:, k + 1:] - mcol * lu[k:k + 1, k + 1:]
-            x[k + 1:, :] = x[k + 1:, :] - mcol * x[k:k + 1, :]
-    # back substitution; the row sum runs left to right
+            # row i -= (a_ik / a_kk) * row k, over columns k+1..n+r
+            mhi, mlo = _cdd_div(*w[..., k + 1:, k], *w[..., k, k:k + 1])
+            phi, plo = _cdd_mul(mhi[..., None], mlo[..., None], *w[..., k:k + 1, k + 1:])
+            w[..., k + 1:, k + 1:] = _dd_add(*w[..., k + 1:, k + 1:], -phi, -plo)
+    # back substitution on the columns of b; each row sum runs left to right
+    # and starts from zero, as 0 + p can change the sign of a zero lo part
     for k in range(n - 1, -1, -1):
-        acc = x[k, :]
+        acc = w[..., k, n:]
         if k + 1 < n:
-            prod = lu[k, k + 1:, None] * x[k + 1:, :]
-            s = CDD.zeros(acc.shape)
-            for j in range(prod.shape[0]):
-                s = s + prod[j, :]
-            acc = acc - s
-        x[k, :] = acc / lu[k, k]
+            phi, plo = _cdd_mul(*w[..., k, k + 1:n, None], *w[..., k + 1:, n:])
+            s = np.zeros_like(acc)
+            for j in range(n - 1 - k):
+                s = _dd_add(*s, phi[:, j], plo[:, j])
+            acc = _dd_add(*acc, -s[0], -s[1])
+        w[..., k, n:] = _cdd_div(*acc, *w[..., k, k:k + 1])
+    x = CDD._of(*w[..., n:])
     return x[:, 0] if vector else x
 
 

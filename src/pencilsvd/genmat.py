@@ -25,6 +25,8 @@ square (p = q = m = n) and full rank by construction.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,11 +44,14 @@ class GeneratorConfig:
     seed: object = None
 
     def __post_init__(self):
+        if not isinstance(self.n, numbers.Integral):
+            raise ValueError(f"n must be an integer, got {self.n!r}")
         if self.n < 2:
             raise ValueError("n must be at least 2 (the exponent grid needs n-1 > 0)")
         for name in ("kappa_sigma", "kappa_y", "kappa_x"):
-            if getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must be >= 1")
+            value = getattr(self, name)
+            if not 1.0 <= value < math.inf:  # NaN fails both comparisons
+                raise ValueError(f"{name} must be finite and >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)

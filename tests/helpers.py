@@ -1,11 +1,13 @@
 """Shared test constructions: structured matrices with known partitions,
-and the chordal metric written in the reciprocals."""
+the chordal metric written in the reciprocals, and the per-operator complex
+double-double reference for the stacked kernels of ``pencilsvd.ddarith``."""
 
 import math
 
 import numpy as np
 
 from pencilsvd.bench import chordal
+from pencilsvd.ddarith import CDD, DD
 from pencilsvd.kcf import (
     QsvdPartition,
     RsvdPartition,
@@ -121,3 +123,109 @@ def chordal_reciprocal(sigma: float, approx: float) -> float:
         return chordal(approx, sigma) if sigma == 0 else chordal(sigma, approx)
     return abs(1.0 / sigma - 1.0 / approx) / (
         math.hypot(1.0, 1.0 / sigma) * math.hypot(1.0, 1.0 / approx))
+
+
+class RefCDD:
+    """Complex dd array as a (re, im) pair of DD arrays, every complex
+    operation spelled out one real dd operation at a time.
+
+    The reference that :func:`ref_cdd_solve` and :meth:`RefCDD.matmul`
+    build on; the stacked kernels of ``pencilsvd.ddarith`` must match it
+    bit for bit.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: DD, im: DD):
+        self.re = re
+        self.im = im
+
+    @classmethod
+    def of(cls, z: CDD) -> "RefCDD":
+        return cls(z.re.copy(), z.im.copy())
+
+    @classmethod
+    def zeros(cls, shape):
+        return cls(DD(np.zeros(shape), np.zeros(shape)), DD(np.zeros(shape), np.zeros(shape)))
+
+    @property
+    def shape(self):
+        return self.re.shape
+
+    def parts(self):
+        return (self.re.hi, self.re.lo, self.im.hi, self.im.lo)
+
+    def copy(self):
+        return RefCDD(self.re.copy(), self.im.copy())
+
+    def __getitem__(self, key):
+        return RefCDD(self.re[key], self.im[key])
+
+    def __setitem__(self, key, value):
+        for dst, src in zip(self.parts(), value.parts()):
+            dst[key] = src
+
+    def conj(self):
+        return RefCDD(self.re.copy(), -self.im)
+
+    def abs2(self) -> DD:
+        return self.re * self.re + self.im * self.im
+
+    def __add__(self, other):
+        return RefCDD(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        return RefCDD(self.re - other.re, self.im - other.im)
+
+    def __mul__(self, other):
+        return RefCDD(self.re * other.re - self.im * other.im,
+                      self.re * other.im + self.im * other.re)
+
+    def __truediv__(self, other):
+        d = other.abs2()
+        num = self * other.conj()
+        return RefCDD(num.re / d, num.im / d)
+
+    def matmul(self, other: "RefCDD") -> "RefCDD":
+        """Dense product of 2-d arrays, one column outer product at a time."""
+        n, k = self.shape
+        _, m = other.shape
+        out = RefCDD.zeros((n, m))
+        for j in range(k):
+            # outer product of column j and row j, broadcast (n, 1) * (1, m)
+            out = out + self[:, j:j + 1] * other[j:j + 1, :]
+        return out
+
+
+def ref_cdd_solve(a: RefCDD, b: RefCDD) -> RefCDD:
+    """LU with partial pivoting, operator by operator, on separate copies of
+    the coefficient matrix and the right-hand sides."""
+    n = a.shape[0]
+    lu = a.copy()
+    vector = len(b.shape) == 1
+    # copy before adding the axis: b[:, None] is a view into b
+    x = b.copy()[:, None] if vector else b.copy()
+    for k in range(n):
+        col_mag = np.abs(lu.re.hi[k:, k]) + np.abs(lu.im.hi[k:, k])
+        piv = k + int(np.argmax(col_mag))
+        if col_mag[piv - k] == 0.0:
+            raise ZeroDivisionError("singular matrix in cdd_solve")
+        if piv != k:
+            for arr in lu.parts() + x.parts():
+                arr[[k, piv], :] = arr[[piv, k], :]
+        if k + 1 < n:
+            lu[k + 1:, k] = lu[k + 1:, k] / lu[k, k]
+            mcol = lu[k + 1:, k:k + 1]
+            lu[k + 1:, k + 1:] = lu[k + 1:, k + 1:] - mcol * lu[k:k + 1, k + 1:]
+            x[k + 1:, :] = x[k + 1:, :] - mcol * x[k:k + 1, :]
+    # back substitution; the row sum runs left to right
+    for k in range(n - 1, -1, -1):
+        acc = x[k, :]
+        if k + 1 < n:
+            prod = lu[k, k + 1:, None] * x[k + 1:, :]
+            s = RefCDD.zeros(acc.shape)
+            for j in range(prod.shape[0]):
+                s = s + prod[j, :]
+            acc = acc - s
+        x[k, :] = acc / lu[k, k]
+    return x[:, 0] if vector else x

@@ -31,6 +31,15 @@ def test_generate_rsvd_writes_b(tmp_path, capsys):
     assert (out / "B.txt").exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_generate_rejects_non_finite_kappa(tmp_path, value):
+    out = tmp_path / "prob"
+    with pytest.raises(ValueError, match="^kappa_y "):
+        main(["generate", "--kind", "qsvd", "--n", "4", "--kappa-y", value,
+              "--out", str(out)])
+    assert not out.exists()
+
+
 def test_solve_prints_classified_eigenvalues(tmp_path, capsys):
     path = tmp_path / "a.txt"
     write_matrix_text(path, np.array([[4.0]]))

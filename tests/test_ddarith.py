@@ -1,6 +1,12 @@
 import numpy as np
 import pytest
 from fractions import Fraction
+import re
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import RefCDD, ref_cdd_solve
 
 from pencilsvd.ddarith import (
     DD,
@@ -228,3 +234,67 @@ def test_decimal_string_30_digits():
     assert s.startswith("0.333333333333333333333333333333") or s.startswith("3.33333333333333333333333333333")
     t = dd_to_decimal_string(DD(np.array(10.0)).sqrt(), digits=30)
     assert t.startswith("3.16227766016837933199889354443")
+
+
+@pytest.mark.parametrize("rhs_shape", [(3,), (5,), (3, 2), (5, 2)])
+def test_cdd_solve_rejects_rhs_with_wrong_row_count(rhs_shape):
+    a = CDD.from_complex(np.eye(4) + 0j)
+    b = CDD.from_complex(np.ones(rhs_shape) + 0j)
+    msg = re.escape(str(rhs_shape)) + ".*" + re.escape("(4, 4)")
+    with pytest.raises(ValueError, match=msg):
+        cdd_solve(a, b)
+
+
+def _random_cdd(rng, shape, zero_mask=None):
+    """Random complex dd array with nonzero lo parts; entries under
+    ``zero_mask`` are exact zeros of random sign."""
+    parts = []
+    for _ in range(2):
+        x = DD(rng.standard_normal(shape)) / DD(np.array(3.0))
+        if zero_mask is not None:
+            zero = np.copysign(0.0, rng.standard_normal(shape))
+            x = DD(np.where(zero_mask, zero, x.hi), np.where(zero_mask, zero, x.lo))
+        parts.append(x)
+    return CDD(*parts)
+
+
+def _assert_same_bits(got: CDD, want: RefCDD):
+    assert got.shape == want.shape
+    assert [p.tobytes() for p in _parts(got)] == [p.tobytes() for p in want.parts()]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(n=st.integers(1, 12), r=st.integers(1, 24), vector=st.booleans(),
+       swap=st.booleans(), diag=st.booleans(), zeros=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_cdd_solve_matches_operator_reference_bitwise(n, r, vector, swap, diag, zeros, seed):
+    rng = np.random.default_rng(seed)
+    # exact zeros off the diagonal only: the matrix stays nonsingular
+    off = (rng.random((n, n)) < 0.3) & ~np.eye(n, dtype=bool) if zeros else None
+    a = _random_cdd(rng, (n, n), off)
+    if swap and n > 1:
+        # a tiny (0, 0) entry and a large (n-1, 0) entry force a swap at step 0
+        for part in (a.re, a.im):
+            part.hi[0, 0] *= 2.0 ** -30
+            part.lo[0, 0] *= 2.0 ** -30
+            part.hi[-1, 0], part.lo[-1, 0] = 4.0, 0.0
+    b = _random_cdd(rng, (n, r), rng.random((n, r)) < 0.3 if zeros else None)
+    if diag:
+        # exact zeros off the diagonal and -0.0 imaginary parts
+        block = cdd_diag(DD(rng.standard_normal(n)) / DD(np.array(7.0)))
+        for arr in (block.im.hi, block.im.lo):
+            np.negative(arr, out=arr)
+        b = CDD.hstack(block, b)[:, :r]
+    if vector:
+        b = b[:, 0]
+    _assert_same_bits(cdd_solve(a, b), ref_cdd_solve(RefCDD.of(a), RefCDD.of(b)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(n=st.integers(1, 12), k=st.integers(1, 12), m=st.integers(1, 12),
+       zeros=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_cdd_matmul_matches_operator_reference_bitwise(n, k, m, zeros, seed):
+    rng = np.random.default_rng(seed)
+    a = _random_cdd(rng, (n, k), rng.random((n, k)) < 0.3 if zeros else None)
+    b = _random_cdd(rng, (k, m), rng.random((k, m)) < 0.3 if zeros else None)
+    _assert_same_bits(a.matmul(b), RefCDD.of(a).matmul(RefCDD.of(b)))

@@ -51,6 +51,17 @@ def test_config_validation():
         GeneratorConfig(n=4, kappa_sigma=0.5, kappa_y=10)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("kappa_y", float("nan")), ("kappa_y", float("inf")), ("kappa_sigma", float("nan")),
+    ("kappa_x", float("inf")), ("n", 4.5), ("n", 4.0), ("n", "4"),
+])
+def test_config_rejects_non_finite_kappa_and_non_integer_n(field, value):
+    kwargs = dict(n=4, kappa_sigma=10.0, kappa_y=10.0, kappa_x=10.0)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=f"^{field} "):
+        GeneratorConfig(**kwargs)
+
+
 def test_generate_qsvd_reconstruction_extended():
     cfg = GeneratorConfig(n=5, kappa_sigma=100.0, kappa_y=1e3, seed=11)
     prob = generate_qsvd(cfg)
