@@ -93,7 +93,7 @@ def solve_pencil(pencil: Pencil) -> EigenSolution:
 
     sq and aug pencils are Hermitian: they take the definite path and fall
     back to QZ when the right-hand side is not numerically positive
-    definite.  cpf pencils (and qqqq) always go through QZ.
+    definite.  cpf pencils always go through QZ.
     """
     if FORMULATIONS[pencil.formulation].family == "cpf":
         return solve_general(pencil)
@@ -275,15 +275,15 @@ def write_sweep_csv(summary: SweepSummary, path) -> None:
             fh.write(",".join(row) + "\n")
 
 
-def matched_decimal_digits(reference: float, approx: float, cap: int = 15) -> int:
-    """Largest d with |reference - approx| < 5e-(d+1), clipped to [0, cap]."""
+def matched_decimal_digits(reference: float, approx: float) -> int:
+    """Largest d with |reference - approx| < 5e-(d+1), clipped to [0, 15]."""
     err = abs(reference - approx)
     if err == 0:
-        return cap
+        return 15
     if err >= 0.5:
         return 0
     d = 0
-    while d < cap and err < 5.0 * 10.0 ** (-(d + 2)):
+    while d < 15 and err < 5.0 * 10.0 ** (-(d + 2)):
         d += 1
     return d
 
@@ -319,10 +319,10 @@ class WorkedExample:
         return out
 
 
-def worked_example(seed: int = 7, n: int = 4, kappa_y: float = 1e7,
-                   kappa_sigma: float = 10.0) -> WorkedExample:
+def worked_example(seed: int = 7) -> WorkedExample:
     """Replay the small illustration: n=4, kappa_Y=1e7, kappa_Sigma=10."""
-    cfg = GeneratorConfig(n=n, kappa_sigma=kappa_sigma, kappa_y=kappa_y, seed=seed)
+    n = 4
+    cfg = GeneratorConfig(n=n, kappa_sigma=10.0, kappa_y=1e7, seed=seed)
     problem = generate_qsvd(cfg)
     truth = problem.true_sigmas_float()
 

@@ -37,7 +37,7 @@ def _add_matrix_args(parser, names):
 
 def _load_inputs(args):
     mats = {}
-    for name in ("a", "b", "c", "d", "e"):
+    for name in ("a", "b", "c"):
         path = getattr(args, name, None)
         if path is not None:
             mats[name] = read_matrix_text(path)
@@ -56,13 +56,10 @@ def _problem_kind(mats) -> str:
 
 def _build_pencil(form: str, mats):
     kind = _problem_kind(mats)
-    name = form if form in FORMULATIONS else f"{form}-{kind}"
+    name = f"{form}-{kind}"
     if name not in FORMULATIONS:
         raise SystemExit(f"formulation {form!r} is not defined for a {kind} problem")
-    f = FORMULATIONS[name]
-    if not set(f.inputs) <= set(mats):
-        raise SystemExit(f"{name} needs " + " ".join(f"--{k}" for k in f.inputs))
-    return f.build_from(mats), kind
+    return FORMULATIONS[name].build_from(mats), kind
 
 
 def cmd_generate(args):
@@ -202,12 +199,12 @@ def main(argv=None):
     g.set_defaults(func=cmd_generate)
 
     s = sub.add_parser("solve", help="solve a pencil formulation for matrices")
-    # a pencil family, completed by the problem kind, or a full name (qqqq)
+    # a pencil family, completed by the problem kind the inputs give
     s.add_argument("--formulation", required=True,
-                   choices=tuple(dict.fromkeys(n.split("-")[0] for n in FORMULATIONS)))
+                   choices=tuple(dict.fromkeys(f.family for f in FORMULATIONS.values())))
     s.add_argument("--recover", action="store_true",
                    help="also print singular triplets (cpf only)")
-    _add_matrix_args(s, ("a", "b", "c", "d", "e"))
+    _add_matrix_args(s, ("a", "b", "c"))
     s.set_defaults(func=cmd_solve)
 
     k = sub.add_parser("kcf", help="predict (and optionally verify) structure")
@@ -244,7 +241,12 @@ def main(argv=None):
     e.set_defaults(func=cmd_example)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        # invalid values the library rejects (a kappa, a matrix file) are
+        # usage errors: exit 2 with the message, not a traceback
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -123,13 +123,6 @@ class DD:
             if self.lo.shape != self.hi.shape:
                 self.lo = np.broadcast_to(self.lo, self.hi.shape).copy()
 
-    # -- construction -----------------------------------------------------
-
-    @classmethod
-    def from_float(cls, x):
-        """Promote binary64 data exactly (lo = 0)."""
-        return cls(np.array(x, dtype=np.float64), None)
-
     # -- bookkeeping -------------------------------------------------------
 
     @property

@@ -80,11 +80,6 @@ class EigenSolution:
         return {k: self.count(k) for k in
                 (CLASS_FINITE, CLASS_ZERO, CLASS_INFINITE, CLASS_INDETERMINATE)}
 
-    def finite(self):
-        """(eigenvalue, vector) pairs for the finite-nonzero part."""
-        return [(v, self.vectors[:, i]) for i, v in enumerate(self.values)
-                if v.kind == CLASS_FINITE]
-
 
 def classify_pair(alpha_e: complex, beta_e: complex, tol_zero: float, tol_inf: float) -> str:
     """Classify a homogeneous pair against absolute thresholds."""
@@ -116,14 +111,16 @@ def _common_nullspaces(lhs, rhs, tol_rel):
     return right_null, right_keep, left_keep, nr, nl
 
 
-def solve_general(pencil: Pencil, class_tol_rel: float | None = None,
-                  deflate: bool = True) -> EigenSolution:
+def solve_general(pencil: Pencil, class_tol_rel: float | None = None) -> EigenSolution:
     """Solve ``lhs x = lam rhs x`` for the full spectrum via QZ.
+
+    The common null space of (lhs, rhs) is split off first (see the module
+    docstring); a regular pencil has none, so QZ sees it as given.
 
     Parameters
     ----------
     pencil : Pencil
-        Square pencil to solve.
+        Pencil to solve.
     class_tol_rel : float, optional
         Relative threshold separating zero/infinite/indeterminate pairs from
         finite ones; scaled by ``max(||lhs||_F, ||rhs||_F)``.  Defaults to
@@ -131,15 +128,10 @@ def solve_general(pencil: Pencil, class_tol_rel: float | None = None,
         Jordan blocks need a looser value: a size-k block at 0 or infinity
         splits under roundoff into eigenvalues of magnitude ``eps**(1/k)``,
         so count checks against predicted canonical structure use ~1e-4.
-    deflate : bool
-        Split off the common null space of (lhs, rhs) before QZ (see module
-        docstring).  Disable only to observe raw QZ behaviour.
     """
     lhs = np.ascontiguousarray(pencil.lhs, dtype=np.complex128)
     rhs = np.ascontiguousarray(pencil.rhs, dtype=np.complex128)
     k = lhs.shape[0]
-    if lhs.shape[0] != lhs.shape[1]:
-        raise ValueError("pencil must be square")
     if class_tol_rel is None:
         class_tol_rel = k * EPS
     scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs))
@@ -147,7 +139,7 @@ def solve_general(pencil: Pencil, class_tol_rel: float | None = None,
 
     null_vecs = np.zeros((k, 0), dtype=complex)
     w_right = None
-    if deflate and k > 0:
+    if k > 0:
         null_vecs, right_keep, left_keep, nr, nl = _common_nullspaces(lhs, rhs, k * EPS)
         if nr != nl:
             raise SingularPencilError(
@@ -191,13 +183,18 @@ def solve_general(pencil: Pencil, class_tol_rel: float | None = None,
     return EigenSolution(tuple(values), vectors, not np.any(res > bound))
 
 
-def solve_hpd(pencil: Pencil, class_tol_rel: float | None = None) -> EigenSolution:
+def solve_hpd(pencil: Pencil) -> EigenSolution:
     """Definite-pencil path: Hermitian lhs, Hermitian positive definite rhs.
 
     Reduces to a standard Hermitian problem through a Cholesky factorization
     of the right-hand side, so all eigenvalues are real.  Raises
     :class:`NotDefiniteError` when the factorization fails; callers should
     fall back to :func:`solve_general`.
+
+    A definite pencil has neither infinite nor indeterminate eigenvalues, so
+    each eigenvalue ``w`` is zero when ``|w| <= dim * eps * ||lhs||_F /
+    ||rhs||_F`` and finite-nonzero otherwise.  Scaling either side on its own
+    scales the eigenvalues and this threshold alike.
     """
     lhs, rhs = pencil.lhs, pencil.rhs
     k = lhs.shape[0]
@@ -211,13 +208,11 @@ def solve_hpd(pencil: Pencil, class_tol_rel: float | None = None) -> EigenSoluti
     except np.linalg.LinAlgError as exc:
         raise NotDefiniteError(
             "rhs is not positive definite; fall back to solve_general") from exc
-    if class_tol_rel is None:
-        class_tol_rel = k * EPS
-    scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs))
-    tol_abs = class_tol_rel * scale
-    values = tuple(GeneralizedEigenvalue(complex(x), 1.0 + 0j,
-                                         classify_pair(x, 1.0, tol_abs, tol_abs))
-                   for x in w)
+    tol_zero = k * EPS * np.linalg.norm(lhs)
+    rhs_norm = np.linalg.norm(rhs)
+    values = tuple(GeneralizedEigenvalue(
+        complex(x), 1.0 + 0j, CLASS_ZERO if abs(x) * rhs_norm <= tol_zero else CLASS_FINITE)
+        for x in w)
     nrm = np.linalg.norm(v, axis=0)
     nrm[nrm == 0] = 1.0
     return EigenSolution(values, (v / nrm).astype(np.complex128), True)

@@ -65,7 +65,6 @@ class GeneratedProblem:
     c: np.ndarray
     sigmas: DD
     sigma_alpha: DD
-    sigma_beta: DD
     sigma_gamma: DD
     u: np.ndarray
     v: np.ndarray
@@ -136,8 +135,8 @@ def generate_qsvd(config: GeneratorConfig) -> GeneratedProblem:
     return GeneratedProblem(
         kind="qsvd", config=config,
         a=a_dd.to_complex(), b=None, c=c_dd.to_complex(),
-        sigmas=sigmas, sigma_alpha=alpha, sigma_beta=DD(np.ones(n)),
-        sigma_gamma=gamma, u=u, v=v, x_dd=None, y_dd=y_dd,
+        sigmas=sigmas, sigma_alpha=alpha, sigma_gamma=gamma,
+        u=u, v=v, x_dd=None, y_dd=y_dd,
     )
 
 
@@ -162,6 +161,6 @@ def generate_rsvd(config: GeneratorConfig) -> GeneratedProblem:
     return GeneratedProblem(
         kind="rsvd", config=config,
         a=a_dd.to_complex(), b=b_dd.to_complex(), c=c_dd.to_complex(),
-        sigmas=sigmas, sigma_alpha=alpha, sigma_beta=DD(np.ones(n)),
-        sigma_gamma=gamma, u=u, v=v, x_dd=x_dd, y_dd=y_dd,
+        sigmas=sigmas, sigma_alpha=alpha, sigma_gamma=gamma,
+        u=u, v=v, x_dd=x_dd, y_dd=y_dd,
     )

@@ -300,9 +300,8 @@ class _Layout:
     the sigma part as
     ``(block kind, block size, count fields)``, in canonical order.  The cpf
     formulations also carry their transformation chain: ``factors`` of the
-    diagonal congruence (one per block row), the fields of the blocks that
-    the permutations ``perm_x``/``perm_y`` (1-indexed) move, and the lemma
-    kind of the per-sigma 4x4 reduction.
+    diagonal congruence (one per block row) and the fields of the blocks
+    that the permutations ``perm_x``/``perm_y`` (1-indexed) move.
     """
 
     block_rows: str
@@ -311,7 +310,6 @@ class _Layout:
     sizes: str = ""
     perm_x: tuple[int, ...] = ()
     perm_y: tuple[int, ...] = ()
-    lemma: str = ""
 
 
 _LAYOUTS = {
@@ -324,15 +322,13 @@ _LAYOUTS = {
     "cpf-svd": _Layout(
         "p q p q", ((KIND_J, 2, "p2"), (KIND_J, 2, "q2")),
         factors="u v u v", sizes="p1 p2 q1 q2 p1 p2 q1 q2",
-        perm_x=(2, 6, 4, 8, 1, 3, 5, 7), perm_y=(6, 2, 8, 4, 1, 3, 5, 7),
-        lemma="osvd"),
+        perm_x=(2, 6, 4, 8, 1, 3, 5, 7), perm_y=(6, 2, 8, 4, 1, 3, 5, 7)),
     "cpf-qsvd": _Layout(
         "p q p n", ((KIND_ZERO_BLOCK, 1, "q1"), (KIND_N, 1, "n3"), (KIND_N, 3, "p2"),
                     (KIND_J, 2, "p3"), (KIND_J, 2, "q2")),
         factors="u y u v", sizes="p1 p2 p3 q1 q2 q3 q4 p1 p2 p3 n1 n2 n3",
         perm_x=(4, 13, 7, 9, 2, 3, 10, 5, 11, 1, 6, 8, 12),
-        perm_y=(4, 13, 2, 9, 7, 10, 3, 11, 5, 1, 6, 8, 12),
-        lemma="qsvd"),
+        perm_y=(4, 13, 2, 9, 7, 10, 3, 11, 5, 1, 6, 8, 12)),
     "cpf-rsvd": _Layout(
         "p q m n", ((KIND_ZERO_BLOCK, 1, "p6 q1"), (KIND_N, 1, "p4 q6 m3 n4"),
                     (KIND_N, 3, "p2"), (KIND_N, 3, "p3"),
@@ -340,8 +336,7 @@ _LAYOUTS = {
         factors="x y u v",
         sizes="p1 p2 p3 p4 p5 p6 q1 q2 q3 q4 q5 q6 m1 m2 m3 m4 n1 n2 n3 n4",
         perm_x=(6, 7, 12, 4, 15, 20, 10, 14, 2, 3, 19, 11, 5, 16, 8, 17, 1, 9, 13, 18),
-        perm_y=(6, 7, 4, 12, 15, 20, 2, 14, 10, 11, 19, 3, 16, 5, 17, 8, 1, 9, 13, 18),
-        lemma="rsvd"),
+        perm_y=(6, 7, 4, 12, 15, 20, 2, 14, 10, 11, 19, 3, 16, 5, 17, 8, 1, 9, 13, 18)),
 }
 
 
@@ -418,23 +413,15 @@ _Y_UNIT = 0.5 * np.array([
     [1, -1, _I, -_I],
 ], dtype=complex)
 
-_LEMMA_KINDS = ("osvd", "qsvd", "rsvd")
 
-
-def lemma_pencil(kind: str, alpha: float, beta: float = 1.0,
-                 gamma: float = 1.0) -> Pencil:
+def lemma_pencil(alpha: float, beta: float = 1.0, gamma: float = 1.0) -> Pencil:
     """Order-4 pencil of one singular value: lhs couples alpha, rhs beta/gamma.
 
-    Every kind gives the 1x1 ``cpf-rsvd`` pencil of ``([[alpha]], [[beta]],
-    [[gamma]])``, row blocks ``(1, 1, 1, 1)``, with beta (and gamma) set to 1
-    for the quotient (and ordinary) kind.
+    This is the 1x1 ``cpf-rsvd`` pencil of ``([[alpha]], [[beta]],
+    [[gamma]])``, row blocks ``(1, 1, 1, 1)``.  The quotient problem's
+    pencil is the one with ``beta = 1``, the ordinary one's has
+    ``beta = gamma = 1``.
     """
-    if kind not in _LEMMA_KINDS:
-        raise ValueError(f"unknown lemma kind {kind!r}")
-    if kind == "osvd":
-        beta = gamma = 1.0
-    elif kind == "qsvd":
-        beta = 1.0
     return build_cpf_rsvd([[alpha]], [[beta]], [[gamma]])
 
 
@@ -453,23 +440,18 @@ class LemmaReduction:
     residual_lambda: float
 
 
-def lemma_reduce(kind: str, alpha: float, beta: float = 1.0,
-                 gamma: float = 1.0) -> LemmaReduction:
+def lemma_reduce(alpha: float, beta: float = 1.0, gamma: float = 1.0) -> LemmaReduction:
     """Explicit transformations with Y* (lhs - lam rhs) X = D - lam I.
 
     ``D = diag(sqrt(sigma), -sqrt(sigma), i sqrt(sigma), -i sqrt(sigma))``
-    with ``sigma = alpha / (beta * gamma)``.  The transformation composes
+    with ``sigma = alpha / (beta * gamma)``; the quotient problem's
+    reduction is the one with ``beta = 1``, the ordinary one's has
+    ``beta = gamma = 1``.  The transformation composes
     the diagonal scaling ``sigma**(-1/4) diag(1/beta, 1/gamma, sqrt(sigma),
     sqrt(sigma))`` with fixed sign/phase unitaries; at sigma = beta =
     gamma = 1 it reduces to those unitaries alone.  Both coefficient
     identities are verified entrywise before returning.
     """
-    if kind not in _LEMMA_KINDS:
-        raise ValueError(f"unknown lemma kind {kind!r}")
-    if kind == "osvd":
-        beta = gamma = 1.0
-    elif kind == "qsvd":
-        beta = 1.0
     if alpha <= 0 or beta <= 0 or gamma <= 0:
         raise ValueError("lemma parameters must be positive")
     sigma = alpha / (beta * gamma)
@@ -477,7 +459,7 @@ def lemma_reduce(kind: str, alpha: float, beta: float = 1.0,
     scale = sigma ** -0.25 * np.array([1.0 / beta, 1.0 / gamma, root, root])
     x = scale[:, None] * _X_UNIT
     y = scale[:, None] * _Y_UNIT
-    source = lemma_pencil(kind, alpha, beta, gamma)
+    source = lemma_pencil(alpha, beta, gamma)
     d = np.diag([root, -root, 1j * root, -1j * root])
     const = y.conj().T @ source.lhs @ x
     lam = y.conj().T @ source.rhs @ x
@@ -562,7 +544,7 @@ def verify_reduction(pencil: Pencil, formulation: str, partition,
     form, checked separately for the constant and the lambda coefficient.
     """
     layout = _LAYOUTS.get(formulation)
-    if layout is None or not layout.lemma:
+    if layout is None or not layout.factors:
         raise ValueError(f"no transformation chain for formulation {formulation!r}")
     sizes = _fields(partition, layout.sizes)
     given = dict(u=u, v=v, x=x, y=y)
@@ -587,12 +569,13 @@ def verify_reduction(pencil: Pencil, formulation: str, partition,
     k = lhs2.shape[0]
     f0 = k - 4 * p1
     d_alpha = np.real(np.diagonal(lhs2[f0:f0 + p1, f0 + p1:f0 + 2 * p1]))
-    # the lemma kind fixes which of beta, gamma are 1 (see lemma_pencil)
-    if layout.lemma == "rsvd":
+    # the decomposition fixes which of beta, gamma are 1 (see lemma_pencil)
+    kind = FORMULATIONS[formulation].kind
+    if kind == "rsvd":
         d_beta = np.real(np.diagonal(rhs2[f0:f0 + p1, f0 + 2 * p1:f0 + 3 * p1]))
     else:
         d_beta = np.ones(p1)
-    if layout.lemma == "osvd":
+    if kind == "svd":
         d_gamma = np.ones(p1)
     else:
         d_gamma = np.real(np.diagonal(rhs2[f0 + p1:f0 + 2 * p1, f0 + 3 * p1:]))
@@ -607,7 +590,7 @@ def verify_reduction(pencil: Pencil, formulation: str, partition,
         idx = np.array([f0 + j, f0 + p1 + j, f0 + 2 * p1 + j, f0 + 3 * p1 + j])
         sub_l = lhs2[np.ix_(idx, idx)]
         sub_r = rhs2[np.ix_(idx, idx)]
-        red = lemma_reduce(layout.lemma, d_alpha[j], d_beta[j], d_gamma[j])
+        red = lemma_reduce(d_alpha[j], d_beta[j], d_gamma[j])
         tl = red.y.conj().T @ sub_l @ red.x
         tr = red.y.conj().T @ sub_r @ red.x
         stage2 = max(stage2,

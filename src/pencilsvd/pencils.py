@@ -8,10 +8,6 @@ families are built for each decomposition:
 * ``cpf-*``  -- four-by-four cross-product-free formulations
   (``+-sqrt(+-sigma)``), whose blocks contain only the input matrices,
   their conjugate transposes, identities and zeros.
-
-The ``qqqq`` builder generalizes the cross-product-free form by replacing
-the two remaining identity blocks with ``D*D`` and ``EE*``; it deliberately
-reintroduces cross products and is kept for completeness only.
 """
 
 from __future__ import annotations
@@ -29,27 +25,27 @@ GENERIC = "generic"
 class Pencil:
     """A square dense pencil ``lhs - lam * rhs`` with block-layout metadata.
 
-    ``row_blocks``/``col_blocks`` record the block partitioning used by the
-    builder, so eigenvectors can later be sliced without recomputing offsets.
+    ``row_blocks`` records the block partitioning used by the builder (the
+    columns are partitioned the same way), so eigenvectors can later be
+    sliced without recomputing offsets.
     """
 
     lhs: np.ndarray
     rhs: np.ndarray
     formulation: str
     row_blocks: tuple[int, ...]
-    col_blocks: tuple[int, ...]
 
     def __post_init__(self):
         if self.lhs.shape != self.rhs.shape:
             raise ValueError("lhs and rhs must have identical shape")
+        if self.lhs.ndim != 2 or self.lhs.shape[0] != self.lhs.shape[1]:
+            raise ValueError(f"pencil must be square, got shape {self.lhs.shape}")
         if not (np.isfinite(self.lhs).all() and np.isfinite(self.rhs).all()):
             raise ValueError("pencil lhs and rhs must not hold non-finite (NaN or Inf) entries")
         if self.formulation not in FORMULATIONS and self.formulation != GENERIC:
             raise ValueError(f"unknown formulation {self.formulation!r}")
         if sum(self.row_blocks) != self.lhs.shape[0]:
             raise ValueError("row blocks do not sum to the matrix order")
-        if sum(self.col_blocks) != self.lhs.shape[1]:
-            raise ValueError("column blocks do not sum to the matrix order")
 
     @property
     def dim(self) -> int:
@@ -58,15 +54,12 @@ class Pencil:
     def row_offsets(self) -> np.ndarray:
         return np.concatenate(([0], np.cumsum(self.row_blocks)))
 
-    def col_offsets(self) -> np.ndarray:
-        return np.concatenate(([0], np.cumsum(self.col_blocks)))
-
 
 def generic_pencil(lhs, rhs) -> Pencil:
     """Wrap a raw (lhs, rhs) pair as a single-block pencil."""
     lhs = np.atleast_2d(np.asarray(lhs, dtype=np.complex128))
     rhs = np.atleast_2d(np.asarray(rhs, dtype=np.complex128))
-    return Pencil(lhs, rhs, GENERIC, (lhs.shape[0],), (lhs.shape[1],))
+    return Pencil(lhs, rhs, GENERIC, (lhs.shape[0],))
 
 
 def _as_matrix(m, name) -> np.ndarray:
@@ -93,7 +86,7 @@ def build_sq_svd(a) -> Pencil:
     _require(a.size > 0, "A must be nonempty")
     q = a.shape[1]
     return Pencil(_hermitize(a.conj().T @ a), np.eye(q, dtype=np.complex128),
-                  "sq-svd", (q,), (q,))
+                  "sq-svd", (q,))
 
 
 def build_aug_svd(a) -> Pencil:
@@ -104,7 +97,7 @@ def build_aug_svd(a) -> Pencil:
     lhs = np.zeros((p + q, p + q), dtype=np.complex128)
     lhs[:p, p:] = a
     lhs[p:, :p] = a.conj().T
-    return Pencil(lhs, np.eye(p + q, dtype=np.complex128), "aug-svd", (p, q), (p, q))
+    return Pencil(lhs, np.eye(p + q, dtype=np.complex128), "aug-svd", (p, q))
 
 
 def build_sq_qsvd(a, c) -> Pencil:
@@ -113,7 +106,7 @@ def build_sq_qsvd(a, c) -> Pencil:
     _require(a.shape[1] == c.shape[1], f"A and C must share columns, got {a.shape} and {c.shape}")
     q = a.shape[1]
     return Pencil(_hermitize(a.conj().T @ a), _hermitize(c.conj().T @ c),
-                  "sq-qsvd", (q,), (q,))
+                  "sq-qsvd", (q,))
 
 
 def build_aug_qsvd(a, c) -> Pencil:
@@ -127,7 +120,7 @@ def build_aug_qsvd(a, c) -> Pencil:
     rhs = np.zeros_like(lhs)
     rhs[:p, :p] = np.eye(p)
     rhs[p:, p:] = _hermitize(c.conj().T @ c)
-    return Pencil(lhs, rhs, "aug-qsvd", (p, q), (p, q))
+    return Pencil(lhs, rhs, "aug-qsvd", (p, q))
 
 
 def build_aug_rsvd(a, b, c) -> Pencil:
@@ -142,10 +135,10 @@ def build_aug_rsvd(a, b, c) -> Pencil:
     rhs = np.zeros_like(lhs)
     rhs[:p, :p] = _hermitize(b @ b.conj().T)
     rhs[p:, p:] = _hermitize(c.conj().T @ c)
-    return Pencil(lhs, rhs, "aug-rsvd", (p, q), (p, q))
+    return Pencil(lhs, rhs, "aug-rsvd", (p, q))
 
 
-def _cpf_blocks(a, b13, b24, dim3, dim4, formulation, lhs33=None, lhs44=None):
+def _cpf_blocks(a, b13, b24, dim3, dim4, formulation):
     """Assemble the common 4x4 layout shared by all cpf builders.
 
     lhs = diag([0 A; A* 0], I, I), rhs has ``b13`` in block (1,3), ``b24``
@@ -160,13 +153,13 @@ def _cpf_blocks(a, b13, b24, dim3, dim4, formulation, lhs33=None, lhs44=None):
     s = [slice(off[i], off[i + 1]) for i in range(4)]
     lhs[s[0], s[1]] = a
     lhs[s[1], s[0]] = a.conj().T
-    lhs[s[2], s[2]] = np.eye(dim3) if lhs33 is None else lhs33
-    lhs[s[3], s[3]] = np.eye(dim4) if lhs44 is None else lhs44
+    lhs[s[2], s[2]] = np.eye(dim3)
+    lhs[s[3], s[3]] = np.eye(dim4)
     rhs[s[0], s[2]] = b13
     rhs[s[1], s[3]] = b24
     rhs[s[2], s[0]] = b13.conj().T
     rhs[s[3], s[1]] = b24.conj().T
-    return Pencil(lhs, rhs, formulation, blocks, blocks)
+    return Pencil(lhs, rhs, formulation, blocks)
 
 
 def build_cpf_svd(a) -> Pencil:
@@ -197,30 +190,13 @@ def build_cpf_rsvd(a, b, c) -> Pencil:
     return _cpf_blocks(a, b, c.conj().T, m, n, "cpf-rsvd")
 
 
-def build_qqqq(a, b, c, d, e) -> Pencil:
-    """Five-matrix generalization with ``D*D`` and ``EE*`` diagonal blocks."""
-    a, b, c = _as_matrix(a, "A"), _as_matrix(b, "B"), _as_matrix(c, "C")
-    d, e = _as_matrix(d, "D"), _as_matrix(e, "E")
-    _require(b.shape[0] == a.shape[0], f"B must have {a.shape[0]} rows, got {b.shape[0]}")
-    _require(c.shape[1] == a.shape[1], f"C must have {a.shape[1]} columns, got {c.shape[1]}")
-    _require(d.shape[1] == b.shape[1], f"D must have {b.shape[1]} columns, got {d.shape[1]}")
-    _require(e.shape[0] == c.shape[0], f"E must have {c.shape[0]} rows, got {e.shape[0]}")
-    m = b.shape[1]
-    n = c.shape[0]
-    pencil = _cpf_blocks(a, b, c.conj().T, m, n, "qqqq",
-                         lhs33=_hermitize(d.conj().T @ d),
-                         lhs44=_hermitize(e @ e.conj().T))
-    return pencil
-
-
 @dataclass(frozen=True)
 class Formulation:
     """One pencil formulation: what it decomposes and how it is built.
 
-    ``kind`` is the decomposition (``svd``, ``qsvd``, ``rsvd``; ``qqqq`` has
-    none), ``family`` the pencil family (``sq``, ``aug``, ``cpf``; ``qqqq``
-    shares the cpf layout) and ``inputs`` the names of the matrices the
-    builder takes, in order.
+    ``kind`` is the decomposition (``svd``, ``qsvd``, ``rsvd``), ``family``
+    the pencil family (``sq``, ``aug``, ``cpf``) and ``inputs`` the names of
+    the matrices the builder takes, in order.
     """
 
     name: str
@@ -244,5 +220,4 @@ FORMULATIONS = {f.name: f for f in (
     Formulation("cpf-svd", "svd", "cpf", ("a",), build_cpf_svd),
     Formulation("cpf-qsvd", "qsvd", "cpf", ("a", "c"), build_cpf_qsvd),
     Formulation("cpf-rsvd", "rsvd", "cpf", ("a", "b", "c"), build_cpf_rsvd),
-    Formulation("qqqq", "qqqq", "cpf", ("a", "b", "c", "d", "e"), build_qqqq),
 )}

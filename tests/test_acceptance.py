@@ -56,8 +56,9 @@ def test_criterion_1_lemma_identities():
     worst = 0.0
     for _ in range(1000):
         alpha, beta, gamma = rng.uniform(1e-3, 1.0, 3)
-        for kind in ("osvd", "qsvd", "rsvd"):
-            red = lemma_reduce(kind, alpha, beta, gamma)
+        # ordinary (beta = gamma = 1), quotient (beta = 1), restricted
+        for args in ((alpha, 1.0, 1.0), (alpha, 1.0, gamma), (alpha, beta, gamma)):
+            red = lemma_reduce(*args)
             worst = max(worst, red.residual_const, red.residual_lambda)
     ok = worst <= 1e-14
     _report(1, "lemma identities", ok, time.perf_counter() - start, 1.0,

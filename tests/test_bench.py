@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -154,10 +155,7 @@ def test_failed_sample_record():
     # force a failure by handing the evaluator a corrupted problem
     cfg = GeneratorConfig(n=3, kappa_sigma=10.0, kappa_y=10.0, seed=8)
     prob = generate_qsvd(cfg)
-    bad = type(prob)(kind="qsvd", config=cfg, a=np.zeros_like(prob.a), b=None,
-                     c=prob.c, sigmas=prob.sigmas, sigma_alpha=prob.sigma_alpha,
-                     sigma_beta=prob.sigma_beta, sigma_gamma=prob.sigma_gamma,
-                     u=prob.u, v=prob.v, x_dd=None, y_dd=prob.y_dd)
+    bad = dataclasses.replace(prob, a=np.zeros_like(prob.a))
     rec = evaluate_sample(bad, "cpf-qsvd")
     assert rec.failed and rec.failure_reason
     assert math.isnan(rec.max_error)

@@ -70,7 +70,7 @@ def test_sqrt_squares_back():
 
 def test_roundtrip_binary64_exact():
     x = np.array([1.0, -3.5, 1e-300, 7.1e200, 0.1])
-    assert np.array_equal(DD.from_float(x).to_float(), x)
+    assert np.array_equal(DD(x).to_float(), x)
 
 
 def test_to_float_rounds_correctly():

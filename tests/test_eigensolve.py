@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from pencilsvd import eigensolve
 from pencilsvd.eigensolve import (
@@ -22,8 +23,10 @@ from pencilsvd.pencils import (
 )
 
 
-def finite_values(sol):
-    return sorted((v.value for v, _ in sol.finite()), key=lambda z: (round(abs(z), 9), z.real, z.imag))
+def finite_pairs(sol):
+    """(eigenvalue, vector) pairs of the finite-nonzero part."""
+    return [(v, sol.vectors[:, i]) for i, v in enumerate(sol.values)
+            if v.kind == CLASS_FINITE]
 
 
 def assert_multiset_close(got, want, tol=1e-10):
@@ -64,7 +67,7 @@ def test_eigenvector_residuals():
     pencil = generic_pencil(a, b)
     sol = solve_general(pencil)
     assert sol.backward_stable
-    for val, w in sol.finite():
+    for val, w in finite_pairs(sol):
         lam = val.value
         res = np.linalg.norm(a @ w - lam * (b @ w))
         assert res <= 1e-12 * (np.linalg.norm(a, 2) + abs(lam) * np.linalg.norm(b, 2)) * np.linalg.norm(w)
@@ -78,7 +81,7 @@ def test_residual_tol_edge(monkeypatch):
     norm_a, norm_b = np.linalg.norm(a, 2), np.linalg.norm(b, 2)
     worst = max(np.linalg.norm(a @ w - v.value * (b @ w))
                 / ((norm_a + abs(v.value) * norm_b) * np.linalg.norm(w))
-                for v, w in solve_general(pencil).finite())
+                for v, w in finite_pairs(solve_general(pencil)))
     assert worst > 0
     monkeypatch.setattr(eigensolve, "RESIDUAL_TOL", 2 * worst)
     assert solve_general(pencil).backward_stable
@@ -109,7 +112,7 @@ def test_deflation_reports_indeterminate_and_preserves_regular_part():
     assert counts[CLASS_FINITE] == 4
     sigma = 0.5
     root = np.sqrt(sigma)
-    assert_multiset_close([v.value for v, _ in sol.finite()],
+    assert_multiset_close([v.value for v, _ in finite_pairs(sol)],
                           [root, -root, 1j * root, -1j * root], tol=1e-10)
     # null vectors annihilate both sides
     for i, v in enumerate(sol.values):
@@ -120,13 +123,13 @@ def test_deflation_reports_indeterminate_and_preserves_regular_part():
 
 
 def test_deflation_no_op_on_regular_pencil():
+    # a regular pencil has no common null space: the spectrum is plain QZ's
     rng = np.random.default_rng(2)
     a = rng.standard_normal((4, 4))
     b = rng.standard_normal((4, 4)) + 4 * np.eye(4)
-    with_defl = solve_general(generic_pencil(a, b), deflate=True)
-    without = solve_general(generic_pencil(a, b), deflate=False)
-    assert_multiset_close([v.value for v in with_defl.values],
-                          [v.value for v in without.values], tol=1e-10)
+    sol = solve_general(generic_pencil(a, b))
+    assert sol.counts()[CLASS_INDETERMINATE] == 0
+    assert_multiset_close([v.value for v in sol.values], sla.eigvals(a, b), tol=1e-10)
 
 
 def test_solve_hpd_scalar():
@@ -137,6 +140,16 @@ def test_solve_hpd_scalar():
 def test_solve_hpd_aug_qsvd_oracle():
     sol = solve_hpd(build_aug_qsvd(np.array([[2.0]]), np.array([[1.0]])))
     assert_multiset_close([v.value for v in sol.values], [2.0, -2.0], tol=1e-13)
+
+
+@pytest.mark.parametrize("s", [1.0, 1e6, 1e8])
+def test_solve_hpd_classification_is_scale_invariant(s):
+    # (I, s I) is well conditioned with exact values 1/s; scaling rhs by s^2
+    # must not turn them into zero or indeterminate pairs
+    sol = solve_hpd(build_aug_qsvd(np.eye(2), s * np.eye(2)))
+    assert sol.counts()[CLASS_FINITE] == 4
+    assert_multiset_close([v.value for v in sol.values], [1 / s, 1 / s, -1 / s, -1 / s],
+                          tol=1e-15 / s)
 
 
 def test_solve_hpd_agrees_with_general():
@@ -171,5 +184,5 @@ def test_classify_pair_thresholds():
 
 
 def test_non_square_rejected():
-    with pytest.raises(ValueError):
-        solve_general(Pencil(np.zeros((2, 3)), np.zeros((2, 3)), "generic", (2,), (3,)))
+    with pytest.raises(ValueError, match="square"):
+        Pencil(np.zeros((2, 3)), np.zeros((2, 3)), "generic", (2,))

@@ -12,6 +12,7 @@ from helpers import (
 )
 from pencilsvd.eigensolve import solve_general
 from pencilsvd.kcf import (
+    _LAYOUTS,
     KIND_J,
     KIND_N,
     KIND_ZERO_BLOCK,
@@ -26,7 +27,7 @@ from pencilsvd.kcf import (
     svd_partition,
     verify_reduction,
 )
-from pencilsvd.pencils import build_cpf_qsvd, build_cpf_rsvd, build_cpf_svd
+from pencilsvd.pencils import FORMULATIONS, build_cpf_qsvd, build_cpf_rsvd, build_cpf_svd
 
 EPS = np.finfo(float).eps
 
@@ -158,24 +159,31 @@ def test_kcf_block_shape_validation():
         KcfBlock("n-infinite", 2, 3)
 
 
+def test_layouts_match_formulation_table():
+    # every aug and cpf formulation has a canonical layout, and no layout
+    # belongs to a formulation the table does not define
+    structured = {name for name, f in FORMULATIONS.items() if f.family in ("aug", "cpf")}
+    assert structured == set(_LAYOUTS)
+
+
 # -- lemma reductions ------------------------------------------------------------
 
 
 def test_lemma_osvd_sigma_one_is_unitary():
-    red = lemma_reduce("osvd", 1.0)
+    red = lemma_reduce(1.0)
     assert np.allclose(red.x.conj().T @ red.x, np.eye(4), atol=1e-15)
     assert np.allclose(red.target.lhs, np.diag([1, -1, 1j, -1j]))
     assert red.residual_const <= 8 * EPS and red.residual_lambda <= 8 * EPS
 
 
 def test_lemma_qsvd_normalized():
-    red = lemma_reduce("qsvd", alpha=1 / np.sqrt(2), gamma=1 / np.sqrt(2))
+    red = lemma_reduce(alpha=1 / np.sqrt(2), gamma=1 / np.sqrt(2))
     assert red.sigma == pytest.approx(1.0)
     assert np.allclose(red.target.lhs, np.diag([1, -1, 1j, -1j]), atol=1e-15)
 
 
 def test_lemma_rsvd_arithmetic():
-    red = lemma_reduce("rsvd", alpha=0.6, beta=2.0, gamma=0.3)
+    red = lemma_reduce(alpha=0.6, beta=2.0, gamma=0.3)
     assert red.sigma == pytest.approx(1.0)
     assert red.residual_const <= 8 * EPS
     assert red.residual_lambda <= 8 * EPS
@@ -185,22 +193,20 @@ def test_lemma_identities_random():
     rng = np.random.default_rng(9)
     for _ in range(1000):
         alpha, beta, gamma = rng.uniform(1e-3, 1.0, 3)
-        red = lemma_reduce("rsvd", alpha, beta, gamma)
+        red = lemma_reduce(alpha, beta, gamma)
         assert red.residual_const <= 1e-14
         assert red.residual_lambda <= 1e-14
 
 
 def test_lemma_rejects_nonpositive():
     with pytest.raises(ValueError):
-        lemma_reduce("qsvd", alpha=0.0, gamma=1.0)
-    with pytest.raises(ValueError):
-        lemma_reduce("bogus", alpha=1.0)
+        lemma_reduce(alpha=0.0, gamma=1.0)
 
 
 def test_lemma_pencil_spectrum():
     import scipy.linalg as sla
 
-    pen = lemma_pencil("rsvd", alpha=0.8, beta=0.5, gamma=0.4)
+    pen = lemma_pencil(alpha=0.8, beta=0.5, gamma=0.4)
     sigma = 0.8 / (0.5 * 0.4)
     root = np.sqrt(sigma)
     got = sorted(sla.eigvals(pen.lhs, pen.rhs), key=lambda z: (round(z.real, 9), z.imag))

@@ -9,7 +9,6 @@ from pencilsvd.pencils import (
     build_cpf_qsvd,
     build_cpf_rsvd,
     build_cpf_svd,
-    build_qqqq,
     build_sq_qsvd,
     build_sq_svd,
     generic_pencil,
@@ -130,33 +129,12 @@ def test_cpf_entries_are_inputs_zeros_or_ones():
         assert seen <= allowed, p.formulation
 
 
-def test_qqqq_identity_reduction_and_oracle():
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-    b = rng.standard_normal((2, 2))
-    c = rng.standard_normal((4, 3))
-    full = build_qqqq(a, b, c, np.eye(2), np.eye(4))
-    base = build_cpf_rsvd(a, b, c)
-    assert np.array_equal(full.lhs, base.lhs)
-    assert np.array_equal(full.rhs, base.rhs)
-
-    one = np.array([[1.0]])
-    assert_spectrum(build_qqqq(np.array([[4.0]]), one, one, one, one), [2, -2, 2j, -2j])
-
-    # qqqq(A,B,C,D,E) matches the restricted problem (A, B D^-1, E^-1 C);
-    # here sigma = 2 / (0.5 * 1) = 4, so the quadruple is +-2, +-2i
-    p = build_qqqq(np.array([[2.0]]), one, one, np.array([[2.0]]), one)
-    assert_spectrum(p, [2, -2, 2j, -2j])
-
-
 def test_dimension_mismatch_errors():
     a = np.zeros((2, 3))
     with pytest.raises(ValueError):
         build_sq_qsvd(a, np.zeros((2, 2)))
     with pytest.raises(ValueError):
         build_aug_rsvd(a, np.zeros((3, 2)), np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        build_qqqq(a, np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 2)))
 
 
 @pytest.mark.parametrize("route", ["generic", "cpf-qsvd"])
