@@ -47,11 +47,11 @@ def _load_inputs(args):
 
 
 def _problem_kind(mats) -> str:
-    if "b" in mats and "c" in mats:
-        return "rsvd"
-    if "c" in mats:
-        return "qsvd"
-    return "svd"
+    if "c" not in mats:
+        if "b" in mats:
+            raise ValueError("B needs C: a restricted problem takes A, B and C")
+        return "svd"
+    return "rsvd" if "b" in mats else "qsvd"
 
 
 def _build_pencil(form: str, mats):

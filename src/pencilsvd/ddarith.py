@@ -8,9 +8,11 @@ renormalized elementwise operations, so they vectorize over ndarrays.
 Each formula has one home, a helper on raw ``(hi, lo)`` arrays.  A complex
 array (:class:`CDD`) stacks (re, im) on a leading axis of size 2 of its
 ``hi`` and ``lo`` arrays, so one helper call covers both parts, and
-:func:`cdd_solve` eliminates on the augmented pair ``[A | B]``.  The
-kernels perform the IEEE operations of the per-operator formulas (one real
-dd operation at a time) in the same order, so they match those bit for bit.
+:func:`cdd_solve` eliminates on the augmented pair ``[A | B]`` and forms
+each pivot's divisor once, for its elimination step and back substitution.
+The kernels perform the IEEE operations of the per-operator formulas (one
+real dd operation at a time) in the same order, so they match those bit for
+bit.
 
 Only what the generators and ground-truth bookkeeping need is implemented:
 real arithmetic (:class:`DD`), complex arithmetic (:class:`CDD`), square
@@ -101,12 +103,22 @@ def _cdd_mul(ahi, alo, bhi, blo):
     return _dd_add(phi[0], plo[0], phi[1, ::-1], plo[1, ::-1])
 
 
+def _divisor(bhi, blo):
+    """The parts of ``b`` that a division by it needs: ``conj(b)`` as
+    stacked (hi, lo) and ``|b|^2`` as (hi, lo)."""
+    shi, slo = _dd_mul(bhi, blo, bhi, blo)
+    return (_conj(bhi), _conj(blo)), _dd_add(shi[0], slo[0], shi[1], slo[1])
+
+
+def _cdd_div_by(ahi, alo, conj_b, abs2_b):
+    """Complex dd quotient ``a conj(b) / |b|^2`` from the parts of :func:`_divisor`."""
+    nhi, nlo = _cdd_mul(ahi, alo, *conj_b)
+    return _dd_div(nhi, nlo, *abs2_b)
+
+
 def _cdd_div(ahi, alo, bhi, blo):
     """Complex dd quotient ``a conj(b) / |b|^2`` of stacked operands of equal rank."""
-    shi, slo = _dd_mul(bhi, blo, bhi, blo)
-    dhi, dlo = _dd_add(shi[0], slo[0], shi[1], slo[1])
-    nhi, nlo = _cdd_mul(ahi, alo, _conj(bhi), _conj(blo))
-    return _dd_div(nhi, nlo, dhi, dlo)
+    return _cdd_div_by(ahi, alo, *_divisor(bhi, blo))
 
 
 class DD:
@@ -356,6 +368,8 @@ def cdd_solve(a: CDD, b: CDD) -> CDD:
     b2 = b[:, None] if vector else b
     # w[0] holds the hi parts and w[1] the lo parts of [a | b]
     w = np.concatenate([np.stack([a.hi, a.lo]), np.stack([b2.hi, b2.lo])], axis=3)
+    # the divisor of each pivot u_kk, formed once: no later step changes row k
+    divisors = []
     for k in range(n):
         col_mag = np.abs(w[0, 0, k:, k]) + np.abs(w[0, 1, k:, k])
         piv = k + int(np.argmax(col_mag))
@@ -363,9 +377,10 @@ def cdd_solve(a: CDD, b: CDD) -> CDD:
             raise ZeroDivisionError("singular matrix in cdd_solve")
         if piv != k:
             w[:, :, [k, piv]] = w[:, :, [piv, k]]
+        divisors.append(_divisor(*w[..., k, k:k + 1]))
         if k + 1 < n:
             # row i -= (a_ik / a_kk) * row k, over columns k+1..n+r
-            mhi, mlo = _cdd_div(*w[..., k + 1:, k], *w[..., k, k:k + 1])
+            mhi, mlo = _cdd_div_by(*w[..., k + 1:, k], *divisors[k])
             phi, plo = _cdd_mul(mhi[..., None], mlo[..., None], *w[..., k:k + 1, k + 1:])
             w[..., k + 1:, k + 1:] = _dd_add(*w[..., k + 1:, k + 1:], -phi, -plo)
     # back substitution on the columns of b; each row sum runs left to right
@@ -378,7 +393,7 @@ def cdd_solve(a: CDD, b: CDD) -> CDD:
             for j in range(n - 1 - k):
                 s = _dd_add(*s, phi[:, j], plo[:, j])
             acc = _dd_add(*acc, -s[0], -s[1])
-        w[..., k, n:] = _cdd_div(*acc, *w[..., k, k:k + 1])
+        w[..., k, n:] = _cdd_div_by(*acc, *divisors[k])
     x = CDD._of(*w[..., n:])
     return x[:, 0] if vector else x
 

@@ -21,10 +21,16 @@ binary64 moves the stored problem's values further (5e-13..1.3e-10
 relative at kappa_Y = 1e7).
 ``truth.txt`` of the CLI prints 30 digits of the grid.  Problems are
 square (p = q = m = n) and full rank by construction.
+
+The grids depend only on ``(n, kappa)``, so each is computed once and
+memoised; problems generated with the same ``(n, kappa)`` share the
+memoised ``sigmas``, ``sigma_alpha`` and ``sigma_gamma``, whose arrays
+are read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -56,7 +62,12 @@ class GeneratorConfig:
 
 @dataclass(frozen=True)
 class GeneratedProblem:
-    """Working-precision matrices plus extended-precision ground truth."""
+    """Working-precision matrices plus extended-precision ground truth.
+
+    ``sigmas``, ``sigma_alpha`` and ``sigma_gamma`` are the memoised grids
+    of ``(n, kappa_sigma)``, shared with every problem of that key and
+    read-only.
+    """
 
     kind: str
     config: GeneratorConfig
@@ -91,12 +102,23 @@ def true_sigma_grid(n: int, kappa: float) -> DD:
     """Geometric grid ``kappa**(1/2 - (j-1)/(n-1))`` in double-double.
 
     The grid is nonincreasing with ``sigma_1 * sigma_n = 1`` and
-    ``sigma_1 / sigma_n = kappa``.
+    ``sigma_1 / sigma_n = kappa``.  The returned arrays are shared and
+    read-only (see :func:`_grids`).
     """
     if n < 2:
         raise ValueError("grid needs n >= 2")
     if kappa < 1.0:
         raise ValueError("kappa must be >= 1")
+    return _grids(n, kappa)[0]
+
+
+@functools.lru_cache
+def _grids(n: int, kappa: float) -> tuple[DD, DD, DD]:
+    """``(sigmas, alpha, gamma)`` for one ``(n, kappa)``, computed once.
+
+    Every problem generated with the same ``(n, kappa)`` shares these
+    arrays, so their ``hi`` and ``lo`` parts are read-only.
+    """
     root = dd_nth_root(DD(np.array(float(kappa))), 2 * (n - 1))
     hi = np.empty(n)
     lo = np.empty(n)
@@ -104,19 +126,20 @@ def true_sigma_grid(n: int, kappa: float) -> DD:
         val = dd_pow_int(root, n - 1 - 2 * j)
         hi[j] = val.hi
         lo[j] = val.lo
-    return DD(hi, lo)
-
-
-def _alpha_gamma(sigmas: DD) -> tuple[DD, DD]:
+    sigmas = DD(hi, lo)
     denom = (sigmas * sigmas + 1.0).sqrt()
-    return sigmas / denom, DD(np.ones(sigmas.shape)) / denom
+    grids = (sigmas, sigmas / denom, DD(np.ones(n)) / denom)
+    for x in grids:
+        x.hi.setflags(write=False)
+        x.lo.setflags(write=False)
+    return grids
 
 
 def _conditioned_factor(n: int, kappa: float, rng) -> CDD:
     """Haar-by-Haar sandwich with exactly known singular value grid."""
     u = haar_unitary(n, rng)
     v = haar_unitary(n, rng)
-    eta = true_sigma_grid(n, kappa) if kappa > 1.0 else DD(np.ones(n))
+    eta = _grids(n, kappa)[0] if kappa > 1.0 else DD(np.ones(n))
     return CDD.from_complex(u).scaled(eta).matmul(CDD.from_complex(v).conj_t())
 
 
@@ -127,8 +150,7 @@ def generate_qsvd(config: GeneratorConfig) -> GeneratedProblem:
     y_dd = _conditioned_factor(n, config.kappa_y, rng)
     u = haar_unitary(n, rng)
     v = haar_unitary(n, rng)
-    sigmas = true_sigma_grid(n, config.kappa_sigma)
-    alpha, gamma = _alpha_gamma(sigmas)
+    sigmas, alpha, gamma = _grids(n, config.kappa_sigma)
     y_ct = y_dd.conj_t()
     a_dd = cdd_solve(y_ct, CDD.from_complex(u).conj_t().scaled(alpha[:, None])).conj_t()
     c_dd = cdd_solve(y_ct, CDD.from_complex(v).conj_t().scaled(gamma[:, None])).conj_t()
@@ -148,8 +170,7 @@ def generate_rsvd(config: GeneratorConfig) -> GeneratedProblem:
     x_dd = _conditioned_factor(n, config.kappa_x, rng)
     u = haar_unitary(n, rng)
     v = haar_unitary(n, rng)
-    sigmas = true_sigma_grid(n, config.kappa_sigma)
-    alpha, gamma = _alpha_gamma(sigmas)
+    sigmas, alpha, gamma = _grids(n, config.kappa_sigma)
     # one solve per factor: [W | B] = X^-* [Sigma_alpha | U*], then
     # [A* | C*] = Y^-* [W* | Sigma_gamma V*]
     wb = cdd_solve(x_dd.conj_t(), CDD.hstack(cdd_diag(alpha), CDD.from_complex(u).conj_t()))

@@ -270,12 +270,14 @@ def partition_from_ranks(p: int, q: int, m: int, n: int,
 
 def partition_for(a, b=None, c=None):
     """Partition of A (svd), (A, C) (qsvd) or (A, B, C) (rsvd) from the
-    numerical ranks of the inputs; B without C is ignored."""
+    numerical ranks of the inputs; B without C raises ValueError."""
     def rank(m):
         return rank_with_tol(m).rank
 
     p, q = a.shape
     if c is None:
+        if b is not None:
+            raise ValueError("B needs C: a restricted problem takes A, B and C")
         return svd_partition(p, q, rank(a))
     n = c.shape[0]
     if b is None:

@@ -99,12 +99,15 @@ def write_matrix_text(path, m: np.ndarray) -> None:
 
 
 def read_matrix_text(path) -> np.ndarray:
-    """Read the text format above; a short file, a missing number or an
-    entry that is not a finite number raises ValueError naming the entry."""
+    """Read the text format above; a malformed header (sizes that are not
+    non-negative integers, an unknown field) raises ValueError naming the
+    file and the header, and a short file, a missing number or an entry
+    that is not a finite number raises ValueError naming the entry."""
     with open(path) as fh:
         header = fh.readline().split()
-        if len(header) != 3 or header[2] not in ("real", "complex"):
-            raise ValueError(f"malformed matrix header in {path}")
+        if (len(header) != 3 or header[2] not in ("real", "complex")
+                or not all(h.isdecimal() for h in header[:2])):
+            raise ValueError(f"malformed matrix header in {path}: {' '.join(header)!r}")
         rows, cols, field = int(header[0]), int(header[1]), header[2]
         width = 1 if field == "real" else 2
         out = np.zeros((rows, cols), dtype=np.complex128)

@@ -51,6 +51,26 @@ def test_solve_reports_malformed_matrix_file(tmp_path, capsys):
     assert f"error: {path}: real entry (1, 0)" in capsys.readouterr().err
 
 
+def test_solve_reports_header_with_bad_sizes(tmp_path, capsys):
+    path = tmp_path / "a.txt"
+    path.write_text("2 x real\n1.0\n2.0\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--formulation", "cpf", "--a", str(path)])
+    assert exc.value.code == 2
+    assert f"error: malformed matrix header in {path}: '2 x real'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "kcf"])
+def test_b_without_c_is_a_usage_error(tmp_path, capsys, command):
+    ap, bp = tmp_path / "a.txt", tmp_path / "b.txt"
+    write_matrix_text(ap, np.diag([2.0, 0.5]))
+    write_matrix_text(bp, np.eye(2))
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--formulation", "aug", "--a", str(ap), "--b", str(bp)])
+    assert exc.value.code == 2
+    assert "error: B needs C" in capsys.readouterr().err
+
+
 def test_solve_prints_classified_eigenvalues(tmp_path, capsys):
     path = tmp_path / "a.txt"
     write_matrix_text(path, np.array([[4.0]]))

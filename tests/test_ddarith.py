@@ -298,3 +298,21 @@ def test_cdd_matmul_matches_operator_reference_bitwise(n, k, m, zeros, seed):
     a = _random_cdd(rng, (n, k), rng.random((n, k)) < 0.3 if zeros else None)
     b = _random_cdd(rng, (k, m), rng.random((k, m)) < 0.3 if zeros else None)
     _assert_same_bits(a.matmul(b), RefCDD.of(a).matmul(RefCDD.of(b)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(shape=st.sampled_from([(1,), (5,), (3, 4)]), row=st.booleans(), zeros=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_cdd_truediv_matches_operator_reference_bitwise(shape, row, zeros, seed):
+    rng = np.random.default_rng(seed)
+    a = _random_cdd(rng, shape, rng.random(shape) < 0.3 if zeros else None)
+    # a divisor of lower rank broadcasts against the numerator
+    bshape = shape[-1:] if row else shape
+    b = _random_cdd(rng, bshape)
+    if zeros:
+        # exact zeros of random sign in the real or the imaginary part
+        mask = rng.random(bshape) < 0.3
+        zero = np.copysign(0.0, rng.standard_normal(bshape))[mask]
+        part = rng.integers(2)
+        b.hi[part][mask], b.lo[part][mask] = zero, zero
+    _assert_same_bits(a / b, RefCDD.of(a) / RefCDD.of(b))

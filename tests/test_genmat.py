@@ -4,6 +4,7 @@ import pytest
 from pencilsvd.ddarith import CDD, cdd_diag, dd_to_decimal_string
 from pencilsvd.genmat import (
     GeneratorConfig,
+    _grids,
     generate_qsvd,
     generate_rsvd,
     true_sigma_grid,
@@ -209,3 +210,53 @@ def test_generators_match_one_solve_per_right_hand_side(n, kappa_sigma, kappa_y,
     assert r.a.tobytes() == a.to_complex().tobytes()
     assert r.b.tobytes() == b.to_complex().tobytes()
     assert r.c.tobytes() == c.to_complex().tobytes()
+
+
+_FIELDS = ("a", "b", "c", "u", "v", "sigmas", "sigma_alpha", "sigma_gamma", "x_dd", "y_dd")
+
+
+def _field_bytes(problem):
+    out = []
+    for name in _FIELDS:
+        value = getattr(problem, name)
+        if isinstance(value, np.ndarray):
+            value = value.tobytes()
+        elif value is not None:
+            value = (value.hi.tobytes(), value.lo.tobytes())
+        out.append(value)
+    return out
+
+
+@pytest.mark.parametrize("generate", [generate_qsvd, generate_rsvd])
+def test_memoised_grids_give_the_same_bits_cold_and_warm(generate):
+    cfg = GeneratorConfig(n=5, kappa_sigma=1e3, kappa_y=1e4, kappa_x=10.0, seed=43)
+    _grids.cache_clear()
+    cold = _field_bytes(generate(cfg))
+    assert _grids.cache_info().currsize > 0
+    assert _field_bytes(generate(cfg)) == cold
+    # an int kappa is the same key as the equal float, and the same bits
+    same = GeneratorConfig(n=5, kappa_sigma=1000, kappa_y=10000, kappa_x=10, seed=43)
+    assert _field_bytes(generate(same)) == cold
+
+
+def test_memoised_grids_are_read_only():
+    prob = generate_qsvd(GeneratorConfig(n=4, kappa_sigma=10.0, kappa_y=10.0, seed=47))
+    for grid in (prob.sigmas, prob.sigma_alpha, prob.sigma_gamma):
+        for arr in (grid.hi, grid.lo):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+    assert true_sigma_grid(4, 10.0) is prob.sigmas
+
+
+def test_memoised_grid_n2_and_kappa_one():
+    _grids.cache_clear()
+    for _ in range(2):  # cold, then from the memo
+        assert true_sigma_grid(2, 100.0).to_float().tolist() == pytest.approx([10.0, 0.1],
+                                                                             rel=1e-15)
+        grid = true_sigma_grid(5, 1.0)
+        assert grid.hi.tolist() == [1.0] * 5 and not np.any(grid.lo)
+        prob = generate_qsvd(GeneratorConfig(n=3, kappa_sigma=1.0, kappa_y=1.0, seed=53))
+        half = np.sqrt(0.5)
+        assert prob.sigma_alpha.to_float() == pytest.approx([half] * 3, rel=1e-15)
+        assert prob.sigma_gamma.to_float() == pytest.approx([half] * 3, rel=1e-15)
+        assert abs(np.linalg.cond(prob.y) - 1.0) <= 1e-12

@@ -20,6 +20,7 @@ from pencilsvd.kcf import (
     PartitionError,
     lemma_pencil,
     lemma_reduce,
+    partition_for,
     partition_from_ranks,
     predict_kcf,
     qsvd_partition_from_ranks,
@@ -83,6 +84,11 @@ def test_partition_roundtrip_integer_bookkeeping():
         got = (part.p1, part.p2, part.p3, part.p4, part.p5, part.p6,
                part.q1, part.q2, part.m3, part.n4)
         assert got == counts
+
+
+def test_partition_for_rejects_b_without_c():
+    with pytest.raises(ValueError, match="B needs C"):
+        partition_for(np.eye(2), np.eye(2), None)
 
 
 def test_qsvd_partition_from_ranks():

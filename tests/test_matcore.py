@@ -111,6 +111,15 @@ def test_matrix_text_rejects_bad_header(tmp_path):
         read_matrix_text(path)
 
 
+@pytest.mark.parametrize("header", ["2 x real", "-1 2 real", "2.5 2 real", "2 -0 complex"])
+def test_matrix_text_rejects_header_sizes_that_are_not_counts(tmp_path, header):
+    path = tmp_path / "sizes.txt"
+    path.write_text(header + "\n1.0\n")
+    msg = rf"malformed matrix header in .*sizes\.txt: {re.escape(repr(header))}"
+    with pytest.raises(ValueError, match=msg):
+        read_matrix_text(path)
+
+
 @pytest.mark.parametrize("body, entry", [
     ("2 1 real\n1.0\n", "real entry (1, 0)"),                 # file ends early
     ("1 2 complex\n1.0 2.0\n3.0\n", "complex entry (0, 1)"),  # no imaginary part
