@@ -7,18 +7,28 @@ The quotient generator draws Haar unitaries ``U_Y, V_Y, U, V``, builds
 ``alpha_j = sigma_j (1+sigma_j^2)**(-1/2)``, ``gamma_j = (1+sigma_j^2)**(-1/2)``,
 and assembles ``A = U Sigma_alpha Y^-1``, ``C = V Sigma_gamma Y^-1``.
 
-The restricted generator additionally draws ``X`` like ``Y`` (condition
-number ``kappa_X``) and assembles ``A = X^-* Sigma_alpha Y^-1``,
-``B = X^-* U*`` (``Sigma_beta = I``), ``C = V Sigma_gamma Y^-1``.
+The restricted generator additionally draws ``X = U_X diag(eta_x) V_X*``
+like ``Y`` (condition number ``kappa_X``; draw order ``U_Y, V_Y, U_X, V_X,
+U, V``) and builds the inverses as products, with no solve:
+``Z_Y = V_Y diag(1/eta_y) U_Y*`` (about ``Y^-1``) and
+``Z_X = U_X diag(1/eta_x) V_X*`` (about ``X^-*``), then
+``A = (Z_X Sigma_alpha) Z_Y``, ``B = Z_X U*`` (``Sigma_beta = I``) and
+``C = (V Sigma_gamma) Z_Y``.  For any invertible ``Z_X``, ``Z_Y``,
+``B^-1 A C^-1 = U^-* Sigma_alpha Sigma_gamma^-1 V^-1``, so the restricted
+values are the grid up to the unitarity of ``U`` and ``V``, as for the
+quotient generator.  ``x_dd`` and ``y_dd`` are ``X`` and ``Y``, which
+``Z_X`` and ``Z_Y`` invert only to binary64 precision: ``X^-* Sigma_alpha
+Y^-1 = A`` holds to about ``kappa * 1e-16``, enough for the binary64
+reduction checks of :mod:`pencilsvd.kcf`.
 
 Random numbers are generated in binary64 and promoted exactly; everything
-downstream (grids, products, solves) runs in double-double and is rounded
-to working precision only at the very end.  The Haar factors are binary64
-samples, unitary only to about 1e-16, so the grid values match the
-singular values of the double-double problem to 5e-18..3e-16 relative
-(n = 4, kappa_Y = 1e7), not to 30 digits; rounding the matrices to
-binary64 moves the stored problem's values further (5e-13..1.3e-10
-relative at kappa_Y = 1e7).
+downstream (grids, products, the quotient generator's solves) runs in
+double-double and is rounded to working precision only at the very end.
+The Haar factors are binary64 samples, unitary only to about 1e-16, so
+the grid values match the singular values of the double-double problem to
+5e-18..3e-16 relative (n = 4, kappa_Y = 1e7), not to 30 digits; rounding
+the matrices to binary64 moves the stored problem's values further
+(5e-13..1.3e-10 relative at kappa_Y = 1e7).
 ``truth.txt`` of the CLI prints 30 digits of the grid.  Problems are
 square (p = q = m = n) and full rank by construction.
 
@@ -37,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ddarith import CDD, DD, cdd_diag, cdd_solve, dd_nth_root, dd_pow_int
+from .ddarith import CDD, DD, cdd_solve, dd_nth_root, dd_pow_int
 from .matcore import haar_unitary
 
 
@@ -66,7 +76,11 @@ class GeneratedProblem:
 
     ``sigmas``, ``sigma_alpha`` and ``sigma_gamma`` are the memoised grids
     of ``(n, kappa_sigma)``, shared with every problem of that key and
-    read-only.
+    read-only.  ``y_dd`` is ``Y`` (and ``x_dd`` is ``X`` for rsvd) in
+    double-double.  The quotient ``A`` and ``C`` are solved against ``Y``
+    in double-double; the restricted ``A``, ``B`` and ``C`` are built from
+    products whose ``Z_Y`` and ``Z_X`` invert ``Y`` and ``X*`` only to
+    binary64 precision (see the module docstring).
     """
 
     kind: str
@@ -135,19 +149,25 @@ def _grids(n: int, kappa: float) -> tuple[DD, DD, DD]:
     return grids
 
 
-def _conditioned_factor(n: int, kappa: float, rng) -> CDD:
-    """Haar-by-Haar sandwich with exactly known singular value grid."""
-    u = haar_unitary(n, rng)
-    v = haar_unitary(n, rng)
+def _haar_factors(n: int, kappa: float, rng) -> tuple[CDD, DD, CDD]:
+    """Haar unitaries ``U``, ``V`` and the grid ``eta`` (unit for
+    ``kappa = 1``): ``U diag(eta) V*`` has singular values exactly ``eta``."""
+    u = CDD.from_complex(haar_unitary(n, rng))
+    v = CDD.from_complex(haar_unitary(n, rng))
     eta = _grids(n, kappa)[0] if kappa > 1.0 else DD(np.ones(n))
-    return CDD.from_complex(u).scaled(eta).matmul(CDD.from_complex(v).conj_t())
+    return u, eta, v
+
+
+def _sandwich(u: CDD, d: DD, v: CDD) -> CDD:
+    """``u diag(d) v*`` in double-double."""
+    return u.scaled(d).matmul(v.conj_t())
 
 
 def generate_qsvd(config: GeneratorConfig) -> GeneratedProblem:
     """Quotient pair (A, C) with quotient singular values on the sigma grid."""
     rng = np.random.default_rng(config.seed)
     n = config.n
-    y_dd = _conditioned_factor(n, config.kappa_y, rng)
+    y_dd = _sandwich(*_haar_factors(n, config.kappa_y, rng))
     u = haar_unitary(n, rng)
     v = haar_unitary(n, rng)
     sigmas, alpha, gamma = _grids(n, config.kappa_sigma)
@@ -163,22 +183,22 @@ def generate_qsvd(config: GeneratorConfig) -> GeneratedProblem:
 
 
 def generate_rsvd(config: GeneratorConfig) -> GeneratedProblem:
-    """Restricted triplet (A, B, C) with values on the sigma grid."""
+    """Restricted triplet (A, B, C) with values on the sigma grid, built
+    from products only (see the module docstring)."""
     rng = np.random.default_rng(config.seed)
     n = config.n
-    y_dd = _conditioned_factor(n, config.kappa_y, rng)
-    x_dd = _conditioned_factor(n, config.kappa_x, rng)
+    uy, eta_y, vy = _haar_factors(n, config.kappa_y, rng)
+    ux, eta_x, vx = _haar_factors(n, config.kappa_x, rng)
     u = haar_unitary(n, rng)
     v = haar_unitary(n, rng)
     sigmas, alpha, gamma = _grids(n, config.kappa_sigma)
-    # one solve per factor: [W | B] = X^-* [Sigma_alpha | U*], then
-    # [A* | C*] = Y^-* [W* | Sigma_gamma V*]
-    wb = cdd_solve(x_dd.conj_t(), CDD.hstack(cdd_diag(alpha), CDD.from_complex(u).conj_t()))
-    w, b_dd = wb[:, :n], wb[:, n:]
-    ac_ct = cdd_solve(y_dd.conj_t(), CDD.hstack(
-        w.conj_t(), CDD.from_complex(v).conj_t().scaled(gamma[:, None])))
-    a_dd = ac_ct[:, :n].conj_t()
-    c_dd = ac_ct[:, n:].conj_t()
+    y_dd = _sandwich(uy, eta_y, vy)
+    x_dd = _sandwich(ux, eta_x, vx)
+    z_y = _sandwich(vy, DD(1.0) / eta_y, uy)  # ~ Y^-1
+    z_x = _sandwich(ux, DD(1.0) / eta_x, vx)  # ~ X^-*
+    a_dd = z_x.scaled(alpha).matmul(z_y)
+    b_dd = z_x.matmul(CDD.from_complex(u).conj_t())
+    c_dd = CDD.from_complex(v).scaled(gamma).matmul(z_y)
     return GeneratedProblem(
         kind="rsvd", config=config,
         a=a_dd.to_complex(), b=b_dd.to_complex(), c=c_dd.to_complex(),

@@ -497,13 +497,23 @@ def _canonical_cpf_expected(layout, partition, d_alpha, d_beta, d_gamma):
     parts = []  # (lhs_block, rhs_block)
     for kind, size, count in _groups(layout, partition):
         lhs, rhs = _canonical_pair(kind, size)
-        parts.append((np.kron(lhs, np.eye(count)), np.kron(rhs, np.eye(count))))
+        parts.append((_kron_eye(lhs, count), _kron_eye(rhs, count)))
     # the sigma part is the cpf layout of the diagonal (alpha, beta, gamma)
     tail = build_cpf_rsvd(np.diag(d_alpha), np.diag(d_beta), np.diag(d_gamma))
     parts.append((tail.lhs, tail.rhs))
     lhs = _block_diag([a for a, _ in parts])
     rhs = _block_diag([b for _, b in parts])
     return lhs, rhs
+
+
+def _kron_eye(block, count):
+    """``np.kron(block, I_count)`` by index placement: entry (i, j) of
+    ``block`` lands at (i*count + a, j*count + a) for each a < count."""
+    k = block.shape[0]
+    out = np.zeros((k * count, k * count), dtype=block.dtype)
+    a = np.arange(count)
+    out.reshape(k, count, k, count)[:, a, :, a] = block
+    return out
 
 
 def _block_diag(blocks):

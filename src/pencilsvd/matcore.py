@@ -101,8 +101,10 @@ def write_matrix_text(path, m: np.ndarray) -> None:
 def read_matrix_text(path) -> np.ndarray:
     """Read the text format above; a malformed header (sizes that are not
     non-negative integers, an unknown field) raises ValueError naming the
-    file and the header, and a short file, a missing number or an entry
-    that is not a finite number raises ValueError naming the entry."""
+    file and the header, a short file, a missing number or an entry that is
+    not a finite number raises ValueError naming the entry, and non-blank
+    content after the last entry (a header that understates the size)
+    raises ValueError naming the file."""
     with open(path) as fh:
         header = fh.readline().split()
         if (len(header) != 3 or header[2] not in ("real", "complex")
@@ -125,4 +127,8 @@ def read_matrix_text(path) -> np.ndarray:
                     out[i, j] = nums[0]
                 else:
                     out[i, j] = nums[0] + 1j * nums[1]
+        extra = next((line.strip() for line in fh if line.strip()), None)
+        if extra is not None:
+            raise ValueError(f"{path}: content after the {rows}x{cols} entries the "
+                             f"header announces: {extra!r}")
     return out

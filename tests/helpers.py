@@ -1,6 +1,7 @@
 """Shared test constructions: structured matrices with known partitions,
 the chordal metric written in the reciprocals, and the per-operator complex
-double-double reference for the stacked kernels of ``pencilsvd.ddarith``."""
+double-double reference for the stacked kernels of ``pencilsvd.ddarith``
+(with :func:`cdd_diag`, the diagonal matrices it multiplies by)."""
 
 import math
 
@@ -123,6 +124,13 @@ def chordal_reciprocal(sigma: float, approx: float) -> float:
         return chordal(approx, sigma) if sigma == 0 else chordal(sigma, approx)
     return abs(1.0 / sigma - 1.0 / approx) / (
         math.hypot(1.0, 1.0 / sigma) * math.hypot(1.0, 1.0 / approx))
+
+
+def cdd_diag(values: DD) -> CDD:
+    """Complex dd diagonal matrix of a real dd vector: the product with it
+    is the reference for ``CDD.scaled``."""
+    zero = np.zeros((values.shape[0],) * 2)
+    return CDD(DD(np.diag(values.hi), np.diag(values.lo)), DD(zero, zero))
 
 
 class RefCDD:

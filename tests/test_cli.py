@@ -60,6 +60,15 @@ def test_solve_reports_header_with_bad_sizes(tmp_path, capsys):
     assert f"error: malformed matrix header in {path}: '2 x real'" in capsys.readouterr().err
 
 
+def test_solve_reports_entries_beyond_the_header(tmp_path, capsys):
+    path = tmp_path / "a.txt"
+    path.write_text("1 2 real\n1.0\n2.0\n3.0\n4.0\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--formulation", "cpf", "--a", str(path)])
+    assert exc.value.code == 2
+    assert f"error: {path}: content after the 1x2 entries" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["solve", "kcf"])
 def test_b_without_c_is_a_usage_error(tmp_path, capsys, command):
     ap, bp = tmp_path / "a.txt", tmp_path / "b.txt"

@@ -6,12 +6,12 @@ import re
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import RefCDD, ref_cdd_solve
+from helpers import RefCDD, cdd_diag, ref_cdd_solve
 
 from pencilsvd.ddarith import (
+    _OUTER_PRODUCT_BUDGET,
     DD,
     CDD,
-    cdd_diag,
     cdd_solve,
     dd_nth_root,
     dd_pow_int,
@@ -181,6 +181,13 @@ def _parts(x: CDD):
     return (x.re.hi, x.re.lo, x.im.hi, x.im.lo)
 
 
+def _side_by_side(*blocks: CDD) -> CDD:
+    """Right-hand sides concatenated column-wise, as one stacked solve takes them."""
+    return CDD(*(DD(np.concatenate([getattr(b, part).hi for b in blocks], axis=1),
+                    np.concatenate([getattr(b, part).lo for b in blocks], axis=1))
+                 for part in ("re", "im")))
+
+
 def test_stacked_solve_equals_separate_solves_bitwise():
     # a tiny (0, 0) entry forces a row swap at step 0; the diagonal block's
     # exact zeros run through the elimination, and tobytes tells -0.0 from 0.0
@@ -190,23 +197,11 @@ def test_stacked_solve_equals_separate_solves_bitwise():
     ac = CDD.from_complex(a)
     b1 = cdd_diag(DD(rng.standard_normal(5)) / DD(np.array(3.0)))
     b2 = CDD.from_complex(rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3)))
-    x = cdd_solve(ac, CDD.hstack(b1, b2))
+    x = cdd_solve(ac, _side_by_side(b1, b2))
     x1, x2 = cdd_solve(ac, b1), cdd_solve(ac, b2)
     got = _parts(x[:, :5]) + _parts(x[:, 5:])
     want = _parts(x1) + _parts(x2)
     assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
-
-
-def test_hstack_shapes_and_row_mismatch():
-    rng = np.random.default_rng(10)
-    m1 = CDD.from_complex(rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)))
-    m2 = CDD.from_complex(rng.standard_normal((3, 4)) + 0j)
-    m = CDD.hstack(m1, m2)
-    assert m.shape == (3, 6)
-    assert CDD.hstack(m1).shape == (3, 2)
-    assert np.array_equal(m.to_complex(), np.hstack([m1.to_complex(), m2.to_complex()]))
-    with pytest.raises(ValueError):
-        CDD.hstack(m1, CDD.zeros((4, 2)))
 
 
 def test_cdd_diag_and_conj_t():
@@ -284,7 +279,7 @@ def test_cdd_solve_matches_operator_reference_bitwise(n, r, vector, swap, diag, 
         block = cdd_diag(DD(rng.standard_normal(n)) / DD(np.array(7.0)))
         for arr in (block.im.hi, block.im.lo):
             np.negative(arr, out=arr)
-        b = CDD.hstack(block, b)[:, :r]
+        b = _side_by_side(block, b)[:, :r]
     if vector:
         b = b[:, 0]
     _assert_same_bits(cdd_solve(a, b), ref_cdd_solve(RefCDD.of(a), RefCDD.of(b)))
@@ -297,6 +292,17 @@ def test_cdd_matmul_matches_operator_reference_bitwise(n, k, m, zeros, seed):
     rng = np.random.default_rng(seed)
     a = _random_cdd(rng, (n, k), rng.random((n, k)) < 0.3 if zeros else None)
     b = _random_cdd(rng, (k, m), rng.random((k, m)) < 0.3 if zeros else None)
+    _assert_same_bits(a.matmul(b), RefCDD.of(a).matmul(RefCDD.of(b)))
+
+
+@pytest.mark.parametrize("n,k,m,block", [(40, 13, 30, 6), (32, 16, 32, 8), (100, 3, 90, 1)])
+def test_cdd_matmul_blocks_match_operator_reference_bitwise(n, k, m, block):
+    # the products above fit in one block; these cross block boundaries,
+    # with a short last block (13 = 6 + 6 + 1) or one column per block
+    assert max(1, _OUTER_PRODUCT_BUDGET // (n * m)) == block
+    rng = np.random.default_rng(n + k + m)
+    a = _random_cdd(rng, (n, k), rng.random((n, k)) < 0.3)
+    b = _random_cdd(rng, (k, m), rng.random((k, m)) < 0.3)
     _assert_same_bits(a.matmul(b), RefCDD.of(a).matmul(RefCDD.of(b)))
 
 

@@ -1,7 +1,10 @@
+import mpmath
 import numpy as np
 import pytest
 
-from pencilsvd.ddarith import CDD, cdd_diag, dd_to_decimal_string
+from helpers import RefCDD, cdd_diag
+
+from pencilsvd.ddarith import CDD, DD, dd_to_decimal_string
 from pencilsvd.genmat import (
     GeneratorConfig,
     _grids,
@@ -9,7 +12,7 @@ from pencilsvd.genmat import (
     generate_rsvd,
     true_sigma_grid,
 )
-from pencilsvd.matcore import rank_with_tol
+from pencilsvd.matcore import haar_unitary, rank_with_tol
 
 EPS_DD = 2.0 ** -104
 
@@ -181,35 +184,70 @@ def test_generator_determinism():
     (7, 1e6, 1e7, 1e3, 37),
     (10, 1e13, 10.0, 1.0, 41),
 ])
-def test_generators_match_one_solve_per_right_hand_side(n, kappa_sigma, kappa_y, kappa_x, seed):
-    # rebuild the binary64 matrices with a separate cdd_solve for every
-    # right-hand side; the stacked solves must round to the same bits
+def test_generators_match_reference_constructions(n, kappa_sigma, kappa_y, kappa_x, seed):
+    # qsvd: rebuild the binary64 matrices with a separate cdd_solve for
+    # every right-hand side, which must round to the same bits
     from pencilsvd.ddarith import cdd_solve
-
-    def u_ct(p):
-        return CDD.from_complex(p.u).conj_t()
-
-    def gamma_v_ct(p):
-        return CDD.from_complex(p.v).conj_t().scaled(p.sigma_gamma[:, None])
 
     cfg = GeneratorConfig(n=n, kappa_sigma=kappa_sigma, kappa_y=kappa_y,
                           kappa_x=kappa_x, seed=seed)
     q = generate_qsvd(cfg)
     y_ct = q.y_dd.conj_t()
-    a = cdd_solve(y_ct, u_ct(q).scaled(q.sigma_alpha[:, None])).conj_t()
-    c = cdd_solve(y_ct, gamma_v_ct(q)).conj_t()
+    a = cdd_solve(y_ct, CDD.from_complex(q.u).conj_t().scaled(q.sigma_alpha[:, None])).conj_t()
+    c = cdd_solve(y_ct, CDD.from_complex(q.v).conj_t().scaled(q.sigma_gamma[:, None])).conj_t()
     assert q.a.tobytes() == a.to_complex().tobytes()
     assert q.c.tobytes() == c.to_complex().tobytes()
 
+    # rsvd: the defining relation A = Z_X Sigma_alpha Z_Y, B = Z_X U*,
+    # C = V Sigma_gamma Z_Y with Z_Y = V_Y diag(1/eta_y) U_Y* (~ Y^-1) and
+    # Z_X = U_X diag(1/eta_x) V_X* (~ X^-*), rebuilt from the same Haar draws
+    # one real dd operation at a time; it must round to the same bits
     r = generate_rsvd(cfg)
-    x_ct, y_ct = r.x_dd.conj_t(), r.y_dd.conj_t()
-    w = cdd_solve(x_ct, cdd_diag(r.sigma_alpha))
-    a = cdd_solve(y_ct, w.conj_t()).conj_t()
-    b = cdd_solve(x_ct, u_ct(r))
-    c = cdd_solve(y_ct, gamma_v_ct(r)).conj_t()
-    assert r.a.tobytes() == a.to_complex().tobytes()
-    assert r.b.tobytes() == b.to_complex().tobytes()
-    assert r.c.tobytes() == c.to_complex().tobytes()
+    rng = np.random.default_rng(seed)
+    uy, vy, ux, vx, u, v = (CDD.from_complex(haar_unitary(n, rng)) for _ in range(6))
+    eta_y, eta_x = (true_sigma_grid(n, k) if k > 1.0 else DD(np.ones(n))
+                    for k in (kappa_y, kappa_x))
+    ref = RefCDD.of
+
+    def diag(d):
+        return ref(cdd_diag(d))
+
+    z_y = ref(vy).matmul(diag(DD(1.0) / eta_y)).matmul(ref(uy.conj_t()))
+    z_x = ref(ux).matmul(diag(DD(1.0) / eta_x)).matmul(ref(vx.conj_t()))
+    want = {
+        "a": z_x.matmul(diag(r.sigma_alpha)).matmul(z_y),
+        "b": z_x.matmul(ref(u.conj_t())),
+        "c": ref(v).matmul(diag(r.sigma_gamma)).matmul(z_y),
+        "x": ref(ux).matmul(diag(eta_x)).matmul(ref(vx.conj_t())),
+        "y": ref(uy).matmul(diag(eta_y)).matmul(ref(vy.conj_t())),
+    }
+    for name, ref in want.items():
+        ref = ref.re.to_float() + 1j * ref.im.to_float()
+        assert getattr(r, name).tobytes() == ref.tobytes(), name
+
+
+def _restricted_values_mp(p):
+    """Singular values, at 40 digits, of the stored binary64 problem's
+    A C^-1 (qsvd) or B^-1 A C^-1 (rsvd), largest first."""
+    with mpmath.workdps(40):
+        m = mpmath.matrix(p.a.tolist()) * mpmath.inverse(mpmath.matrix(p.c.tolist()))
+        if p.b is not None:
+            m = mpmath.inverse(mpmath.matrix(p.b.tolist())) * m
+        return sorted(mpmath.svd_c(m, compute_uv=False), reverse=True)
+
+
+@pytest.mark.parametrize("kappa_y", [10.0, 1e3])
+@pytest.mark.parametrize("generate", [generate_qsvd, generate_rsvd])
+def test_stored_problem_values_match_the_grid_in_mpmath(generate, kappa_y):
+    # an oracle independent of the dd layer: the values of the stored
+    # matrices, at 40 digits, sit on the grid up to the input rounding
+    # (measured at most 1.6e-14 relative on these problems)
+    for seed in range(3):
+        p = generate(GeneratorConfig(n=4, kappa_sigma=10.0, kappa_y=kappa_y,
+                                     kappa_x=10.0, seed=seed))
+        got = _restricted_values_mp(p)
+        for value, sigma in zip(got, p.true_sigmas_float()):
+            assert abs(float(value) / sigma - 1.0) <= 2e-13
 
 
 _FIELDS = ("a", "b", "c", "u", "v", "sigmas", "sigma_alpha", "sigma_gamma", "x_dd", "y_dd")

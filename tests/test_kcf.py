@@ -13,6 +13,8 @@ from helpers import (
 from pencilsvd.eigensolve import solve_general
 from pencilsvd.kcf import (
     _LAYOUTS,
+    _canonical_pair,
+    _kron_eye,
     KIND_J,
     KIND_N,
     KIND_ZERO_BLOCK,
@@ -325,3 +327,14 @@ def test_spectrum_counts_aug_qsvd_symmetric():
     check = spectrum_counts_check(sol, predict_kcf("aug-qsvd", part, sigmas=sig))
     assert check.ok, check.mismatches()
     assert check.expected["finite-nonzero"] == 8
+
+
+@pytest.mark.parametrize("kind", [KIND_N, KIND_J, KIND_ZERO_BLOCK])
+def test_kron_eye_matches_numpy_kron_bitwise(kind):
+    for size in (1, 2, 4):
+        for count in (0, 1, 3):
+            for block in _canonical_pair(kind, size):
+                want = np.kron(block, np.eye(count))
+                got = _kron_eye(block, count)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()

@@ -130,3 +130,21 @@ def test_matrix_text_rejects_hostile_entries(tmp_path, body, entry):
     path.write_text(body)
     with pytest.raises(ValueError, match=rf"hostile\.txt: {re.escape(entry)}"):
         read_matrix_text(path)
+
+
+@pytest.mark.parametrize("body", [
+    "1 2 real\n1.0\n2.0\n3.0\n4.0\n",           # header understates the rows
+    "1 1 complex\n1.0 2.0\n\n3.0 4.0\n",         # after a blank line
+    "0 0 real\n1.0\n",
+])
+def test_matrix_text_rejects_entries_beyond_the_header(tmp_path, body):
+    path = tmp_path / "long.txt"
+    path.write_text(body)
+    with pytest.raises(ValueError, match=r"long\.txt: content after the \d+x\d+ entries"):
+        read_matrix_text(path)
+
+
+def test_matrix_text_allows_trailing_blank_lines(tmp_path):
+    path = tmp_path / "blank.txt"
+    path.write_text("1 2 real\n1.0\n2.0\n\n  \n")
+    assert read_matrix_text(path).tolist() == [[1.0, 2.0]]
