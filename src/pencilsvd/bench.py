@@ -93,14 +93,16 @@ def solve_pencil(pencil: Pencil) -> EigenSolution:
 
     sq and aug pencils are Hermitian: they take the definite path and fall
     back to QZ when the right-hand side is not numerically positive
-    definite.  cpf pencils always go through QZ.
+    definite.  cpf pencils always go through QZ.  Every caller reads only
+    the eigenvalues, so QZ runs values-only: its solutions carry
+    ``vectors=None`` and ``backward_stable=None``.
     """
     if FORMULATIONS[pencil.formulation].family == "cpf":
-        return solve_general(pencil)
+        return solve_general(pencil, vectors=False)
     try:
         return solve_hpd(pencil)
     except NotDefiniteError:
-        return solve_general(pencil)
+        return solve_general(pencil, vectors=False)
 
 
 def _estimates_sq(sol: EigenSolution, n: int) -> np.ndarray:

@@ -17,7 +17,8 @@ null space of (lhs, rhs) and can be split off exactly: ``solve_general``
 therefore deflates the common null space first (rank decisions at
 ``dim * eps``), solves the remaining regular pencil with QZ, and reports
 one indeterminate ``(0, 0)`` pair per deflated dimension, with the null
-basis vectors as their eigenvectors.
+basis vectors as their eigenvectors.  ``solve_general(..., vectors=False)``
+returns the same pairs without eigenvectors or a backward-error verdict.
 """
 
 from __future__ import annotations
@@ -67,11 +68,16 @@ class GeneralizedEigenvalue:
 
 @dataclass(frozen=True)
 class EigenSolution:
-    """Full spectrum of a pencil plus right eigenvectors (one per column)."""
+    """Full spectrum of a pencil plus right eigenvectors (one per column).
+
+    A values-only solve (``solve_general(..., vectors=False)``) leaves
+    ``vectors`` and ``backward_stable`` as ``None``: not computed, and not
+    checked.
+    """
 
     values: tuple[GeneralizedEigenvalue, ...]
-    vectors: np.ndarray
-    backward_stable: bool
+    vectors: np.ndarray | None
+    backward_stable: bool | None
 
     def count(self, kind: str) -> int:
         return sum(1 for v in self.values if v.kind == kind)
@@ -104,6 +110,11 @@ def _common_nullspaces(lhs, rhs, tol_rel):
     right_keep = vh[: k - nr, :].conj().T
 
     side = np.hstack([lhs, rhs])
+    if not nr:
+        # nothing to deflate, and nothing may be: the left nullity must be
+        # 0 too, which the singular values alone show
+        s_l = np.linalg.svd(side, compute_uv=False)
+        return right_null, right_keep, None, 0, int(np.count_nonzero(s_l <= tol_rel * s_l[0]))
     u, s_l, _ = np.linalg.svd(side, full_matrices=False)
     smax = s_l[0] if s_l.size else 0.0
     nl = int(np.count_nonzero(s_l <= tol_rel * smax))
@@ -111,7 +122,8 @@ def _common_nullspaces(lhs, rhs, tol_rel):
     return right_null, right_keep, left_keep, nr, nl
 
 
-def solve_general(pencil: Pencil, class_tol_rel: float | None = None) -> EigenSolution:
+def solve_general(pencil: Pencil, class_tol_rel: float | None = None,
+                  vectors: bool = True) -> EigenSolution:
     """Solve ``lhs x = lam rhs x`` for the full spectrum via QZ.
 
     The common null space of (lhs, rhs) is split off first (see the module
@@ -128,6 +140,14 @@ def solve_general(pencil: Pencil, class_tol_rel: float | None = None) -> EigenSo
         Jordan blocks need a looser value: a size-k block at 0 or infinity
         splits under roundoff into eigenvalues of magnitude ``eps**(1/k)``,
         so count checks against predicted canonical structure use ~1e-4.
+    vectors : bool, optional
+        With ``False`` the solve returns the eigenvalues alone, with
+        ``vectors`` and ``backward_stable`` left ``None``.  It skips what
+        only the vectors need: the eigenvectors of QZ (no accumulated
+        ``Q``/``Z`` and no back-substitution), their normalisation and the
+        backward-error check.  Both paths run the same deflation and
+        classification, so they report the same pairs whenever QZ returns
+        the same eigenvalues with and without eigenvectors.
     """
     lhs = np.ascontiguousarray(pencil.lhs, dtype=np.complex128)
     rhs = np.ascontiguousarray(pencil.rhs, dtype=np.complex128)
@@ -150,37 +170,41 @@ def solve_general(pencil: Pencil, class_tol_rel: float | None = None) -> EigenSo
             rhs = left_keep.conj().T @ rhs @ right_keep
             w_right = right_keep
 
-    if lhs.shape[0]:
-        aw, vr = sla.eig(lhs, rhs, right=True, homogeneous_eigvals=True)
-        alphas, betas = aw[0], aw[1]
-    else:
+    if not lhs.shape[0]:
         alphas = betas = np.zeros(0, dtype=complex)
         vr = np.zeros((0, 0), dtype=complex)
-
-    vectors = vr if w_right is None else w_right @ vr
-    nrm = np.linalg.norm(vectors, axis=0)
-    nrm[nrm == 0] = 1.0
-    vectors = vectors / nrm
+    elif vectors:
+        (alphas, betas), vr = sla.eig(lhs, rhs, right=True, homogeneous_eigvals=True)
+    else:
+        # Pencil has already rejected NaN and Inf
+        alphas, betas = sla.eig(lhs, rhs, right=False, homogeneous_eigvals=True,
+                                check_finite=False)
 
     values = [GeneralizedEigenvalue(complex(a), complex(b),
                                     classify_pair(a, b, tol_abs, tol_abs))
               for a, b in zip(alphas, betas)]
-
     # deflated singular part: exact (0, 0) pairs, null basis as vectors
     s = null_vecs.shape[1]
+    values += [GeneralizedEigenvalue(0j, 0j, CLASS_INDETERMINATE)] * s
+    if not vectors:
+        return EigenSolution(tuple(values), None, None)
+
+    vecs = vr if w_right is None else w_right @ vr
+    nrm = np.linalg.norm(vecs, axis=0)
+    nrm[nrm == 0] = 1.0
+    vecs = vecs / nrm
     if s:
-        values += [GeneralizedEigenvalue(0j, 0j, CLASS_INDETERMINATE)] * s
-        vectors = np.hstack([vectors, null_vecs])
+        vecs = np.hstack([vecs, null_vecs])
 
     # backward error of every finite eigenpair at once, one column each
     fin = [i for i, val in enumerate(values) if val.kind == CLASS_FINITE]
     lam = np.array([values[i].value for i in fin], dtype=complex)
-    w = vectors[:, fin]
+    w = vecs[:, fin]
     norm_a = np.linalg.norm(pencil.lhs, 2) if k else 0.0
     norm_b = np.linalg.norm(pencil.rhs, 2) if k else 0.0
     res = np.linalg.norm(pencil.lhs @ w - (pencil.rhs @ w) * lam, axis=0)
     bound = RESIDUAL_TOL * (norm_a + np.abs(lam) * norm_b) * np.linalg.norm(w, axis=0)
-    return EigenSolution(tuple(values), vectors, not np.any(res > bound))
+    return EigenSolution(tuple(values), vecs, not np.any(res > bound))
 
 
 def solve_hpd(pencil: Pencil) -> EigenSolution:

@@ -276,6 +276,8 @@ def extract_vectors(sol: EigenSolution, quad: Quadruple, kind: str,
     block is rescaled by the least-squares factor minimizing
     ``|A z - sigma B u|^2 + |C z - v|^2``.
     """
+    if sol.vectors is None:
+        raise ValueError("values-only solution: solve with vectors=True to extract vectors")
     a = np.atleast_2d(np.asarray(a, dtype=np.complex128))
     member = None
     for idx, val in zip(quad.member_indices, quad.members):

@@ -2,19 +2,23 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from pencilsvd import eigensolve
+from helpers import assembled_qsvd_pair, qsvd_partition_from_counts
+from pencilsvd import bench, eigensolve
 from pencilsvd.eigensolve import (
     CLASS_FINITE,
     CLASS_INDETERMINATE,
     CLASS_INFINITE,
     CLASS_ZERO,
     NotDefiniteError,
+    SingularPencilError,
     classify_pair,
     solve_general,
     solve_hpd,
 )
+from pencilsvd.genmat import GeneratorConfig, generate_qsvd, generate_rsvd
 from pencilsvd.matcore import haar_unitary
 from pencilsvd.pencils import (
+    FORMULATIONS,
     Pencil,
     build_aug_qsvd,
     build_cpf_qsvd,
@@ -186,3 +190,72 @@ def test_classify_pair_thresholds():
 def test_non_square_rejected():
     with pytest.raises(ValueError, match="square"):
         Pencil(np.zeros((2, 3)), np.zeros((2, 3)), "generic", (2,))
+
+
+def triples(sol):
+    return [(v.alpha_e, v.beta_e, v.kind) for v in sol.values]
+
+
+def assert_values_only_matches_full(pencil, **kwargs):
+    full = solve_general(pencil, **kwargs)
+    fast = solve_general(pencil, vectors=False, **kwargs)
+    assert triples(fast) == triples(full)
+    assert fast.vectors is None and fast.backward_stable is None
+    return full
+
+
+def generated_cpf_pencil(kind, n, kappa_y, kappa_sigma, seed=0):
+    generate = generate_qsvd if kind == "qsvd" else generate_rsvd
+    prob = generate(GeneratorConfig(n=n, kappa_sigma=kappa_sigma, kappa_y=kappa_y,
+                                    kappa_x=10.0, seed=seed))
+    return FORMULATIONS[f"cpf-{kind}"].build_from(vars(prob))
+
+
+@pytest.mark.parametrize("kappa_sigma", [1e1, 1e13])
+@pytest.mark.parametrize("kappa_y", [1e1, 1e7, 1e10])
+@pytest.mark.parametrize("n", [4, 10])
+@pytest.mark.parametrize("kind", ["qsvd", "rsvd"])
+def test_values_only_solve_matches_full_solve(kind, n, kappa_y, kappa_sigma):
+    # the same QZ eigenvalues with and without eigenvectors, bit for bit
+    assert_values_only_matches_full(generated_cpf_pencil(kind, n, kappa_y, kappa_sigma))
+
+
+def test_values_only_solve_matches_full_solve_n32():
+    assert_values_only_matches_full(generated_cpf_pencil("qsvd", 32, 1e7, 1e1, seed=1))
+
+
+@pytest.mark.parametrize("class_tol_rel", [None, 1e-4])
+def test_values_only_solve_matches_full_solve_with_deflation(class_tol_rel):
+    # A and C share q1 = 1 null column: the deflated (0, 0) pairs trail in both
+    part = qsvd_partition_from_counts(p1=2, p2=1, p3=1, q1=1, q2=1, n3=1)
+    a, c, *_ = assembled_qsvd_pair(part, [0.5, 2.0], np.random.default_rng(5))
+    full = assert_values_only_matches_full(build_cpf_qsvd(a, c), class_tol_rel=class_tol_rel)
+    deflated = full.count(CLASS_INDETERMINATE)
+    assert deflated > 0
+    assert triples(full)[-deflated:] == [(0j, 0j, CLASS_INDETERMINATE)] * deflated
+
+
+@pytest.mark.parametrize("vectors", [True, False])
+@pytest.mark.parametrize("transpose", [False, True])
+def test_unequal_common_nullities_raise(vectors, transpose):
+    # e2 is a common right null vector, but (lhs, rhs) has no common left
+    # one; transposed, e2 is a common left null vector and no right one
+    lhs, rhs = np.diag([1.0, 0.0]), np.array([[0.0, 0.0], [1.0, 0.0]])
+    counts = "1 right, 0 left"
+    if transpose:
+        lhs, rhs, counts = lhs.T, rhs.T, "0 right, 1 left"
+    with pytest.raises(SingularPencilError, match=counts):
+        solve_general(generic_pencil(lhs, rhs), vectors=vectors)
+
+
+def test_solve_pencil_takes_the_values_only_path():
+    # both QZ calls of the sweep's solve policy: cpf, and the sq fallback
+    # when C*C is not numerically positive definite (n = 10, kappa_y = 1e9)
+    sol = bench.solve_pencil(generated_cpf_pencil("qsvd", 4, 1e1, 1e1))
+    assert sol.vectors is None and sol.backward_stable is None
+    prob = generate_qsvd(GeneratorConfig(n=10, kappa_sigma=10.0, kappa_y=1e9, seed=0))
+    pencil = FORMULATIONS["sq-qsvd"].build_from(vars(prob))
+    with pytest.raises(NotDefiniteError):
+        solve_hpd(pencil)
+    sol = bench.solve_pencil(pencil)
+    assert sol.vectors is None and sol.backward_stable is None

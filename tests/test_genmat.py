@@ -80,6 +80,10 @@ def test_generate_qsvd_reconstruction_extended():
     assert mag <= bound
 
 
+def _max_abs(z: CDD) -> float:
+    return np.hypot(z.re.hi, z.im.hi).max()
+
+
 def test_generate_qsvd_extended_residual_tiny():
     # recompute the assembly residual entirely in extended precision
     from pencilsvd.ddarith import cdd_solve
@@ -93,6 +97,13 @@ def test_generate_qsvd_extended_residual_tiny():
         cdd_diag(prob.sigma_alpha))
     mag = np.hypot(resid.re.hi, resid.im.hi).max()
     assert mag <= 1e-25
+    # the stored binary64 A and C, promoted exactly: A Y = U Sigma_alpha and
+    # C Y = V Sigma_gamma up to their rounding, amplified by ||Y|| ||Y^-1||
+    bound = 10 * cfg.kappa_y * 1e-16
+    assert _max_abs(CDD.from_complex(prob.a).matmul(prob.y_dd)
+                    - CDD.from_complex(prob.u).matmul(cdd_diag(prob.sigma_alpha))) <= bound
+    assert _max_abs(CDD.from_complex(prob.c).matmul(prob.y_dd)
+                    - CDD.from_complex(prob.v).matmul(cdd_diag(prob.sigma_gamma))) <= bound
 
 
 def test_generate_rsvd_extended_residuals_tiny():
@@ -109,6 +120,16 @@ def test_generate_rsvd_extended_residuals_tiny():
     a_dd = cdd_solve(prob.y_dd.conj_t(), w.conj_t()).conj_t()
     a_resid = x_ct.matmul(a_dd.matmul(prob.y_dd)) - cdd_diag(prob.sigma_alpha)
     assert np.hypot(a_resid.re.hi, a_resid.im.hi).max() <= 1e-25
+    # the stored binary64 A, B and C, promoted exactly: Z_X and Z_Y invert
+    # X* and Y to binary64 precision, so each relation holds to a multiple
+    # of kappa * 1e-16 with kappa the product of the factors' conditions
+    kx, ky = cfg.kappa_x, cfg.kappa_y
+    a, b, c = (CDD.from_complex(m) for m in (prob.a, prob.b, prob.c))
+    assert _max_abs(x_ct.matmul(a).matmul(prob.y_dd)
+                    - cdd_diag(prob.sigma_alpha)) <= 10 * kx * ky * 1e-16
+    assert _max_abs(c.matmul(prob.y_dd) - CDD.from_complex(prob.v).matmul(
+        cdd_diag(prob.sigma_gamma))) <= 10 * ky * 1e-16
+    assert _max_abs(x_ct.matmul(b) - CDD.from_complex(prob.u).conj_t()) <= 10 * kx * 1e-16
 
 
 def test_generate_qsvd_kappa_y_one_unitary():

@@ -227,6 +227,17 @@ def test_extract_vectors_scalar_qsvd():
     assert rec.residual_c <= 1e-13
 
 
+def test_extract_vectors_rejects_a_values_only_solution():
+    a = np.array([[2.0]])
+    c = np.array([[1.0]])
+    pencil = build_cpf_qsvd(a, c)
+    sol = solve_general(pencil, vectors=False)
+    # classifying needs only the values; the vectors were never computed
+    cls = classify_spectrum(sol, "qsvd", (1, 1, 1))
+    with pytest.raises(ValueError, match="values-only"):
+        extract_vectors(sol, cls.quadruples[0], "qsvd", pencil, a, c=c)
+
+
 def test_extract_vectors_cpf_svd_diag():
     a = np.diag([3.0])
     pencil = build_cpf_svd(a)
