@@ -22,7 +22,7 @@ from .eigensolve import (
     solve_general,
     solve_hpd,
 )
-from .genmat import GeneratedProblem, GeneratorConfig, generate_qsvd, generate_rsvd
+from .genmat import GeneratedProblem, GeneratorConfig, generate, generate_qsvd
 from .pencils import FORMULATIONS, Pencil
 # the builders stay module attributes so a profiler can wrap them here;
 # evaluate_sample builds through the FORMULATIONS table
@@ -165,23 +165,10 @@ def evaluate_sample(problem: GeneratedProblem, formulation: str) -> ExperimentRe
     except SampleFailure as exc:
         return ExperimentRecord(errors=(), max_error=math.nan, failed=True,
                                 failure_reason=str(exc), **base)
-    truth = problem.true_sigmas_float()
+    truth = problem.sigmas.to_float()
     estimates = np.sort(estimates)[::-1]
     errors = tuple(chordal(t, e) for t, e in zip(truth, estimates))
     return ExperimentRecord(errors=errors, max_error=max(errors), **base)
-
-
-def _generate(kind: str, config: GeneratorConfig) -> GeneratedProblem:
-    if kind == "qsvd":
-        return generate_qsvd(config)
-    if kind == "rsvd":
-        return generate_rsvd(config)
-    raise ValueError(f"unknown kind {kind!r}")
-
-
-def run_sample(kind: str, formulation: str, config: GeneratorConfig) -> ExperimentRecord:
-    """Generate one problem and measure one formulation on it."""
-    return evaluate_sample(_generate(kind, config), formulation)
 
 
 @dataclass(frozen=True)
@@ -235,8 +222,6 @@ def run_sweep(kind: str, axis: str, grid, samples: int, seed: int = 0,
     same generated problem is reused by every formulation in the cell so
     the comparison across formulations sees identical inputs.
     """
-    if kind not in ("qsvd", "rsvd"):
-        raise ValueError(f"unknown kind {kind!r}")
     if not len(grid):
         raise ValueError("grid must be nonempty")
     if samples < 1:
@@ -249,7 +234,7 @@ def run_sweep(kind: str, axis: str, grid, samples: int, seed: int = 0,
         for s in range(samples):
             cfg = GeneratorConfig(n=n, kappa_sigma=ks, kappa_y=ky, kappa_x=kx,
                                   seed=np.random.SeedSequence((seed, ci, s)))
-            problem = _generate(kind, cfg)
+            problem = generate(kind, cfg)
             for f in formulations:
                 records[f].append(evaluate_sample(problem, f))
         for f in formulations:
@@ -326,7 +311,7 @@ def worked_example(seed: int = 7) -> WorkedExample:
     n = 4
     cfg = GeneratorConfig(n=n, kappa_sigma=10.0, kappa_y=1e7, seed=seed)
     problem = generate_qsvd(cfg)
-    truth = problem.true_sigmas_float()
+    truth = problem.sigmas.to_float()
 
     sq = _estimates_sq(solve_pencil(_build(problem, "sq-qsvd")), n)
 

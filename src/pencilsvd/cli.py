@@ -15,7 +15,7 @@ from .bench import (
 )
 from .ddarith import dd_to_decimal_string
 from .eigensolve import CLASS_FINITE, solve_general
-from .genmat import GeneratorConfig, generate_qsvd, generate_rsvd
+from .genmat import GeneratorConfig, generate
 from .kcf import (
     partition_for,
     partition_from_ranks,
@@ -25,8 +25,25 @@ from .kcf import (
     verify_reduction,
 )
 from .matcore import rank_with_tol, read_matrix_text, write_matrix_text
-from .pencils import FORMULATIONS
+from .pencils import FORMULATIONS, problem_kind
 from .recovery import classify_spectrum, group_quadruples
+
+
+def _add_problem_args(parser, n, kappa_x):
+    """The generator options, with this subcommand's defaults (``n=None``:
+    ``--n`` is required)."""
+    parser.add_argument("--n", type=int, default=n, required=n is None)
+    parser.add_argument("--kappa-y", type=float, default=10.0)
+    parser.add_argument("--kappa-x", type=float, default=kappa_x)
+    parser.add_argument("--kappa-sigma", type=float, default=10.0)
+    parser.add_argument("--seed", type=int, default=0)
+
+
+def _generated(args):
+    cfg = GeneratorConfig(n=args.n, kappa_sigma=args.kappa_sigma,
+                          kappa_y=args.kappa_y, kappa_x=args.kappa_x,
+                          seed=args.seed)
+    return generate(args.kind, cfg)
 
 
 def _add_matrix_args(parser, names):
@@ -42,31 +59,20 @@ def _load_inputs(args):
         if path is not None:
             mats[name] = read_matrix_text(path)
     if "a" not in mats:
-        raise SystemExit("matrix A is required (--a FILE)")
+        raise ValueError("matrix A is required (--a FILE)")
     return mats
 
 
-def _problem_kind(mats) -> str:
-    if "c" not in mats:
-        if "b" in mats:
-            raise ValueError("B needs C: a restricted problem takes A, B and C")
-        return "svd"
-    return "rsvd" if "b" in mats else "qsvd"
-
-
 def _build_pencil(form: str, mats):
-    kind = _problem_kind(mats)
+    kind = problem_kind(mats.get("b"), mats.get("c"))
     name = f"{form}-{kind}"
     if name not in FORMULATIONS:
-        raise SystemExit(f"formulation {form!r} is not defined for a {kind} problem")
+        raise ValueError(f"formulation {form!r} is not defined for a {kind} problem")
     return FORMULATIONS[name].build_from(mats), kind
 
 
 def cmd_generate(args):
-    cfg = GeneratorConfig(n=args.n, kappa_sigma=args.kappa_sigma,
-                          kappa_y=args.kappa_y, kappa_x=args.kappa_x,
-                          seed=args.seed)
-    problem = generate_qsvd(cfg) if args.kind == "qsvd" else generate_rsvd(cfg)
+    problem = _generated(args)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     write_matrix_text(out / "A.txt", problem.a)
@@ -80,6 +86,8 @@ def cmd_generate(args):
 
 
 def cmd_solve(args):
+    if args.recover and args.formulation != "cpf":
+        raise ValueError("--recover needs the cpf formulation")
     mats = _load_inputs(args)
     pencil, kind = _build_pencil(args.formulation, mats)
     sol = solve_pencil(pencil)
@@ -87,8 +95,6 @@ def cmd_solve(args):
         lam = v.value
         print(f"{lam.real:.16e} {lam.imag:.16e} {v.kind}")
     if args.recover:
-        if args.formulation != "cpf":
-            raise SystemExit("--recover needs the cpf formulation")
         dims = {"svd": (pencil.row_blocks[0], pencil.row_blocks[1]),
                 "qsvd": (pencil.row_blocks[0], pencil.row_blocks[1], pencil.row_blocks[3]),
                 "rsvd": (pencil.row_blocks[0], pencil.row_blocks[1],
@@ -104,11 +110,11 @@ def cmd_solve(args):
 
 def cmd_kcf(args):
     if args.generated:
-        cfg = GeneratorConfig(n=args.n, kappa_sigma=args.kappa_sigma,
-                              kappa_y=args.kappa_y, kappa_x=args.kappa_x,
-                              seed=args.seed)
+        if args.formulation != "cpf" or any(getattr(args, x) for x in "abc"):
+            raise ValueError("--generated verifies the cpf pencil of a generated "
+                             "problem: it takes no --a, --b, --c or --formulation aug")
         kind = args.kind
-        problem = generate_qsvd(cfg) if kind == "qsvd" else generate_rsvd(cfg)
+        problem = _generated(args)
         n = problem.n
         # generated problems are full rank by construction
         if kind == "qsvd":
@@ -117,7 +123,7 @@ def cmd_kcf(args):
             partition = partition_from_ranks(n, n, n, n, n, n, n, n, n, 2 * n)
         formulation = f"cpf-{kind}"
         pencil = FORMULATIONS[formulation].build_from(vars(problem))
-        structure = predict_kcf(formulation, partition, problem.true_sigmas_float())
+        structure = predict_kcf(formulation, partition, problem.sigmas.to_float())
         _print_structure(structure)
         report = verify_reduction(pencil, formulation, partition, u=problem.u,
                                   v=problem.v, x=problem.x, y=problem.y)
@@ -130,7 +136,7 @@ def cmd_kcf(args):
         return
 
     mats = _load_inputs(args)
-    kind = _problem_kind(mats)
+    kind = problem_kind(mats.get("b"), mats.get("c"))
     partition = partition_for(mats["a"], mats.get("b"), mats.get("c"))
     sigmas = ()
     if kind == "svd":
@@ -190,11 +196,7 @@ def main(argv=None):
 
     g = sub.add_parser("generate", help="generate a conditioned test problem")
     g.add_argument("--kind", choices=("qsvd", "rsvd"), required=True)
-    g.add_argument("--n", type=int, required=True)
-    g.add_argument("--kappa-y", dest="kappa_y", type=float, default=10.0)
-    g.add_argument("--kappa-x", dest="kappa_x", type=float, default=1.0)
-    g.add_argument("--kappa-sigma", dest="kappa_sigma", type=float, default=10.0)
-    g.add_argument("--seed", type=int, default=0)
+    _add_problem_args(g, n=None, kappa_x=1.0)
     g.add_argument("--out", type=Path, required=True)
     g.set_defaults(func=cmd_generate)
 
@@ -214,11 +216,7 @@ def main(argv=None):
                    help="generate a problem internally and verify the "
                         "transformation chain against its exact factors")
     k.add_argument("--kind", choices=("qsvd", "rsvd"), default="qsvd")
-    k.add_argument("--n", type=int, default=4)
-    k.add_argument("--kappa-y", dest="kappa_y", type=float, default=10.0)
-    k.add_argument("--kappa-x", dest="kappa_x", type=float, default=10.0)
-    k.add_argument("--kappa-sigma", dest="kappa_sigma", type=float, default=10.0)
-    k.add_argument("--seed", type=int, default=0)
+    _add_problem_args(k, n=4, kappa_x=10.0)
     k.add_argument("--class-tol", dest="class_tol", type=float, default=1e-4)
     k.set_defaults(func=cmd_kcf)
 
@@ -228,11 +226,7 @@ def main(argv=None):
     w.add_argument("--grid", required=True,
                    help="comma-separated condition numbers, e.g. 1e1,1e2,1e3")
     w.add_argument("--samples", type=int, default=100)
-    w.add_argument("--n", type=int, default=10)
-    w.add_argument("--kappa-y", dest="kappa_y", type=float, default=10.0)
-    w.add_argument("--kappa-x", dest="kappa_x", type=float, default=10.0)
-    w.add_argument("--kappa-sigma", dest="kappa_sigma", type=float, default=10.0)
-    w.add_argument("--seed", type=int, default=0)
+    _add_problem_args(w, n=10, kappa_x=10.0)
     w.add_argument("--out", type=Path, required=True)
     w.set_defaults(func=cmd_sweep)
 

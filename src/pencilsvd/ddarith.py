@@ -17,8 +17,8 @@ real dd operation at a time) in the same order, so they match those bit for
 bit.
 
 Only what the generators and ground-truth bookkeeping need is implemented:
-real arithmetic (:class:`DD`), complex arithmetic (:class:`CDD`), square
-roots, integer roots/powers, diagonal scalings, matrix products and LU
+real arithmetic (:class:`DD`), square roots and integer roots/powers, and
+for complex arrays (:class:`CDD`) diagonal scalings, matrix products and LU
 solves with partial pivoting.
 """
 
@@ -126,11 +126,6 @@ def _cdd_div_by(ahi, alo, conj_b, abs2_b):
     return _dd_div(nhi, nlo, *abs2_b)
 
 
-def _cdd_div(ahi, alo, bhi, blo):
-    """Complex dd quotient ``a conj(b) / |b|^2`` of stacked operands of equal rank."""
-    return _cdd_div_by(ahi, alo, *_divisor(bhi, blo))
-
-
 class DD:
     """Array of real double-double values, stored as (hi, lo) float64 pairs."""
 
@@ -160,9 +155,6 @@ class DD:
     def to_float(self):
         """Round to nearest binary64 (exact because |lo| <= 0.5 ulp(hi))."""
         return self.hi + self.lo
-
-    def __repr__(self):
-        return f"DD(hi={self.hi!r}, lo={self.lo!r})"
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -291,15 +283,9 @@ class CDD:
         """
         return CDD._of(*_dd_mul(self.hi, self.lo, d.hi, d.lo))
 
-    def __sub__(self, other):
-        ahi, alo, bhi, blo = _operands(self, other)
-        return CDD._of(*_dd_add(ahi, alo, -bhi, -blo))
-
-    def __mul__(self, other):
-        return CDD._of(*_cdd_mul(*_operands(self, other)))
-
-    def __truediv__(self, other):
-        return CDD._of(*_cdd_div(*_operands(self, other)))
+    def __sub__(self, other: "CDD") -> "CDD":
+        """Difference of two arrays of the same shape."""
+        return CDD._of(*_dd_add(self.hi, self.lo, -other.hi, -other.lo))
 
     def matmul(self, other: "CDD") -> "CDD":
         """Dense product of 2-d arrays, accumulated in double-double.
@@ -324,14 +310,6 @@ class CDD:
             for t in range(phi.shape[1]):
                 hi, lo = _dd_add(hi, lo, phi[:, t], plo[:, t])
         return CDD._of(hi, lo)
-
-
-def _operands(a: CDD, b: CDD):
-    """Stacked parts of a and b, the lower-rank one padded with unit axes
-    after its (re, im) axis so that the (re, im) axes line up."""
-    nd = max(a.hi.ndim, b.hi.ndim)
-    return [x.reshape(x.shape[:1] + (1,) * (nd - x.ndim) + x.shape[1:])
-            for x in (a.hi, a.lo, b.hi, b.lo)]
 
 
 def cdd_solve(a: CDD, b: CDD) -> CDD:

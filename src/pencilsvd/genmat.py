@@ -108,9 +108,6 @@ class GeneratedProblem:
     def x(self) -> np.ndarray | None:
         return None if self.x_dd is None else self.x_dd.to_complex()
 
-    def true_sigmas_float(self) -> np.ndarray:
-        return self.sigmas.to_float()
-
 
 def true_sigma_grid(n: int, kappa: float) -> DD:
     """Geometric grid ``kappa**(1/2 - (j-1)/(n-1))`` in double-double.
@@ -205,3 +202,12 @@ def generate_rsvd(config: GeneratorConfig) -> GeneratedProblem:
         sigmas=sigmas, sigma_alpha=alpha, sigma_gamma=gamma,
         u=u, v=v, x_dd=x_dd, y_dd=y_dd,
     )
+
+
+def generate(kind: str, config: GeneratorConfig) -> GeneratedProblem:
+    """A ``"qsvd"`` or ``"rsvd"`` problem; any other kind raises ValueError."""
+    if kind == "qsvd":
+        return generate_qsvd(config)
+    if kind == "rsvd":
+        return generate_rsvd(config)
+    raise ValueError(f"unknown kind {kind!r}")

@@ -30,7 +30,7 @@ from .eigensolve import (
     EigenSolution,
 )
 from .matcore import rank_with_tol
-from .pencils import FORMULATIONS, Pencil, build_cpf_rsvd, generic_pencil
+from .pencils import FORMULATIONS, Pencil, build_cpf_rsvd, generic_pencil, problem_kind
 
 KIND_ZERO_BLOCK = "zero-block"
 KIND_N = "n-infinite"
@@ -220,10 +220,6 @@ class RsvdPartition:
     def n(self):
         return self.n1 + self.n2 + self.n3 + self.n4
 
-    def regular_triplet_count(self) -> int:
-        """Triplets with a finite value attached: p1 + p2 + p3 + p4 + min(p5, q2)."""
-        return self.p1 + self.p2 + self.p3 + self.p4 + min(self.p5, self.q2)
-
 
 def _check_nonneg(partition) -> None:
     for f in fields(partition):
@@ -274,13 +270,12 @@ def partition_for(a, b=None, c=None):
     def rank(m):
         return rank_with_tol(m).rank
 
+    kind = problem_kind(b, c)
     p, q = a.shape
-    if c is None:
-        if b is not None:
-            raise ValueError("B needs C: a restricted problem takes A, B and C")
+    if kind == "svd":
         return svd_partition(p, q, rank(a))
     n = c.shape[0]
-    if b is None:
+    if kind == "qsvd":
         return qsvd_partition_from_ranks(p, q, n, rank(a), rank(c),
                                          rank(np.vstack([a, c])))
     m = b.shape[1]

@@ -55,6 +55,16 @@ class Pencil:
         return np.concatenate(([0], np.cumsum(self.row_blocks)))
 
 
+def problem_kind(b=None, c=None) -> str:
+    """The decomposition that inputs with these B and C pose: ``"svd"``
+    without C, ``"qsvd"`` with C alone, ``"rsvd"`` with B and C."""
+    if c is None:
+        if b is not None:
+            raise ValueError("B needs C: a restricted problem takes A, B and C")
+        return "svd"
+    return "qsvd" if b is None else "rsvd"
+
+
 def generic_pencil(lhs, rhs) -> Pencil:
     """Wrap a raw (lhs, rhs) pair as a single-block pencil."""
     lhs = np.atleast_2d(np.asarray(lhs, dtype=np.complex128))

@@ -39,6 +39,7 @@ from .eigensolve import (
     EigenSolution,
     GeneralizedEigenvalue,
 )
+from .kcf import predict_kcf, spectrum_counts_check
 from .pencils import Pencil
 
 TRIPLET_REGULAR = "regular"
@@ -238,20 +239,15 @@ def classify_spectrum(sol: EigenSolution, kind: str, dims,
         n100 = n3   # simple infinite eigenvalues from the C row deficiency
     else:
         if partition is not None:
+            # the predicted counts depend on the number of values, not on them
+            predicted = predict_kcf("cpf-rsvd", partition, np.ones(partition.p1))
+            mismatches = spectrum_counts_check(sol, predicted).mismatches()
+            if mismatches:
+                raise GroupingError("eigenvalue counts do not match the partition "
+                                    f"prediction (predicted, observed): {mismatches}")
             n110 = partition.p2
             n101 = partition.p3
             n100 = partition.p4 + partition.q6 + partition.m3 + partition.n4
-            checks = (
-                (n_inf, n100 + 3 * (n110 + n101), "infinite"),
-                (n_zero, 2 * (partition.p5 + partition.q2), "zero"),
-                (n_ind, partition.p6 + partition.q1, "indeterminate"),
-                (n_fin, 4 * partition.p1, "finite"),
-            )
-            for got, want, label in checks:
-                if got != want:
-                    raise GroupingError(
-                        f"{label} eigenvalue count {got} does not match the "
-                        f"partition prediction {want}")
         elif n_inf > 0:
             raise ValueError(
                 "restricted spectra with infinite eigenvalues need a structure "

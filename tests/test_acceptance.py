@@ -20,7 +20,7 @@ from helpers import (
     random_rsvd_counts,
     rsvd_partition_from_counts,
 )
-from pencilsvd.bench import chordal, run_sample, run_sweep
+from pencilsvd.bench import chordal, run_sweep
 from pencilsvd.eigensolve import solve_general
 from pencilsvd.genmat import GeneratorConfig, generate_qsvd, generate_rsvd, true_sigma_grid
 from pencilsvd.kcf import (

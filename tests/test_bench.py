@@ -14,13 +14,12 @@ from pencilsvd.bench import (
     chordal,
     evaluate_sample,
     matched_decimal_digits,
-    run_sample,
     run_sweep,
     worked_example,
     write_sweep_csv,
 )
 from pencilsvd.eigensolve import CLASS_FINITE, EigenSolution, GeneralizedEigenvalue
-from pencilsvd.genmat import GeneratorConfig, generate_qsvd
+from pencilsvd.genmat import GeneratorConfig, generate, generate_qsvd
 
 
 def test_chordal_identity_and_known_values():
@@ -67,15 +66,16 @@ def test_matched_decimal_digits():
 def test_run_sample_well_conditioned_control():
     cfg = GeneratorConfig(n=4, kappa_sigma=10.0, kappa_y=1.0, seed=2)
     for form in ("sq-qsvd", "aug-qsvd", "cpf-qsvd"):
-        rec = run_sample("qsvd", form, cfg)
+        rec = evaluate_sample(generate("qsvd", cfg), form)
         assert not rec.failed
         assert rec.max_error <= 1e-13, form
 
 
 def test_run_sample_worked_example_orders():
     cfg = GeneratorConfig(n=4, kappa_sigma=10.0, kappa_y=1e7, seed=3)
-    cpf = run_sample("qsvd", "cpf-qsvd", cfg)
-    sq = run_sample("qsvd", "sq-qsvd", cfg)
+    problem = generate("qsvd", cfg)
+    cpf = evaluate_sample(problem, "cpf-qsvd")
+    sq = evaluate_sample(problem, "sq-qsvd")
     assert cpf.max_error <= 1e-8
     assert sq.max_error >= 1e-6
     assert cpf.max_error <= 1e-2 * sq.max_error
@@ -84,13 +84,13 @@ def test_run_sample_worked_example_orders():
 def test_run_sample_rejects_mismatched_formulation():
     cfg = GeneratorConfig(n=3, kappa_sigma=10.0, kappa_y=10.0, seed=1)
     with pytest.raises(ValueError):
-        run_sample("qsvd", "aug-rsvd", cfg)
+        evaluate_sample(generate("qsvd", cfg), "aug-rsvd")
 
 
 def test_run_sample_rsvd():
     cfg = GeneratorConfig(n=4, kappa_sigma=10.0, kappa_y=100.0, kappa_x=10.0, seed=5)
     for form in ("aug-rsvd", "cpf-rsvd"):
-        rec = run_sample("rsvd", form, cfg)
+        rec = evaluate_sample(generate("rsvd", cfg), form)
         assert not rec.failed
         assert rec.max_error <= 1e-10
 
@@ -101,7 +101,7 @@ def test_single_cell_sweep_equals_run_sample():
     cfg = GeneratorConfig(n=4, kappa_sigma=10.0, kappa_y=100.0, kappa_x=10.0,
                           seed=np.random.SeedSequence((seed, 0, 0)))
     for form in ("sq-qsvd", "aug-qsvd", "cpf-qsvd"):
-        rec = run_sample("qsvd", form, cfg)
+        rec = evaluate_sample(generate("qsvd", cfg), form)
         assert sweep.cell(100.0, form).median_max_error == rec.max_error
 
 

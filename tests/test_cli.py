@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pencilsvd import cli
 from pencilsvd.cli import main
 from pencilsvd.matcore import read_matrix_text, write_matrix_text
 
@@ -107,8 +108,21 @@ def test_solve_recover_prints_triplets(tmp_path, capsys):
 def test_solve_recover_requires_cpf(tmp_path, capsys):
     ap = tmp_path / "a.txt"
     write_matrix_text(ap, np.array([[2.0]]))
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["solve", "--formulation", "aug", "--recover", "--a", str(ap)])
+    assert exc.value.code == 2
+    err = capsys.readouterr()
+    assert "error: --recover needs the cpf formulation" in err.err
+    assert err.out == ""
+
+
+def test_solve_requires_a(tmp_path, capsys):
+    cp = tmp_path / "c.txt"
+    write_matrix_text(cp, np.eye(2))
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--formulation", "cpf", "--c", str(cp)])
+    assert exc.value.code == 2
+    assert "error: matrix A is required (--a FILE)" in capsys.readouterr().err
 
 
 def test_kcf_predict_from_files(tmp_path, capsys):
@@ -138,6 +152,46 @@ def test_kcf_generated_verification(capsys):
                   "--kappa-y", "100", "--kappa-x", "10", "--seed", "2")
     assert "verification: " in out
     assert "spectrum counts vs prediction: ok" in out
+
+
+@pytest.mark.parametrize("extra", [("--a",), ("--b",), ("--c",), ("--formulation", "aug")])
+def test_kcf_generated_rejects_inputs(tmp_path, capsys, extra):
+    if len(extra) == 1:
+        path = tmp_path / "m.txt"
+        write_matrix_text(path, np.eye(2))
+        extra += (str(path),)
+    with pytest.raises(SystemExit) as exc:
+        main(["kcf", "--generated", *extra])
+    assert exc.value.code == 2
+    err = capsys.readouterr()
+    assert "error: --generated verifies the cpf pencil of a generated problem" in err.err
+    assert err.out == ""
+
+
+_PROBLEM_DEFAULTS = dict(kappa_y=10.0, kappa_sigma=10.0, seed=0)
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["generate", "--kind", "rsvd", "--n", "5", "--out", "p"],
+     dict(kind="rsvd", n=5, kappa_x=1.0)),
+    (["kcf"], dict(kind="qsvd", n=4, kappa_x=10.0, formulation="cpf", class_tol=1e-4)),
+    (["sweep", "--kind", "qsvd", "--axis", "kappa_y", "--grid", "1e1", "--out", "s.csv"],
+     dict(kind="qsvd", n=10, kappa_x=10.0, samples=100)),
+])
+def test_problem_option_defaults(monkeypatch, argv, want):
+    seen = {}
+    monkeypatch.setattr(cli, f"cmd_{argv[0]}", lambda args: seen.update(vars(args)))
+    main(argv)
+    want = {**_PROBLEM_DEFAULTS, **want}
+    assert {k: (seen[k], type(seen[k])) for k in want} == \
+        {k: (v, type(v)) for k, v in want.items()}
+
+
+def test_generate_requires_n(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--kind", "qsvd", "--out", "p"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --n" in capsys.readouterr().err
 
 
 def test_sweep_csv(tmp_path, capsys):
@@ -183,5 +237,8 @@ def test_kcf_aug_from_rsvd_files(tmp_path, capsys):
 
 def test_solve_sq_rejects_rsvd_inputs(tmp_path, capsys):
     a, b, c = _write_rsvd(tmp_path, capsys)
-    with pytest.raises(SystemExit, match="not defined for a rsvd problem"):
+    with pytest.raises(SystemExit) as exc:
         main(["solve", "--formulation", "sq", "--a", a, "--b", b, "--c", c])
+    assert exc.value.code == 2
+    assert ("error: formulation 'sq' is not defined for a rsvd problem"
+            in capsys.readouterr().err)

@@ -89,17 +89,6 @@ def test_pow_int_and_nth_root():
         dd_nth_root(DD(np.array(-1.0)), 3)
 
 
-def test_complex_mul_div():
-    rng = np.random.default_rng(4)
-    z = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    w = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    zc, wc = CDD.from_complex(z), CDD.from_complex(w)
-    prod = (zc * wc).to_complex()
-    quot = (zc / wc).to_complex()
-    assert np.max(np.abs(prod - z * w)) <= 1e-15 * np.max(np.abs(z * w))
-    assert np.max(np.abs(quot - z / w)) <= 1e-14 * np.max(np.abs(z / w))
-
-
 def test_cdd_matmul_precision():
     # Hilbert-like product that loses digits in binary64
     n = 6
@@ -305,20 +294,3 @@ def test_cdd_matmul_blocks_match_operator_reference_bitwise(n, k, m, block):
     b = _random_cdd(rng, (k, m), rng.random((k, m)) < 0.3)
     _assert_same_bits(a.matmul(b), RefCDD.of(a).matmul(RefCDD.of(b)))
 
-
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(shape=st.sampled_from([(1,), (5,), (3, 4)]), row=st.booleans(), zeros=st.booleans(),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_cdd_truediv_matches_operator_reference_bitwise(shape, row, zeros, seed):
-    rng = np.random.default_rng(seed)
-    a = _random_cdd(rng, shape, rng.random(shape) < 0.3 if zeros else None)
-    # a divisor of lower rank broadcasts against the numerator
-    bshape = shape[-1:] if row else shape
-    b = _random_cdd(rng, bshape)
-    if zeros:
-        # exact zeros of random sign in the real or the imaginary part
-        mask = rng.random(bshape) < 0.3
-        zero = np.copysign(0.0, rng.standard_normal(bshape))[mask]
-        part = rng.integers(2)
-        b.hi[part][mask], b.lo[part][mask] = zero, zero
-    _assert_same_bits(a / b, RefCDD.of(a) / RefCDD.of(b))

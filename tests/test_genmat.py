@@ -4,6 +4,7 @@ import pytest
 
 from helpers import RefCDD, cdd_diag
 
+from pencilsvd import genmat
 from pencilsvd.ddarith import CDD, DD, dd_to_decimal_string
 from pencilsvd.genmat import (
     GeneratorConfig,
@@ -171,7 +172,7 @@ def test_generate_rsvd_unitary_factors_reduce_to_svd():
     # values of B^-1 A C^-1 = U Sigma_alpha Sigma_gamma^-1 V*, i.e. the grid
     vals = np.linalg.svd(np.linalg.solve(prob.b, prob.a) @ np.linalg.inv(prob.c),
                          compute_uv=False)
-    assert np.allclose(np.sort(vals)[::-1], prob.true_sigmas_float(), rtol=1e-10)
+    assert np.allclose(np.sort(vals)[::-1], prob.sigmas.to_float(), rtol=1e-10)
 
 
 def test_generate_rsvd_full_ranks_and_definite_rhs():
@@ -189,7 +190,7 @@ def test_generate_rsvd_sigma_grid_matches_qsvd():
     cfg = GeneratorConfig(n=4, kappa_sigma=10.0, kappa_y=100.0, kappa_x=10.0, seed=23)
     pq = generate_qsvd(cfg)
     pr = generate_rsvd(cfg)
-    assert np.array_equal(pq.true_sigmas_float(), pr.true_sigmas_float())
+    assert np.array_equal(pq.sigmas.to_float(), pr.sigmas.to_float())
 
 
 def test_generator_determinism():
@@ -267,7 +268,7 @@ def test_stored_problem_values_match_the_grid_in_mpmath(generate, kappa_y):
         p = generate(GeneratorConfig(n=4, kappa_sigma=10.0, kappa_y=kappa_y,
                                      kappa_x=10.0, seed=seed))
         got = _restricted_values_mp(p)
-        for value, sigma in zip(got, p.true_sigmas_float()):
+        for value, sigma in zip(got, p.sigmas.to_float()):
             assert abs(float(value) / sigma - 1.0) <= 2e-13
 
 
@@ -284,6 +285,14 @@ def _field_bytes(problem):
             value = (value.hi.tobytes(), value.lo.tobytes())
         out.append(value)
     return out
+
+
+def test_generate_dispatches_on_kind():
+    cfg = GeneratorConfig(n=3, kappa_sigma=10.0, kappa_y=10.0, kappa_x=10.0, seed=5)
+    for kind, make in (("qsvd", generate_qsvd), ("rsvd", generate_rsvd)):
+        assert _field_bytes(genmat.generate(kind, cfg)) == _field_bytes(make(cfg))
+    with pytest.raises(ValueError, match="unknown kind 'svd'"):
+        genmat.generate("svd", cfg)
 
 
 @pytest.mark.parametrize("generate", [generate_qsvd, generate_rsvd])

@@ -51,7 +51,6 @@ def test_partition_zero_a():
     part = partition_from_ranks(1, 1, 1, 1, 0, 1, 1, 1, 1, 2)
     assert part.p5 == 1 and part.q2 == 1
     assert part.p1 == 0
-    assert part.regular_triplet_count() == 1
 
 
 def test_partition_full_rank_square():

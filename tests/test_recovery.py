@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from pencilsvd.eigensolve import solve_general
 from pencilsvd.genmat import GeneratorConfig, generate_qsvd
+from pencilsvd.kcf import partition_for
 from pencilsvd.pencils import build_cpf_qsvd, build_cpf_rsvd, build_cpf_svd
 from pencilsvd.recovery import (
     TRIPLET_100,
@@ -202,7 +203,7 @@ def test_classify_ill_conditioned_quotient_keeps_every_triplet():
     assert residuals == [q.phase_residual for q in cls.quadruples]
     assert max(residuals) > 1e-3
     sigmas = sorted(t.sigma for t in cls.triplets)
-    assert np.allclose(sigmas, sorted(problem.true_sigmas_float()), rtol=1e-6, atol=0)
+    assert np.allclose(sigmas, sorted(problem.sigmas.to_float()), rtol=1e-6, atol=0)
 
 
 def test_classify_rejects_bad_counts():
@@ -211,6 +212,32 @@ def test_classify_rejects_bad_counts():
     with pytest.raises(GroupingError):
         # wrong kind: svd spectrum declared as qsvd with impossible dims
         classify_spectrum(sol, "qsvd", (1, 1, 5))
+
+
+def _rsvd_with_infinite_values():
+    # the zero row of C gives four infinite eigenvalues: an N_3 block of a
+    # (1, 1, 0) triplet and a simple one of a (1, 0, 0) triplet
+    a = np.array([[2.0, 0.0], [0.0, 1.0]])
+    b = np.eye(2)
+    c = np.array([[1.0, 0.0], [0.0, 0.0]])
+    return (a, b, c), solve_general(build_cpf_rsvd(a, b, c), class_tol_rel=1e-8)
+
+
+def test_classify_rsvd_rejects_a_partition_with_other_counts():
+    (a, b, c), sol = _rsvd_with_infinite_values()
+    cls = classify_spectrum(sol, "rsvd", (2, 2, 2, 2), partition=partition_for(a, b, c))
+    assert sorted(t.kind for t in cls.triplets) == \
+        sorted([TRIPLET_REGULAR, TRIPLET_110, TRIPLET_100])
+    # the partition of (A, B, I) predicts two finite quadruples and no infinite value
+    with pytest.raises(GroupingError, match=r"\{'finite-nonzero': \(8, 4\), 'infinite': \(0, 4\)\}"):
+        classify_spectrum(sol, "rsvd", (2, 2, 2, 2), partition=partition_for(a, b, np.eye(2)))
+
+
+def test_classify_rsvd_infinite_values_need_a_partition():
+    _, sol = _rsvd_with_infinite_values()
+    with pytest.raises(ValueError, match="need a structure partition") as exc:
+        classify_spectrum(sol, "rsvd", (2, 2, 2, 2))
+    assert not isinstance(exc.value, GroupingError)
 
 
 def test_extract_vectors_scalar_qsvd():
