@@ -94,15 +94,15 @@ def solve_pencil(pencil: Pencil) -> EigenSolution:
     sq and aug pencils are Hermitian: they take the definite path and fall
     back to QZ when the right-hand side is not numerically positive
     definite.  cpf pencils always go through QZ.  Every caller reads only
-    the eigenvalues, so QZ runs values-only: its solutions carry
-    ``vectors=None`` and ``backward_stable=None``.
+    the eigenvalues, which is what ``solve_general`` returns by default:
+    its solutions carry ``vectors=None`` and ``backward_stable=None``.
     """
     if FORMULATIONS[pencil.formulation].family == "cpf":
-        return solve_general(pencil, vectors=False)
+        return solve_general(pencil)
     try:
         return solve_hpd(pencil)
     except NotDefiniteError:
-        return solve_general(pencil, vectors=False)
+        return solve_general(pencil)
 
 
 def _estimates_sq(sol: EigenSolution, n: int) -> np.ndarray:

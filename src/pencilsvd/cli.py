@@ -26,7 +26,7 @@ from .kcf import (
 )
 from .matcore import rank_with_tol, read_matrix_text, write_matrix_text
 from .pencils import FORMULATIONS, problem_kind
-from .recovery import classify_spectrum, group_quadruples
+from .recovery import GroupingError, classify_spectrum, group_quadruples
 
 
 def _add_problem_args(parser, n, kappa_x):
@@ -237,6 +237,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except GroupingError as exc:
+        # a spectrum that cannot be grouped is a result, not misuse
+        raise SystemExit(str(exc)) from exc
     except ValueError as exc:
         # invalid values the library rejects (a kappa, a matrix file) are
         # usage errors: exit 2 with the message, not a traceback

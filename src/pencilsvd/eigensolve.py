@@ -16,9 +16,9 @@ families is always a *square* zero block, it equals the common left/right
 null space of (lhs, rhs) and can be split off exactly: ``solve_general``
 therefore deflates the common null space first (rank decisions at
 ``dim * eps``), solves the remaining regular pencil with QZ, and reports
-one indeterminate ``(0, 0)`` pair per deflated dimension, with the null
-basis vectors as their eigenvectors.  ``solve_general(..., vectors=False)``
-returns the same pairs without eigenvectors or a backward-error verdict.
+one indeterminate ``(0, 0)`` pair per deflated dimension.  It returns
+values by default; ``vectors=True`` adds the eigenvectors (the null basis
+for the deflated pairs) and the backward-error verdict.
 """
 
 from __future__ import annotations
@@ -70,8 +70,8 @@ class GeneralizedEigenvalue:
 class EigenSolution:
     """Full spectrum of a pencil plus right eigenvectors (one per column).
 
-    A values-only solve (``solve_general(..., vectors=False)``) leaves
-    ``vectors`` and ``backward_stable`` as ``None``: not computed, and not
+    ``solve_general`` fills ``vectors`` and ``backward_stable`` only with
+    ``vectors=True``; by default both are ``None``: not computed, and not
     checked.
     """
 
@@ -123,7 +123,7 @@ def _common_nullspaces(lhs, rhs, tol_rel):
 
 
 def solve_general(pencil: Pencil, class_tol_rel: float | None = None,
-                  vectors: bool = True) -> EigenSolution:
+                  vectors: bool = False) -> EigenSolution:
     """Solve ``lhs x = lam rhs x`` for the full spectrum via QZ.
 
     The common null space of (lhs, rhs) is split off first (see the module
@@ -141,13 +141,13 @@ def solve_general(pencil: Pencil, class_tol_rel: float | None = None,
         splits under roundoff into eigenvalues of magnitude ``eps**(1/k)``,
         so count checks against predicted canonical structure use ~1e-4.
     vectors : bool, optional
-        With ``False`` the solve returns the eigenvalues alone, with
-        ``vectors`` and ``backward_stable`` left ``None``.  It skips what
-        only the vectors need: the eigenvectors of QZ (no accumulated
-        ``Q``/``Z`` and no back-substitution), their normalisation and the
-        backward-error check.  Both paths run the same deflation and
-        classification, so they report the same pairs whenever QZ returns
-        the same eigenvalues with and without eigenvectors.
+        By default the solve returns the eigenvalues alone, with ``vectors``
+        and ``backward_stable`` left ``None``: QZ accumulates no ``Q``/``Z``
+        and skips the back-substitution.  ``True`` adds unit-norm
+        eigenvectors and the backward-error verdict (``RESIDUAL_TOL``).
+        Both paths run the same deflation and classification, so they
+        report the same pairs whenever QZ returns the same eigenvalues with
+        and without eigenvectors.
     """
     lhs = np.ascontiguousarray(pencil.lhs, dtype=np.complex128)
     rhs = np.ascontiguousarray(pencil.rhs, dtype=np.complex128)

@@ -290,7 +290,7 @@ def test_criterion_9_eigenvector_extraction():
                               seed=int(rng.integers(1 << 30)))
         prob = generate_qsvd(cfg)
         pencil = build_cpf_qsvd(prob.a, prob.c)
-        sol = solve_general(pencil)
+        sol = solve_general(pencil, vectors=True)
         cls = classify_spectrum(sol, "qsvd", (n, n, n))
         assert len(cls.quadruples) == n
         norm_a = np.linalg.norm(prob.a, 2)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -123,6 +128,24 @@ def test_solve_requires_a(tmp_path, capsys):
         main(["solve", "--formulation", "cpf", "--c", str(cp)])
     assert exc.value.code == 2
     assert "error: matrix A is required (--a FILE)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["solve", "--formulation", "cpf", "--recover"],
+                                     ["kcf", "--class-tol", "1e-20"]])
+def test_ungroupable_spectrum_is_a_result_not_a_usage_error(tmp_path, command):
+    # A = [[1e-20]], B = C = [[1]]: two of the four cpf eigenvalues are exact
+    # zeros, so the finite ones cannot form a quadruple
+    mats = {"a": 1e-20, "b": 1.0, "c": 1.0}
+    for name, value in mats.items():
+        write_matrix_text(tmp_path / f"{name}.txt", np.array([[value]]))
+    args = [f"--{x}={tmp_path / f'{x}.txt'}" for x in mats]
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "pencilsvd.cli", *command, *args],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 1
+    assert proc.stderr == "finite eigenvalue count 2 is not divisible by 4\n"
+    assert "usage:" not in proc.stdout + proc.stderr
 
 
 def test_kcf_predict_from_files(tmp_path, capsys):

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from helpers import assembled_qsvd_pair, qsvd_partition_from_counts
+from helpers import (
+    assembled_qsvd_pair,
+    assembled_rsvd_triplet,
+    qsvd_partition_from_counts,
+    rsvd_partition_from_counts,
+)
 from pencilsvd import bench, eigensolve
 from pencilsvd.eigensolve import (
     CLASS_FINITE,
@@ -22,13 +27,15 @@ from pencilsvd.pencils import (
     Pencil,
     build_aug_qsvd,
     build_cpf_qsvd,
+    build_cpf_rsvd,
     build_cpf_svd,
     generic_pencil,
 )
 
 
 def finite_pairs(sol):
-    """(eigenvalue, vector) pairs of the finite-nonzero part."""
+    """(eigenvalue, vector) pairs of the finite-nonzero part of a solve with
+    ``vectors=True``."""
     return [(v, sol.vectors[:, i]) for i, v in enumerate(sol.values)
             if v.kind == CLASS_FINITE]
 
@@ -69,7 +76,7 @@ def test_eigenvector_residuals():
     a /= np.linalg.norm(a, 2)
     b /= np.linalg.norm(b, 2)
     pencil = generic_pencil(a, b)
-    sol = solve_general(pencil)
+    sol = solve_general(pencil, vectors=True)
     assert sol.backward_stable
     for val, w in finite_pairs(sol):
         lam = val.value
@@ -85,12 +92,12 @@ def test_residual_tol_edge(monkeypatch):
     norm_a, norm_b = np.linalg.norm(a, 2), np.linalg.norm(b, 2)
     worst = max(np.linalg.norm(a @ w - v.value * (b @ w))
                 / ((norm_a + abs(v.value) * norm_b) * np.linalg.norm(w))
-                for v, w in finite_pairs(solve_general(pencil)))
+                for v, w in finite_pairs(solve_general(pencil, vectors=True)))
     assert worst > 0
     monkeypatch.setattr(eigensolve, "RESIDUAL_TOL", 2 * worst)
-    assert solve_general(pencil).backward_stable
+    assert solve_general(pencil, vectors=True).backward_stable
     monkeypatch.setattr(eigensolve, "RESIDUAL_TOL", 0.5 * worst)
-    assert not solve_general(pencil).backward_stable
+    assert solve_general(pencil, vectors=True).backward_stable is False
 
 
 def test_unitary_equivalence_invariance():
@@ -110,7 +117,7 @@ def test_deflation_reports_indeterminate_and_preserves_regular_part():
     a = np.array([[1.0, 0.0]])
     c = np.array([[2.0, 0.0]])
     pencil = build_cpf_qsvd(a, c)
-    sol = solve_general(pencil)
+    sol = solve_general(pencil, vectors=True)
     counts = sol.counts()
     assert counts[CLASS_INDETERMINATE] == 1
     assert counts[CLASS_FINITE] == 4
@@ -197,8 +204,9 @@ def triples(sol):
 
 
 def assert_values_only_matches_full(pencil, **kwargs):
-    full = solve_general(pencil, **kwargs)
-    fast = solve_general(pencil, vectors=False, **kwargs)
+    # the default solve is the values-only one
+    full = solve_general(pencil, vectors=True, **kwargs)
+    fast = solve_general(pencil, **kwargs)
     assert triples(fast) == triples(full)
     assert fast.vectors is None and fast.backward_stable is None
     return full
@@ -224,15 +232,41 @@ def test_values_only_solve_matches_full_solve_n32():
     assert_values_only_matches_full(generated_cpf_pencil("qsvd", 32, 1e7, 1e1, seed=1))
 
 
+# free counts of rank-structured inputs whose cpf pencils have a singular
+# part: qsvd (p1, p2, p3, q1, q2, n3), rsvd (p1..p6, q1, q2, m3, n4)
+DEFLATING_COUNTS = (
+    ("qsvd", (2, 1, 1, 1, 1, 1)),
+    ("qsvd", (1, 0, 0, 2, 0, 0)),
+    ("qsvd", (2, 2, 1, 1, 2, 2)),
+    ("qsvd", (3, 1, 0, 1, 1, 0)),
+    ("rsvd", (1, 1, 1, 1, 1, 1, 1, 1, 1, 1)),
+    ("rsvd", (2, 0, 1, 0, 1, 0, 1, 0, 1, 0)),
+    ("rsvd", (1, 0, 0, 0, 0, 2, 0, 0, 0, 0)),
+    ("rsvd", (2, 1, 0, 1, 0, 1, 2, 1, 0, 1)),
+)
+
+
+def structured_cpf_pencil(kind, counts, rng):
+    if kind == "qsvd":
+        part = qsvd_partition_from_counts(*counts)
+        a, c, *_ = assembled_qsvd_pair(part, np.linspace(0.5, 2.0, part.p1), rng)
+        return build_cpf_qsvd(a, c)
+    part = rsvd_partition_from_counts(*counts)
+    a, b, c, *_ = assembled_rsvd_triplet(part, np.linspace(0.5, 2.0, part.p1), rng)
+    return build_cpf_rsvd(a, b, c)
+
+
 @pytest.mark.parametrize("class_tol_rel", [None, 1e-4])
 def test_values_only_solve_matches_full_solve_with_deflation(class_tol_rel):
-    # A and C share q1 = 1 null column: the deflated (0, 0) pairs trail in both
-    part = qsvd_partition_from_counts(p1=2, p2=1, p3=1, q1=1, q2=1, n3=1)
-    a, c, *_ = assembled_qsvd_pair(part, [0.5, 2.0], np.random.default_rng(5))
-    full = assert_values_only_matches_full(build_cpf_qsvd(a, c), class_tol_rel=class_tol_rel)
-    deflated = full.count(CLASS_INDETERMINATE)
-    assert deflated > 0
-    assert triples(full)[-deflated:] == [(0j, 0j, CLASS_INDETERMINATE)] * deflated
+    # inputs sharing null directions: the default solve gives the pairs of
+    # the full one, and the deflated (0, 0) pairs trail in both
+    for kind, counts in DEFLATING_COUNTS:
+        pencil = structured_cpf_pencil(kind, counts, np.random.default_rng(5))
+        full = assert_values_only_matches_full(pencil, class_tol_rel=class_tol_rel)
+        assert full.backward_stable
+        deflated = full.count(CLASS_INDETERMINATE)
+        assert deflated > 0, (kind, counts)
+        assert triples(full)[-deflated:] == [(0j, 0j, CLASS_INDETERMINATE)] * deflated
 
 
 @pytest.mark.parametrize("vectors", [True, False])

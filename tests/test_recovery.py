@@ -244,7 +244,7 @@ def test_extract_vectors_scalar_qsvd():
     a = np.array([[2.0]])
     c = np.array([[1.0]])
     pencil = build_cpf_qsvd(a, c)
-    sol = solve_general(pencil)
+    sol = solve_general(pencil, vectors=True)
     cls = classify_spectrum(sol, "qsvd", (1, 1, 1))
     rec = extract_vectors(sol, cls.quadruples[0], "qsvd", pencil, a, c=c)
     assert rec.u == pytest.approx(np.array([1.0 + 0j]))
@@ -258,8 +258,9 @@ def test_extract_vectors_rejects_a_values_only_solution():
     a = np.array([[2.0]])
     c = np.array([[1.0]])
     pencil = build_cpf_qsvd(a, c)
-    sol = solve_general(pencil, vectors=False)
-    # classifying needs only the values; the vectors were never computed
+    sol = solve_general(pencil)
+    # the default solve is values-only: classifying needs only the values,
+    # and the vectors were never computed
     cls = classify_spectrum(sol, "qsvd", (1, 1, 1))
     with pytest.raises(ValueError, match="values-only"):
         extract_vectors(sol, cls.quadruples[0], "qsvd", pencil, a, c=c)
@@ -268,7 +269,7 @@ def test_extract_vectors_rejects_a_values_only_solution():
 def test_extract_vectors_cpf_svd_diag():
     a = np.diag([3.0])
     pencil = build_cpf_svd(a)
-    sol = solve_general(pencil)
+    sol = solve_general(pencil, vectors=True)
     cls = classify_spectrum(sol, "svd", (1, 1))
     rec = extract_vectors(sol, cls.quadruples[0], "svd", pencil, a)
     assert rec.u == pytest.approx(np.array([1.0 + 0j]))
@@ -282,8 +283,8 @@ def test_extract_vectors_rsvd_identity_reduction():
     a = np.diag([2.0, 0.5]).astype(complex)
     pencil_r = build_cpf_rsvd(a, np.eye(2), np.eye(2))
     pencil_s = build_cpf_svd(a)
-    sol_r = solve_general(pencil_r)
-    sol_s = solve_general(pencil_s)
+    sol_r = solve_general(pencil_r, vectors=True)
+    sol_s = solve_general(pencil_s, vectors=True)
     cls_r = classify_spectrum(sol_r, "rsvd", (2, 2, 2, 2))
     cls_s = classify_spectrum(sol_s, "svd", (2, 2))
     for qr, qs in zip(cls_r.quadruples, cls_s.quadruples):
@@ -301,7 +302,7 @@ def test_extract_vectors_unit_norms():
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     c = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     pencil = build_cpf_qsvd(a, c)
-    sol = solve_general(pencil)
+    sol = solve_general(pencil, vectors=True)
     cls = classify_spectrum(sol, "qsvd", (3, 3, 3))
     for quad in cls.quadruples:
         rec = extract_vectors(sol, quad, "qsvd", pencil, a, c=c)
