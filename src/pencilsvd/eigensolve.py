@@ -14,15 +14,21 @@ eigenvalues belonging to the singular part anywhere in the plane and
 corrupt its neighbours.  Because the singular part of these pencil
 families is always a *square* zero block, it equals the common left/right
 null space of (lhs, rhs) and can be split off exactly: ``solve_general``
-therefore deflates the common null space first (rank decisions at
-``dim * eps``), solves the remaining regular pencil with QZ, and reports
-one indeterminate ``(0, 0)`` pair per deflated dimension.  It returns
-values by default; ``vectors=True`` adds the eigenvectors (the null basis
-for the deflated pairs) and the backward-error verdict.
+therefore deflates the common null space first (one rank decision, at
+``dim * eps``, on the SVD of ``[lhs; rhs]``), solves the remaining regular
+pencil with QZ, and reports one indeterminate ``(0, 0)`` pair per deflated
+dimension.  Every pencil the builders make is exactly Hermitian on both
+sides, so its left null space is its right one: that one SVD gives the
+basis ``W``, and deflation is the congruence ``W* (lhs, rhs) W`` (Van
+Dooren, LAA 27, 1979).  Only a pencil that is not Hermitian (a generic
+one) also takes the SVD of ``[lhs, rhs]`` for its left null space.  It
+returns values by default; ``vectors=True`` adds the eigenvectors (the
+null basis for the deflated pairs) and the backward-error verdict.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,7 +89,8 @@ class EigenSolution:
         return sum(1 for v in self.values if v.kind == kind)
 
     def counts(self) -> dict[str, int]:
-        return {k: self.count(k) for k in
+        seen = Counter(v.kind for v in self.values)
+        return {k: seen[k] for k in
                 (CLASS_FINITE, CLASS_ZERO, CLASS_INFINITE, CLASS_INDETERMINATE)}
 
 
@@ -101,6 +108,13 @@ def classify_pair(alpha_e: complex, beta_e: complex, tol_zero: float, tol_inf: f
 
 
 def _common_nullspaces(lhs, rhs, tol_rel):
+    """Common right null basis, right and left keep bases, and both nullities.
+
+    The SVD of ``[lhs; rhs]`` gives the right ones.  A Hermitian pencil has
+    ``[lhs, rhs] = [lhs; rhs]*``, so its left ones are the same; any other
+    pencil takes the SVD of ``[lhs, rhs]`` for them (its singular values
+    alone when there is no right null vector).
+    """
     k = lhs.shape[0]
     stacked = np.vstack([lhs, rhs])
     _, s_r, vh = np.linalg.svd(stacked, full_matrices=False)
@@ -108,6 +122,8 @@ def _common_nullspaces(lhs, rhs, tol_rel):
     nr = int(np.count_nonzero(s_r <= tol_rel * smax))
     right_null = vh[k - nr:, :].conj().T if nr else np.zeros((k, 0), dtype=complex)
     right_keep = vh[: k - nr, :].conj().T
+    if np.array_equal(lhs, lhs.conj().T) and np.array_equal(rhs, rhs.conj().T):
+        return right_null, right_keep, right_keep, nr, nr
 
     side = np.hstack([lhs, rhs])
     if not nr:

@@ -437,6 +437,19 @@ class LemmaReduction:
     residual_lambda: float
 
 
+def _lemma_factors(alpha, beta, gamma):
+    """``(sigma, x, y, D)`` of the order-4 reduction of :func:`lemma_reduce`."""
+    if alpha <= 0 or beta <= 0 or gamma <= 0:
+        raise ValueError("lemma parameters must be positive")
+    sigma = alpha / (beta * gamma)
+    root = np.sqrt(sigma)
+    scale = sigma ** -0.25 * np.array([1.0 / beta, 1.0 / gamma, root, root])
+    x = scale[:, None] * _X_UNIT
+    y = scale[:, None] * _Y_UNIT
+    d = np.diag([root, -root, 1j * root, -1j * root])
+    return sigma, x, y, d
+
+
 def lemma_reduce(alpha: float, beta: float = 1.0, gamma: float = 1.0) -> LemmaReduction:
     """Explicit transformations with Y* (lhs - lam rhs) X = D - lam I.
 
@@ -446,18 +459,15 @@ def lemma_reduce(alpha: float, beta: float = 1.0, gamma: float = 1.0) -> LemmaRe
     ``beta = gamma = 1``.  The transformation composes
     the diagonal scaling ``sigma**(-1/4) diag(1/beta, 1/gamma, sqrt(sigma),
     sqrt(sigma))`` with fixed sign/phase unitaries; at sigma = beta =
-    gamma = 1 it reduces to those unitaries alone.  Both coefficient
-    identities are verified entrywise before returning.
+    gamma = 1 it reduces to those unitaries alone.  Here the order-4 source
+    pencil is built and both coefficient identities are verified entrywise
+    before returning; :func:`verify_reduction` takes ``x``, ``y`` and ``D``
+    from the same construction without them.  Nonpositive parameters raise
+    ``ValueError``.
     """
-    if alpha <= 0 or beta <= 0 or gamma <= 0:
-        raise ValueError("lemma parameters must be positive")
-    sigma = alpha / (beta * gamma)
+    sigma, x, y, d = _lemma_factors(alpha, beta, gamma)
     root = np.sqrt(sigma)
-    scale = sigma ** -0.25 * np.array([1.0 / beta, 1.0 / gamma, root, root])
-    x = scale[:, None] * _X_UNIT
-    y = scale[:, None] * _Y_UNIT
     source = lemma_pencil(alpha, beta, gamma)
-    d = np.diag([root, -root, 1j * root, -1j * root])
     const = y.conj().T @ source.lhs @ x
     lam = y.conj().T @ source.rhs @ x
     res_c = float(np.abs(const - d).max() / max(root, 1.0))
@@ -597,12 +607,12 @@ def verify_reduction(pencil: Pencil, formulation: str, partition,
         idx = np.array([f0 + j, f0 + p1 + j, f0 + 2 * p1 + j, f0 + 3 * p1 + j])
         sub_l = lhs2[np.ix_(idx, idx)]
         sub_r = rhs2[np.ix_(idx, idx)]
-        red = lemma_reduce(d_alpha[j], d_beta[j], d_gamma[j])
-        tl = red.y.conj().T @ sub_l @ red.x
-        tr = red.y.conj().T @ sub_r @ red.x
+        _, xj, yj, dj = _lemma_factors(d_alpha[j], d_beta[j], d_gamma[j])
+        tl = yj.conj().T @ sub_l @ xj
+        tr = yj.conj().T @ sub_r @ xj
         stage2 = max(stage2,
-                     float(np.abs(tl - red.target.lhs).max()),
-                     float(np.abs(tr - red.target.rhs).max()))
+                     float(np.abs(tl - dj).max()),
+                     float(np.abs(tr - np.eye(4)).max()))
 
     scale = max(np.linalg.norm(pencil.lhs, 2), np.linalg.norm(pencil.rhs, 2))
     return VerificationReport(float(stage1), float(stage2), float(scale))

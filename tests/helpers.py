@@ -1,7 +1,9 @@
 """Shared test constructions: structured matrices with known partitions,
-the chordal metric written in the reciprocals, and the per-operator complex
-double-double reference for the stacked kernels of ``pencilsvd.ddarith``
-(with :func:`cdd_diag`, the diagonal matrices it multiplies by)."""
+the chordal metric written in the reciprocals, the transformation-chain
+replay through ``lemma_reduce`` that ``verify_reduction`` must match, and
+the per-operator complex double-double reference for the stacked kernels of
+``pencilsvd.ddarith`` (with :func:`cdd_diag`, the diagonal matrices it
+multiplies by)."""
 
 import math
 
@@ -10,8 +12,15 @@ import numpy as np
 from pencilsvd.bench import chordal
 from pencilsvd.ddarith import CDD, DD
 from pencilsvd.kcf import (
+    _LAYOUTS,
     QsvdPartition,
     RsvdPartition,
+    VerificationReport,
+    _block_diag,
+    _block_permutation_indices,
+    _canonical_cpf_expected,
+    _fields,
+    lemma_reduce,
     partition_from_ranks,
     qsvd_partition_from_ranks,
 )
@@ -114,6 +123,76 @@ def assembled_rsvd_triplet(part: RsvdPartition, sigmas, rng):
     b = xict @ sb @ u.conj().T
     c = v @ sg @ yinv
     return a, b, c, u, v, x, yq
+
+
+# free counts of rank-structured inputs whose cpf and aug pencils have a
+# singular part: qsvd (p1, p2, p3, q1, q2, n3), rsvd (p1..p6, q1, q2, m3, n4)
+DEFLATING_COUNTS = (
+    ("qsvd", (2, 1, 1, 1, 1, 1)),
+    ("qsvd", (1, 0, 0, 2, 0, 0)),
+    ("qsvd", (2, 2, 1, 1, 2, 2)),
+    ("qsvd", (3, 1, 0, 1, 1, 0)),
+    ("rsvd", (1, 1, 1, 1, 1, 1, 1, 1, 1, 1)),
+    ("rsvd", (2, 0, 1, 0, 1, 0, 1, 0, 1, 0)),
+    ("rsvd", (1, 0, 0, 0, 0, 2, 0, 0, 0, 0)),
+    ("rsvd", (2, 1, 0, 1, 0, 1, 2, 1, 0, 1)),
+)
+
+
+def structured_problem(kind, counts, rng):
+    """``(partition, sigmas, inputs, factors)`` of a rank-structured qsvd or
+    rsvd problem with Haar factors and sigmas spread over [0.5, 2];
+    ``inputs`` maps "a", "b", "c" to the matrices, ``factors`` holds the
+    keyword arguments of ``verify_reduction``."""
+    if kind == "qsvd":
+        part = qsvd_partition_from_counts(*counts)
+        sigmas = np.linspace(0.5, 2.0, part.p1)
+        a, c, u, v, y = assembled_qsvd_pair(part, sigmas, rng)
+        return part, sigmas, {"a": a, "c": c}, {"u": u, "v": v, "y": y}
+    part = rsvd_partition_from_counts(*counts)
+    sigmas = np.linspace(0.5, 2.0, part.p1)
+    a, b, c, u, v, x, y = assembled_rsvd_triplet(part, sigmas, rng)
+    return part, sigmas, {"a": a, "b": b, "c": c}, {"u": u, "v": v, "x": x, "y": y}
+
+
+def ref_verify_reduction(pencil, formulation, partition, **factors):
+    """``verify_reduction`` with stage 2 through :func:`lemma_reduce`: per
+    sigma, the order-4 cpf pencil and its reduction are built and the reduced
+    blocks are compared with ``target``.  Its report must equal the
+    library's bit for bit."""
+    layout = _LAYOUTS[formulation]
+    t = _block_diag([np.asarray(factors[name], dtype=complex)
+                     for name in layout.factors.split()])
+    sizes = _fields(partition, layout.sizes)
+    cols = _block_permutation_indices(layout.perm_x, sizes)
+    rows = _block_permutation_indices(layout.perm_y, sizes)
+    lhs = (t.conj().T @ pencil.lhs @ t)[np.ix_(rows, cols)]
+    rhs = (t.conj().T @ pencil.rhs @ t)[np.ix_(rows, cols)]
+
+    p1 = partition.p1
+    f0 = lhs.shape[0] - 4 * p1
+    at = [f0 + i * p1 for i in range(4)]
+    d_alpha = np.real(np.diagonal(lhs[at[0]:at[1], at[1]:at[2]]))
+    d_beta = np.ones(p1)
+    if formulation == "cpf-rsvd":
+        d_beta = np.real(np.diagonal(rhs[at[0]:at[1], at[2]:at[3]]))
+    d_gamma = np.ones(p1)
+    if formulation != "cpf-svd":
+        d_gamma = np.real(np.diagonal(rhs[at[1]:at[2], at[3]:]))
+    exp_lhs, exp_rhs = _canonical_cpf_expected(layout, partition, d_alpha, d_beta, d_gamma)
+    stage1 = max(np.abs(lhs - exp_lhs).max(initial=0.0),
+                 np.abs(rhs - exp_rhs).max(initial=0.0))
+
+    stage2 = 0.0
+    for j in range(p1):
+        idx = np.array(at) + j
+        red = lemma_reduce(d_alpha[j], d_beta[j], d_gamma[j])
+        tl = red.y.conj().T @ lhs[np.ix_(idx, idx)] @ red.x
+        tr = red.y.conj().T @ rhs[np.ix_(idx, idx)] @ red.x
+        stage2 = max(stage2, float(np.abs(tl - red.target.lhs).max()),
+                     float(np.abs(tr - red.target.rhs).max()))
+    scale = max(np.linalg.norm(pencil.lhs, 2), np.linalg.norm(pencil.rhs, 2))
+    return VerificationReport(float(stage1), float(stage2), float(scale))
 
 
 def chordal_reciprocal(sigma: float, approx: float) -> float:

@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from helpers import (
-    assembled_qsvd_pair,
-    assembled_rsvd_triplet,
-    qsvd_partition_from_counts,
-    rsvd_partition_from_counts,
-)
+from helpers import DEFLATING_COUNTS, structured_problem
 from pencilsvd import bench, eigensolve
 from pencilsvd.eigensolve import (
     CLASS_FINITE,
@@ -21,16 +16,17 @@ from pencilsvd.eigensolve import (
     solve_hpd,
 )
 from pencilsvd.genmat import GeneratorConfig, generate_qsvd, generate_rsvd
+from pencilsvd.kcf import predict_kcf
 from pencilsvd.matcore import haar_unitary
 from pencilsvd.pencils import (
     FORMULATIONS,
     Pencil,
     build_aug_qsvd,
     build_cpf_qsvd,
-    build_cpf_rsvd,
     build_cpf_svd,
     generic_pencil,
 )
+from pencilsvd.recovery import classify_spectrum
 
 
 def finite_pairs(sol):
@@ -232,28 +228,9 @@ def test_values_only_solve_matches_full_solve_n32():
     assert_values_only_matches_full(generated_cpf_pencil("qsvd", 32, 1e7, 1e1, seed=1))
 
 
-# free counts of rank-structured inputs whose cpf pencils have a singular
-# part: qsvd (p1, p2, p3, q1, q2, n3), rsvd (p1..p6, q1, q2, m3, n4)
-DEFLATING_COUNTS = (
-    ("qsvd", (2, 1, 1, 1, 1, 1)),
-    ("qsvd", (1, 0, 0, 2, 0, 0)),
-    ("qsvd", (2, 2, 1, 1, 2, 2)),
-    ("qsvd", (3, 1, 0, 1, 1, 0)),
-    ("rsvd", (1, 1, 1, 1, 1, 1, 1, 1, 1, 1)),
-    ("rsvd", (2, 0, 1, 0, 1, 0, 1, 0, 1, 0)),
-    ("rsvd", (1, 0, 0, 0, 0, 2, 0, 0, 0, 0)),
-    ("rsvd", (2, 1, 0, 1, 0, 1, 2, 1, 0, 1)),
-)
-
-
 def structured_cpf_pencil(kind, counts, rng):
-    if kind == "qsvd":
-        part = qsvd_partition_from_counts(*counts)
-        a, c, *_ = assembled_qsvd_pair(part, np.linspace(0.5, 2.0, part.p1), rng)
-        return build_cpf_qsvd(a, c)
-    part = rsvd_partition_from_counts(*counts)
-    a, b, c, *_ = assembled_rsvd_triplet(part, np.linspace(0.5, 2.0, part.p1), rng)
-    return build_cpf_rsvd(a, b, c)
+    _, _, inputs, _ = structured_problem(kind, counts, rng)
+    return FORMULATIONS[f"cpf-{kind}"].build_from(inputs)
 
 
 @pytest.mark.parametrize("class_tol_rel", [None, 1e-4])
@@ -293,3 +270,97 @@ def test_solve_pencil_takes_the_values_only_path():
         solve_hpd(pencil)
     sol = bench.solve_pencil(pencil)
     assert sol.vectors is None and sol.backward_stable is None
+
+
+# -- one SVD for Hermitian pencils -----------------------------------------------
+
+
+def count_svds(monkeypatch):
+    """Record every ``np.linalg.svd`` call from here on."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+def random_generic_pencil(k, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((2, k, k)) + 1j * rng.standard_normal((2, k, k))
+    return generic_pencil(z[0], z[1])
+
+
+def nudged(pencil):
+    """``pencil`` with the real part of one off-diagonal lhs entry moved by
+    one ulp: no longer exactly Hermitian, same null spaces to ~1e-16."""
+    i, j = np.argwhere(np.abs(np.triu(pencil.lhs, 1)) > 0)[0]
+    lhs = pencil.lhs.copy()
+    lhs[i, j] = complex(np.nextafter(lhs[i, j].real, np.inf), lhs[i, j].imag)
+    return Pencil(lhs, pencil.rhs, pencil.formulation, pencil.row_blocks)
+
+
+@pytest.mark.parametrize("vectors", [False, True])
+@pytest.mark.parametrize("case, want", [
+    ("regular cpf", 1), ("deflating cpf", 1), ("deflating aug", 1),
+    ("regular generic", 2), ("nudged deflating cpf", 2)])
+def test_hermitian_pencils_deflate_with_one_svd(monkeypatch, case, want, vectors):
+    kind, counts = DEFLATING_COUNTS[0]
+    _, _, inputs, _ = structured_problem(kind, counts, np.random.default_rng(6))
+    cpf = FORMULATIONS["cpf-qsvd"].build_from(inputs)
+    pencil = {
+        "regular cpf": generated_cpf_pencil("qsvd", 4, 1e1, 1e1),
+        "deflating cpf": cpf,
+        "deflating aug": FORMULATIONS["aug-qsvd"].build_from(inputs),
+        "regular generic": random_generic_pencil(6, 7),
+        "nudged deflating cpf": nudged(cpf),
+    }[case]
+    hermitian = (np.array_equal(pencil.lhs, pencil.lhs.conj().T)
+                 and np.array_equal(pencil.rhs, pencil.rhs.conj().T))
+    assert hermitian == (want == 1)
+    calls = count_svds(monkeypatch)
+    solve_general(pencil, vectors=vectors)
+    assert len(calls) == want
+
+
+@pytest.mark.parametrize("kind, counts", DEFLATING_COUNTS)
+def test_one_ulp_off_hermitian_takes_two_svds_and_same_counts(monkeypatch, kind, counts):
+    # the two-SVD path finds the left null space on its own and agrees
+    part, sigmas, inputs, _ = structured_problem(kind, counts, np.random.default_rng(8))
+    pencil = FORMULATIONS[f"cpf-{kind}"].build_from(inputs)
+    off = nudged(pencil)
+    assert not np.array_equal(off.lhs, off.lhs.conj().T)
+    calls = count_svds(monkeypatch)
+    sol = solve_general(off, class_tol_rel=1e-4)
+    assert len(calls) == 2
+    assert sol.counts() == solve_general(pencil, class_tol_rel=1e-4).counts()
+    assert sol.counts() == predict_kcf(f"cpf-{kind}", part, sigmas).eigenvalue_counts()
+
+
+def aug_sigmas(sol):
+    """Magnitudes of the finite +-sigma pairs of an augmented spectrum."""
+    mags = np.sort(np.abs([v.value for v in sol.values if v.kind == CLASS_FINITE]))
+    return 0.5 * (mags[0::2] + mags[1::2])
+
+
+@pytest.mark.parametrize("family", ["cpf", "aug"])
+@pytest.mark.parametrize("kind, counts", DEFLATING_COUNTS)
+def test_congruence_deflation_keeps_structure_and_values(kind, counts, family):
+    # deflated by one basis on both sides: the predicted counts, the
+    # constructed sigmas, and a backward-stable full solve
+    part, sigmas, inputs, _ = structured_problem(kind, counts, np.random.default_rng(9))
+    name = f"{family}-{kind}"
+    pencil = FORMULATIONS[name].build_from(inputs)
+    sol = solve_general(pencil, class_tol_rel=1e-4)
+    assert sol.counts() == predict_kcf(name, part, sigmas).eigenvalue_counts()
+    assert sol.count(CLASS_INDETERMINATE) > 0
+    if family == "cpf":
+        dims = tuple(pencil.row_blocks[i] for i in ((0, 1, 3) if kind == "qsvd" else (0, 1, 2, 3)))
+        got = sorted(q.sigma for q in classify_spectrum(sol, kind, dims, partition=part).quadruples)
+    else:
+        got = aug_sigmas(sol)
+    assert max(bench.chordal(s, g) for s, g in zip(sorted(sigmas), got)) <= 1e-12
+    assert solve_general(pencil, class_tol_rel=1e-4, vectors=True).backward_stable is True

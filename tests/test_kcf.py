@@ -2,13 +2,17 @@ import numpy as np
 import pytest
 
 from helpers import (
+    DEFLATING_COUNTS,
     assembled_qsvd_pair,
     assembled_rsvd_triplet,
     canonical_qsvd_matrices,
     canonical_rsvd_matrices,
     qsvd_partition_from_counts,
+    random_qsvd_counts,
     random_rsvd_counts,
+    ref_verify_reduction,
     rsvd_partition_from_counts,
+    structured_problem,
 )
 from pencilsvd.eigensolve import solve_general
 from pencilsvd.kcf import (
@@ -288,6 +292,33 @@ def test_verify_reduction_factor_mismatch():
     with pytest.raises(ValueError):
         verify_reduction(pencil, "cpf-svd", svd_partition(1, 1, 1),
                          u=np.eye(3, dtype=complex), v=np.eye(1, dtype=complex))
+
+
+@pytest.mark.parametrize("kind", ["qsvd", "rsvd"])
+def test_verify_reduction_rejects_a_negated_factor(kind):
+    # -Y negates alpha (and gamma) on the sigma diagonal: the per-sigma
+    # reduction needs positive parameters and must say so
+    counts = next(c for k, c in DEFLATING_COUNTS if k == kind)
+    part, _, inputs, factors = structured_problem(kind, counts, np.random.default_rng(34))
+    pencil = FORMULATIONS[f"cpf-{kind}"].build_from(inputs)
+    factors["y"] = -factors["y"]
+    with pytest.raises(ValueError, match="lemma parameters must be positive"):
+        verify_reduction(pencil, f"cpf-{kind}", part, **factors)
+
+
+def test_verify_reduction_matches_the_lemma_replay():
+    # stage 2 takes x, y and D without building the order-4 pencils; the
+    # report is the one the replay through lemma_reduce gives, bit for bit
+    rng = np.random.default_rng(35)
+    cases = list(DEFLATING_COUNTS)
+    cases += [("qsvd", random_qsvd_counts(rng)) for _ in range(4)]
+    cases += [("rsvd", random_rsvd_counts(rng)) for _ in range(4)]
+    for kind, counts in cases:
+        part, _, inputs, factors = structured_problem(kind, counts, rng)
+        pencil = FORMULATIONS[f"cpf-{kind}"].build_from(inputs)
+        got = verify_reduction(pencil, f"cpf-{kind}", part, **factors)
+        assert got == ref_verify_reduction(pencil, f"cpf-{kind}", part, **factors), counts
+        assert got.stage2_off > 0
 
 
 # -- spectrum counts ---------------------------------------------------------------

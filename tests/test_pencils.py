@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pencilsvd.pencils import (
+    FORMULATIONS,
     build_aug_qsvd,
     build_aug_rsvd,
     build_aug_svd,
@@ -106,15 +109,25 @@ def test_cpf_shapes_and_blocks():
     assert pr.dim == 3 + 4 + 5 + 2 and pr.row_blocks == (3, 4, 5, 2)
 
 
-def test_cpf_and_aug_are_hermitian():
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-    b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    c = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-    for p in (build_aug_svd(a), build_aug_qsvd(a, c), build_aug_rsvd(a, b, c),
-              build_cpf_svd(a), build_cpf_qsvd(a, c), build_cpf_rsvd(a, b, c)):
-        assert np.array_equal(p.lhs, p.lhs.conj().T), p.formulation
-        assert np.array_equal(p.rhs, p.rhs.conj().T), p.formulation
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(dims=st.tuples(*[st.integers(1, 5)] * 4), spread=st.integers(0, 100),
+       seed=st.integers(0, 2**32 - 1))
+def test_every_formulation_is_exactly_hermitian(dims, spread, seed):
+    # eigensolve deflates a pencil with one SVD only when both sides are
+    # exactly Hermitian: every builder must give that, for any shapes and
+    # for entries spread over 10**-spread .. 10**spread
+    p, q, m, n = dims
+    rng = np.random.default_rng(seed)
+
+    def draw(rows, cols):
+        mag = 10.0 ** rng.uniform(-spread, spread, (rows, cols))
+        return mag * (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)))
+
+    mats = {"a": draw(p, q), "b": draw(p, m), "c": draw(n, q)}
+    for name, f in FORMULATIONS.items():
+        pencil = f.build_from(mats)
+        assert np.array_equal(pencil.lhs, pencil.lhs.conj().T), name
+        assert np.array_equal(pencil.rhs, pencil.rhs.conj().T), name
 
 
 def test_cpf_entries_are_inputs_zeros_or_ones():
