@@ -85,9 +85,6 @@ class EigenSolution:
     vectors: np.ndarray | None
     backward_stable: bool | None
 
-    def count(self, kind: str) -> int:
-        return sum(1 for v in self.values if v.kind == kind)
-
     def counts(self) -> dict[str, int]:
         seen = Counter(v.kind for v in self.values)
         return {k: seen[k] for k in

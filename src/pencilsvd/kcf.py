@@ -162,7 +162,7 @@ class QsvdPartition:
 
 @dataclass(frozen=True)
 class RsvdPartition:
-    """Restricted SVD sizes plus the six ranks they derive from."""
+    """Restricted SVD sizes; the six ranks they derive from are sums of them."""
 
     p1: int
     p2: int
@@ -184,12 +184,6 @@ class RsvdPartition:
     n2: int
     n3: int
     n4: int
-    r_a: int
-    r_b: int
-    r_c: int
-    r_ab: int
-    r_ac: int
-    r_abc: int
 
     def __post_init__(self):
         couplings = (
@@ -260,7 +254,6 @@ def partition_from_ranks(p: int, q: int, m: int, n: int,
         q1=q - r_ac, q2=q2, q3=p1, q4=p2, q5=p3, q6=p4,
         m1=p1, m2=p2, m3=m - r_b, m4=p5,
         n1=q2, n2=p1, n3=p3, n4=n - r_c,
-        r_a=r_a, r_b=r_b, r_c=r_c, r_ab=r_ab, r_ac=r_ac, r_abc=r_abc,
     )
 
 
@@ -411,22 +404,11 @@ _Y_UNIT = 0.5 * np.array([
 ], dtype=complex)
 
 
-def lemma_pencil(alpha: float, beta: float = 1.0, gamma: float = 1.0) -> Pencil:
-    """Order-4 pencil of one singular value: lhs couples alpha, rhs beta/gamma.
-
-    This is the 1x1 ``cpf-rsvd`` pencil of ``([[alpha]], [[beta]],
-    [[gamma]])``, row blocks ``(1, 1, 1, 1)``.  The quotient problem's
-    pencil is the one with ``beta = 1``, the ordinary one's has
-    ``beta = gamma = 1``.
-    """
-    return build_cpf_rsvd([[alpha]], [[beta]], [[gamma]])
-
-
 @dataclass(frozen=True)
 class LemmaReduction:
-    """Reduction of one singular value's pencil ``source`` (the ``cpf-rsvd``
-    pencil of :func:`lemma_pencil`, row blocks ``(1, 1, 1, 1)``) to ``target``
-    = ``(D, I)``."""
+    """Reduction of one singular value's pencil ``source`` (the 1x1
+    ``cpf-rsvd`` pencil of ``([[alpha]], [[beta]], [[gamma]])``, row blocks
+    ``(1, 1, 1, 1)``) to ``target`` = ``(D, I)``."""
 
     x: np.ndarray
     y: np.ndarray
@@ -467,7 +449,7 @@ def lemma_reduce(alpha: float, beta: float = 1.0, gamma: float = 1.0) -> LemmaRe
     """
     sigma, x, y, d = _lemma_factors(alpha, beta, gamma)
     root = np.sqrt(sigma)
-    source = lemma_pencil(alpha, beta, gamma)
+    source = build_cpf_rsvd([[alpha]], [[beta]], [[gamma]])
     const = y.conj().T @ source.lhs @ x
     lam = y.conj().T @ source.rhs @ x
     res_c = float(np.abs(const - d).max() / max(root, 1.0))
@@ -586,7 +568,7 @@ def verify_reduction(pencil: Pencil, formulation: str, partition,
     k = lhs2.shape[0]
     f0 = k - 4 * p1
     d_alpha = np.real(np.diagonal(lhs2[f0:f0 + p1, f0 + p1:f0 + 2 * p1]))
-    # the decomposition fixes which of beta, gamma are 1 (see lemma_pencil)
+    # the decomposition fixes which of beta, gamma are 1 (see lemma_reduce)
     kind = FORMULATIONS[formulation].kind
     if kind == "rsvd":
         d_beta = np.real(np.diagonal(rhs2[f0:f0 + p1, f0 + 2 * p1:f0 + 3 * p1]))

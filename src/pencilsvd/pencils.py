@@ -47,10 +47,6 @@ class Pencil:
         if sum(self.row_blocks) != self.lhs.shape[0]:
             raise ValueError("row blocks do not sum to the matrix order")
 
-    @property
-    def dim(self) -> int:
-        return self.lhs.shape[0]
-
     def row_offsets(self) -> np.ndarray:
         return np.concatenate(([0], np.cumsum(self.row_blocks)))
 
@@ -80,8 +76,8 @@ def _as_matrix(m, name) -> np.ndarray:
 
 
 def _hermitize(m: np.ndarray) -> np.ndarray:
-    # floating-point cross products are only Hermitian up to roundoff;
-    # the definite solver path requires exact Hermitian storage
+    # floating-point cross products are only Hermitian up to roundoff; the
+    # definite solver and the one-SVD deflation need exact Hermitian storage
     return (m + m.conj().T) / 2.0
 
 
@@ -90,81 +86,59 @@ def _require(cond: bool, msg: str) -> None:
         raise ValueError(msg)
 
 
-def build_sq_svd(a) -> Pencil:
-    """``(A*A, I)`` of order q; eigenvalues are squared singular values."""
+def _checked(a, b=None, c=None):
+    """``(A, B, C)`` as complex matrices, checked for the problem kind their
+    presence poses (:func:`problem_kind`); absent ones stay ``None``."""
     a = _as_matrix(a, "A")
-    _require(a.size > 0, "A must be nonempty")
+    b = None if b is None else _as_matrix(b, "B")
+    c = None if c is None else _as_matrix(c, "C")
+    if c is None:
+        _require(a.size > 0, "A must be nonempty")
+    elif b is None:
+        _require(a.shape[1] == c.shape[1], f"A and C must share columns, got {a.shape} and {c.shape}")
+    else:
+        _require(b.shape[0] == a.shape[0], f"B must have {a.shape[0]} rows, got {b.shape[0]}")
+        _require(c.shape[1] == a.shape[1], f"C must have {a.shape[1]} columns, got {c.shape[1]}")
+    return a, b, c
+
+
+# one assembler per family; an absent B or C stands for the identity
+
+def _sq(formulation, a, c=None) -> Pencil:
+    a, _, c = _checked(a, c=c)
     q = a.shape[1]
-    return Pencil(_hermitize(a.conj().T @ a), np.eye(q, dtype=np.complex128),
-                  "sq-svd", (q,))
+    rhs = np.eye(q, dtype=np.complex128) if c is None else _hermitize(c.conj().T @ c)
+    return Pencil(_hermitize(a.conj().T @ a), rhs, formulation, (q,))
 
 
-def build_aug_svd(a) -> Pencil:
-    """``([0 A; A* 0], I)`` of order p+q; eigenvalues come in +-sigma pairs."""
-    a = _as_matrix(a, "A")
-    _require(a.size > 0, "A must be nonempty")
-    p, q = a.shape
-    lhs = np.zeros((p + q, p + q), dtype=np.complex128)
-    lhs[:p, p:] = a
-    lhs[p:, :p] = a.conj().T
-    return Pencil(lhs, np.eye(p + q, dtype=np.complex128), "aug-svd", (p, q))
-
-
-def build_sq_qsvd(a, c) -> Pencil:
-    """``(A*A, C*C)`` of order q."""
-    a, c = _as_matrix(a, "A"), _as_matrix(c, "C")
-    _require(a.shape[1] == c.shape[1], f"A and C must share columns, got {a.shape} and {c.shape}")
-    q = a.shape[1]
-    return Pencil(_hermitize(a.conj().T @ a), _hermitize(c.conj().T @ c),
-                  "sq-qsvd", (q,))
-
-
-def build_aug_qsvd(a, c) -> Pencil:
-    """``([0 A; A* 0], [I 0; 0 C*C])`` of order p+q."""
-    a, c = _as_matrix(a, "A"), _as_matrix(c, "C")
-    _require(a.shape[1] == c.shape[1], f"A and C must share columns, got {a.shape} and {c.shape}")
+def _aug(formulation, a, b=None, c=None) -> Pencil:
+    a, b, c = _checked(a, b, c)
     p, q = a.shape
     lhs = np.zeros((p + q, p + q), dtype=np.complex128)
     lhs[:p, p:] = a
     lhs[p:, :p] = a.conj().T
     rhs = np.zeros_like(lhs)
-    rhs[:p, :p] = np.eye(p)
-    rhs[p:, p:] = _hermitize(c.conj().T @ c)
-    return Pencil(lhs, rhs, "aug-qsvd", (p, q))
+    rhs[:p, :p] = np.eye(p) if b is None else _hermitize(b @ b.conj().T)
+    rhs[p:, p:] = np.eye(q) if c is None else _hermitize(c.conj().T @ c)
+    return Pencil(lhs, rhs, formulation, (p, q))
 
 
-def build_aug_rsvd(a, b, c) -> Pencil:
-    """``([0 A; A* 0], [BB* 0; 0 C*C])`` of order p+q."""
-    a, b, c = _as_matrix(a, "A"), _as_matrix(b, "B"), _as_matrix(c, "C")
-    _require(b.shape[0] == a.shape[0], f"B must have {a.shape[0]} rows, got {b.shape[0]}")
-    _require(c.shape[1] == a.shape[1], f"C must have {a.shape[1]} columns, got {c.shape[1]}")
+def _cpf(formulation, a, b=None, c=None) -> Pencil:
+    """lhs = diag([0 A; A* 0], I, I); rhs has B in block (1,3), C* in (2,4)
+    and their conjugate transposes mirrored below the diagonal."""
+    a, b, c = _checked(a, b, c)
     p, q = a.shape
-    lhs = np.zeros((p + q, p + q), dtype=np.complex128)
-    lhs[:p, p:] = a
-    lhs[p:, :p] = a.conj().T
-    rhs = np.zeros_like(lhs)
-    rhs[:p, :p] = _hermitize(b @ b.conj().T)
-    rhs[p:, p:] = _hermitize(c.conj().T @ c)
-    return Pencil(lhs, rhs, "aug-rsvd", (p, q))
-
-
-def _cpf_blocks(a, b13, b24, dim3, dim4, formulation):
-    """Assemble the common 4x4 layout shared by all cpf builders.
-
-    lhs = diag([0 A; A* 0], I, I), rhs has ``b13`` in block (1,3), ``b24``
-    in (2,4) and their conjugate transposes mirrored below the diagonal.
-    """
-    p, q = a.shape
-    blocks = (p, q, dim3, dim4)
+    b13 = np.eye(p, dtype=np.complex128) if b is None else b
+    b24 = np.eye(q, dtype=np.complex128) if c is None else c.conj().T
+    blocks = (p, q, b13.shape[1], b24.shape[1])
     off = np.concatenate(([0], np.cumsum(blocks)))
-    k = off[-1]
-    lhs = np.zeros((k, k), dtype=np.complex128)
-    rhs = np.zeros((k, k), dtype=np.complex128)
+    lhs = np.zeros((off[-1], off[-1]), dtype=np.complex128)
+    rhs = np.zeros_like(lhs)
     s = [slice(off[i], off[i + 1]) for i in range(4)]
     lhs[s[0], s[1]] = a
     lhs[s[1], s[0]] = a.conj().T
-    lhs[s[2], s[2]] = np.eye(dim3)
-    lhs[s[3], s[3]] = np.eye(dim4)
+    lhs[s[2], s[2]] = np.eye(blocks[2])
+    lhs[s[3], s[3]] = np.eye(blocks[3])
     rhs[s[0], s[2]] = b13
     rhs[s[1], s[3]] = b24
     rhs[s[2], s[0]] = b13.conj().T
@@ -172,32 +146,44 @@ def _cpf_blocks(a, b13, b24, dim3, dim4, formulation):
     return Pencil(lhs, rhs, formulation, blocks)
 
 
+def build_sq_svd(a) -> Pencil:
+    """``(A*A, I)`` of order q; eigenvalues are squared singular values."""
+    return _sq("sq-svd", a)
+
+
+def build_aug_svd(a) -> Pencil:
+    """``([0 A; A* 0], I)`` of order p+q; eigenvalues come in +-sigma pairs."""
+    return _aug("aug-svd", a)
+
+
+def build_sq_qsvd(a, c) -> Pencil:
+    """``(A*A, C*C)`` of order q."""
+    return _sq("sq-qsvd", a, c)
+
+
+def build_aug_qsvd(a, c) -> Pencil:
+    """``([0 A; A* 0], [I 0; 0 C*C])`` of order p+q."""
+    return _aug("aug-qsvd", a, c=c)
+
+
+def build_aug_rsvd(a, b, c) -> Pencil:
+    """``([0 A; A* 0], [BB* 0; 0 C*C])`` of order p+q."""
+    return _aug("aug-rsvd", a, b, c)
+
+
 def build_cpf_svd(a) -> Pencil:
     """Cross-product-free pencil of the ordinary SVD, order 2(p+q)."""
-    a = _as_matrix(a, "A")
-    _require(a.size > 0, "A must be nonempty")
-    p, q = a.shape
-    return _cpf_blocks(a, np.eye(p, dtype=np.complex128), np.eye(q, dtype=np.complex128),
-                       p, q, "cpf-svd")
+    return _cpf("cpf-svd", a)
 
 
 def build_cpf_qsvd(a, c) -> Pencil:
     """Cross-product-free pencil of the QSVD, order p+q+p+n."""
-    a, c = _as_matrix(a, "A"), _as_matrix(c, "C")
-    _require(a.shape[1] == c.shape[1], f"A and C must share columns, got {a.shape} and {c.shape}")
-    p = a.shape[0]
-    n = c.shape[0]
-    return _cpf_blocks(a, np.eye(p, dtype=np.complex128), c.conj().T, p, n, "cpf-qsvd")
+    return _cpf("cpf-qsvd", a, c=c)
 
 
 def build_cpf_rsvd(a, b, c) -> Pencil:
     """Cross-product-free pencil of the RSVD, order p+q+m+n."""
-    a, b, c = _as_matrix(a, "A"), _as_matrix(b, "B"), _as_matrix(c, "C")
-    _require(b.shape[0] == a.shape[0], f"B must have {a.shape[0]} rows, got {b.shape[0]}")
-    _require(c.shape[1] == a.shape[1], f"C must have {a.shape[1]} columns, got {c.shape[1]}")
-    m = b.shape[1]
-    n = c.shape[0]
-    return _cpf_blocks(a, b, c.conj().T, m, n, "cpf-rsvd")
+    return _cpf("cpf-rsvd", a, b, c)
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ from .eigensolve import (
     GeneralizedEigenvalue,
 )
 from .kcf import predict_kcf, spectrum_counts_check
-from .pencils import Pencil
+from .pencils import FORMULATIONS, Pencil
 
 TRIPLET_REGULAR = "regular"
 TRIPLET_110 = "one-one-zero"
@@ -60,6 +60,9 @@ class Quadruple:
 
     ``phase_residual`` is the relative spread of the members after undoing
     the quarter-turn rotations; it is zero for an exact quadruple.
+    ``member_indices`` are the members' positions among the grouped values;
+    from :func:`classify_spectrum` they are positions in ``sol.values``, the
+    eigenvector columns that :func:`extract_vectors` reads.
     """
 
     members: tuple[GeneralizedEigenvalue, ...]
@@ -164,7 +167,7 @@ def geometric_mean_sigma(lams) -> float:
     return float(np.sqrt(mags[0] * mags[1] * mags[2] * mags[3]))
 
 
-def _sigma_to_triplet(sigma: float, kind: str, phase_residual: float) -> SingularTriplet:
+def _sigma_to_triplet(sigma: float, phase_residual: float) -> SingularTriplet:
     # representative of the scaling class: beta = 1, alpha^2 + gamma^2 = 1
     gamma = 1.0 / math.hypot(1.0, sigma)
     alpha = sigma * gamma
@@ -179,9 +182,6 @@ class SpectrumClassification:
     quadruples: tuple[Quadruple, ...]
     eigenvalue_counts: dict
 
-    def count(self, kind: str) -> int:
-        return sum(1 for t in self.triplets if t.kind == kind)
-
 
 def classify_spectrum(sol: EigenSolution, kind: str, dims,
                       partition=None) -> SpectrumClassification:
@@ -195,11 +195,13 @@ def classify_spectrum(sol: EigenSolution, kind: str, dims,
     dims : tuple
         Input matrix dimensions: (p, q) / (p, q, n) / (p, q, m, n).
     partition : optional
-        Known structure partition.  Required for restricted problems whose
-        spectrum contains infinite eigenvalues: eigenvalue counts alone
+        Known structure partition, read by the rsvd branch alone: there the
+        counts are checked against its prediction, and it is required when
+        the spectrum has infinite eigenvalues, since eigenvalue counts alone
         cannot split the infinite families (two sizes of blocks at
-        infinity), while for quotient problems the split is solvable from
-        the counts and dimensions.
+        infinity).  svd and qsvd take their structure from the counts and
+        ``dims`` (the quotient split is solvable from them) and ignore a
+        partition passed to them.
     """
     if kind not in ("svd", "qsvd", "rsvd"):
         raise ValueError(f"unknown kind {kind!r}")
@@ -211,9 +213,11 @@ def classify_spectrum(sol: EigenSolution, kind: str, dims,
     if n_zero % 2:
         raise GroupingError(f"zero eigenvalue count {n_zero} is odd")
 
-    finite_vals = [v for v in sol.values if v.kind == CLASS_FINITE]
-    quads = group_quadruples(finite_vals)
-    triplets = [_sigma_to_triplet(q.sigma, kind, q.phase_residual) for q in quads]
+    finite = [i for i, v in enumerate(sol.values) if v.kind == CLASS_FINITE]
+    # member indices point into sol.values, where the classes interleave
+    quads = [Quadruple(q.members, tuple(finite[i] for i in q.member_indices), q.sigma,
+                       q.phase_residual) for q in group_quadruples([sol.values[i] for i in finite])]
+    triplets = [_sigma_to_triplet(q.sigma, q.phase_residual) for q in quads]
 
     n110 = n101 = n100 = 0
     if kind == "svd":
@@ -261,8 +265,7 @@ def classify_spectrum(sol: EigenSolution, kind: str, dims,
     return SpectrumClassification(tuple(triplets), tuple(quads), counts)
 
 
-def extract_vectors(sol: EigenSolution, quad: Quadruple, kind: str,
-                    pencil: Pencil, a, b=None, c=None) -> RecoveredVectors:
+def extract_vectors(sol: EigenSolution, quad: Quadruple, pencil: Pencil) -> RecoveredVectors:
     """Slice one quadruple's eigenvector into singular vector estimates.
 
     The eigenvector blocks of the cpf pencils are, up to a common scale,
@@ -270,11 +273,16 @@ def extract_vectors(sol: EigenSolution, quad: Quadruple, kind: str,
     (with ``beta^-1 x`` in the first block for restricted ones).  ``u`` is
     normalized from the third block, ``v`` from the fourth, and the second
     block is rescaled by the least-squares factor minimizing
-    ``|A z - sigma B u|^2 + |C z - v|^2``.
+    ``|A z - sigma B u|^2 + |C z - v|^2``.  ``A``, ``B`` and ``C*`` are read
+    from the pencil's blocks (1,2), (1,3) and (2,4), where ordinary and
+    quotient pencils hold identities; a pencil of another family raises
+    ``ValueError``.
     """
+    form = FORMULATIONS.get(pencil.formulation)
+    if form is None or form.family != "cpf":
+        raise ValueError(f"extract_vectors needs a cpf pencil, got {pencil.formulation!r}")
     if sol.vectors is None:
         raise ValueError("values-only solution: solve with vectors=True to extract vectors")
-    a = np.atleast_2d(np.asarray(a, dtype=np.complex128))
     member = None
     for idx, val in zip(quad.member_indices, quad.members):
         if val.kind == CLASS_FINITE:
@@ -287,9 +295,13 @@ def extract_vectors(sol: EigenSolution, quad: Quadruple, kind: str,
     _, idx, val = member
     w = sol.vectors[:, idx]
     off = pencil.row_offsets()
-    w1, w2, w3, w4 = (w[off[i]:off[i + 1]] for i in range(4))
+    s = [slice(off[i], off[i + 1]) for i in range(4)]
+    a = np.ascontiguousarray(pencil.lhs[s[0], s[1]])
+    bmat = np.ascontiguousarray(pencil.rhs[s[0], s[2]])
+    cmat = np.ascontiguousarray(pencil.rhs[s[1], s[3]].conj().T)
+    w1, w2, w3, w4 = (w[blk] for blk in s)
     floor = NORM_FLOOR * np.linalg.norm(w)
-    needed = [w2, w3, w4] + ([w1] if kind == "rsvd" else [])
+    needed = [w2, w3, w4] + ([w1] if form.kind == "rsvd" else [])
     if any(np.linalg.norm(blk) <= floor for blk in needed):
         raise ValueError("degenerate eigenvector: a block norm is below the floor")
 
@@ -301,18 +313,6 @@ def extract_vectors(sol: EigenSolution, quad: Quadruple, kind: str,
     v = v / np.linalg.norm(v)
 
     sigma = quad.sigma
-    if kind == "svd":
-        bmat = np.eye(a.shape[0], dtype=np.complex128)
-        cmat = np.eye(a.shape[1], dtype=np.complex128)
-    elif kind == "qsvd":
-        bmat = np.eye(a.shape[0], dtype=np.complex128)
-        cmat = np.atleast_2d(np.asarray(c, dtype=np.complex128))
-    elif kind == "rsvd":
-        bmat = np.atleast_2d(np.asarray(b, dtype=np.complex128))
-        cmat = np.atleast_2d(np.asarray(c, dtype=np.complex128))
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-
     az = a @ w2
     cz = cmat @ w2
     target_a = sigma * (bmat @ u)
@@ -324,7 +324,7 @@ def extract_vectors(sol: EigenSolution, quad: Quadruple, kind: str,
     residual_c = float(np.linalg.norm(cmat @ z - v))
 
     x = None
-    if kind == "rsvd":
+    if form.kind == "rsvd":
         bw1 = bmat.conj().T @ w1
         xi = np.vdot(bw1, u) / np.vdot(bw1, bw1).real
         x = xi * w1

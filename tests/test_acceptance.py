@@ -296,7 +296,7 @@ def test_criterion_9_eigenvector_extraction():
         norm_a = np.linalg.norm(prob.a, 2)
         norm_c = np.linalg.norm(prob.c, 2)
         for quad in cls.quadruples:
-            rec = extract_vectors(sol, quad, "qsvd", pencil, prob.a, c=prob.c)
+            rec = extract_vectors(sol, quad, pencil)
             nz = np.linalg.norm(rec.z)
             worst_a = max(worst_a, rec.residual_a / (norm_a * nz))
             worst_c = max(worst_c, rec.residual_c / (norm_c * nz))

@@ -24,7 +24,6 @@ from pencilsvd.kcf import (
     KIND_ZERO_BLOCK,
     KcfBlock,
     PartitionError,
-    lemma_pencil,
     lemma_reduce,
     partition_for,
     partition_from_ranks,
@@ -217,7 +216,7 @@ def test_lemma_rejects_nonpositive():
 def test_lemma_pencil_spectrum():
     import scipy.linalg as sla
 
-    pen = lemma_pencil(alpha=0.8, beta=0.5, gamma=0.4)
+    pen = build_cpf_rsvd([[0.8]], [[0.5]], [[0.4]])
     sigma = 0.8 / (0.5 * 0.4)
     root = np.sqrt(sigma)
     got = sorted(sla.eigvals(pen.lhs, pen.rhs), key=lambda z: (round(z.real, 9), z.imag))

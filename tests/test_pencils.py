@@ -89,13 +89,27 @@ def test_cpf_qsvd_scalar_spectrum():
 
 
 def test_cpf_rsvd_identity_reduction():
+    # an identity B or C gives the pencil of the problem without it: the
+    # family assemblers read an absent B or C as the identity.  The sq and
+    # aug pairs agree bit for bit; the cpf pair up to the sign of zero
+    # imaginary parts, since its (2,4) block is the conjugated identity C*
     rng = np.random.default_rng(1)
     a = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-    full = build_cpf_rsvd(a, np.eye(2), np.eye(3))
-    base = build_cpf_svd(a)
-    assert np.array_equal(full.lhs, base.lhs)
-    assert np.array_equal(full.rhs, base.rhs)
-    assert full.row_blocks == base.row_blocks
+    c = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    i2, i3 = np.eye(2), np.eye(3)
+    pairs = [
+        (build_cpf_rsvd(a, i2, i3), build_cpf_svd(a)),
+        (build_aug_rsvd(a, i2, c), build_aug_qsvd(a, c)),
+        (build_aug_qsvd(a, i3), build_aug_svd(a)),
+        (build_sq_qsvd(a, i3), build_sq_svd(a)),
+    ]
+    for full, base in pairs:
+        assert np.array_equal(full.lhs, base.lhs), full.formulation
+        assert np.array_equal(full.rhs, base.rhs), full.formulation
+        assert full.row_blocks == base.row_blocks
+        if full.formulation != "cpf-rsvd":
+            assert full.lhs.tobytes() == base.lhs.tobytes(), full.formulation
+            assert full.rhs.tobytes() == base.rhs.tobytes(), full.formulation
 
 
 def test_cpf_shapes_and_blocks():
@@ -104,9 +118,9 @@ def test_cpf_shapes_and_blocks():
     c = rng.standard_normal((2, 4))
     b = rng.standard_normal((3, 5))
     pq = build_cpf_qsvd(a, c)
-    assert pq.dim == 3 + 4 + 3 + 2 and pq.row_blocks == (3, 4, 3, 2)
+    assert pq.lhs.shape[0] == 3 + 4 + 3 + 2 and pq.row_blocks == (3, 4, 3, 2)
     pr = build_cpf_rsvd(a, b, c)
-    assert pr.dim == 3 + 4 + 5 + 2 and pr.row_blocks == (3, 4, 5, 2)
+    assert pr.lhs.shape[0] == 3 + 4 + 5 + 2 and pr.row_blocks == (3, 4, 5, 2)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

@@ -6,10 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pencilsvd.eigensolve import solve_general
+from helpers import DEFLATING_COUNTS, structured_problem
+from pencilsvd.eigensolve import CLASS_FINITE, solve_general
 from pencilsvd.genmat import GeneratorConfig, generate_qsvd
 from pencilsvd.kcf import partition_for
-from pencilsvd.pencils import build_cpf_qsvd, build_cpf_rsvd, build_cpf_svd
+from pencilsvd.pencils import (
+    FORMULATIONS,
+    build_aug_rsvd,
+    build_cpf_qsvd,
+    build_cpf_rsvd,
+    build_cpf_svd,
+    generic_pencil,
+)
 from pencilsvd.recovery import (
     TRIPLET_100,
     TRIPLET_011,
@@ -246,7 +254,7 @@ def test_extract_vectors_scalar_qsvd():
     pencil = build_cpf_qsvd(a, c)
     sol = solve_general(pencil, vectors=True)
     cls = classify_spectrum(sol, "qsvd", (1, 1, 1))
-    rec = extract_vectors(sol, cls.quadruples[0], "qsvd", pencil, a, c=c)
+    rec = extract_vectors(sol, cls.quadruples[0], pencil)
     assert rec.u == pytest.approx(np.array([1.0 + 0j]))
     assert abs(abs(rec.v[0]) - 1.0) <= 1e-13
     assert rec.z[0] == pytest.approx(1.0 + 0j, abs=1e-10)
@@ -263,7 +271,7 @@ def test_extract_vectors_rejects_a_values_only_solution():
     # and the vectors were never computed
     cls = classify_spectrum(sol, "qsvd", (1, 1, 1))
     with pytest.raises(ValueError, match="values-only"):
-        extract_vectors(sol, cls.quadruples[0], "qsvd", pencil, a, c=c)
+        extract_vectors(sol, cls.quadruples[0], pencil)
 
 
 def test_extract_vectors_cpf_svd_diag():
@@ -271,7 +279,7 @@ def test_extract_vectors_cpf_svd_diag():
     pencil = build_cpf_svd(a)
     sol = solve_general(pencil, vectors=True)
     cls = classify_spectrum(sol, "svd", (1, 1))
-    rec = extract_vectors(sol, cls.quadruples[0], "svd", pencil, a)
+    rec = extract_vectors(sol, cls.quadruples[0], pencil)
     assert rec.u == pytest.approx(np.array([1.0 + 0j]))
     assert rec.z == pytest.approx(np.array([1.0 + 0j]), abs=1e-10)
     assert rec.residual_a <= 1e-12
@@ -288,13 +296,65 @@ def test_extract_vectors_rsvd_identity_reduction():
     cls_r = classify_spectrum(sol_r, "rsvd", (2, 2, 2, 2))
     cls_s = classify_spectrum(sol_s, "svd", (2, 2))
     for qr, qs in zip(cls_r.quadruples, cls_s.quadruples):
-        rr = extract_vectors(sol_r, qr, "rsvd", pencil_r, a, b=np.eye(2), c=np.eye(2))
-        rs = extract_vectors(sol_s, qs, "svd", pencil_s, a)
+        rr = extract_vectors(sol_r, qr, pencil_r)
+        rs = extract_vectors(sol_s, qs, pencil_s)
         assert rr.sigma == pytest.approx(rs.sigma, rel=1e-12)
         assert np.allclose(np.abs(rr.u), np.abs(rs.u), atol=1e-10)
         assert rr.residual_a <= 1e-10 and rr.residual_c <= 1e-10
         assert rr.x is not None
         assert np.allclose(np.abs(rr.x / np.linalg.norm(rr.x)), np.abs(rs.u), atol=1e-8)
+
+
+def test_extract_vectors_rsvd_general_b_and_c():
+    # B is p x m with m != p and C is n x q with n != q; extract_vectors
+    # reads both from the pencil's blocks (1,3) and (2,4)
+    rng = np.random.default_rng(3)
+
+    def draw(rows, cols):
+        return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+    a, b, c = draw(3, 2), draw(3, 4), draw(3, 2)
+    pencil = build_cpf_rsvd(a, b, c)
+    # B's null direction gives Jordan blocks at infinity: classify at the
+    # structure tolerance, with the partition from the ranks
+    sol = solve_general(pencil, class_tol_rel=1e-4, vectors=True)
+    cls = classify_spectrum(sol, "rsvd", (3, 2, 4, 3), partition=partition_for(a, b, c))
+    assert len(cls.quadruples) == 2
+    for quad in cls.quadruples:
+        rec = extract_vectors(sol, quad, pencil)
+        assert (rec.u.shape, rec.v.shape, rec.z.shape, rec.x.shape) == ((4,), (3,), (2,), (3,))
+        assert abs(np.linalg.norm(rec.u) - 1) <= 1e-13
+        assert abs(np.linalg.norm(rec.v) - 1) <= 1e-13
+        scale = np.linalg.norm(rec.z)
+        assert np.linalg.norm(a @ rec.z - rec.sigma * (b @ rec.u)) <= 1e-12 * scale
+        assert np.linalg.norm(c @ rec.z - rec.v) <= 1e-12 * scale
+        assert rec.residual_a <= 1e-12 * scale and rec.residual_c <= 1e-12 * scale
+        # x comes from the first block: B* x = u
+        assert np.linalg.norm(b.conj().T @ rec.x - rec.u) <= 1e-12
+
+    # a pencil of another family carries no cpf blocks to read
+    for other in (build_aug_rsvd(a, b, c), generic_pencil(pencil.lhs, pencil.rhs)):
+        with pytest.raises(ValueError, match="needs a cpf pencil"):
+            extract_vectors(sol, cls.quadruples[0], other)
+
+
+def test_extract_vectors_after_non_finite_values():
+    # QZ interleaves the classes, so finite values can follow zero or
+    # infinite ones; classify_spectrum's member indices point into
+    # sol.values, and every quadruple's vectors satisfy their relations
+    interleaved = False
+    for kind, counts in DEFLATING_COUNTS:
+        part, _, inputs, _ = structured_problem(kind, counts, np.random.default_rng(4))
+        pencil = FORMULATIONS[f"cpf-{kind}"].build_from(inputs)
+        sol = solve_general(pencil, class_tol_rel=1e-4, vectors=True)
+        kinds = [v.kind for v in sol.values]
+        interleaved |= kinds.index(CLASS_FINITE) > 0
+        dims = tuple(pencil.row_blocks[i] for i in ((0, 1, 3) if kind == "qsvd" else (0, 1, 2, 3)))
+        for quad in classify_spectrum(sol, kind, dims, partition=part).quadruples:
+            assert all(kinds[i] == CLASS_FINITE for i in quad.member_indices)
+            rec = extract_vectors(sol, quad, pencil)
+            assert rec.residual_a <= 1e-12 and rec.residual_c <= 1e-12, (kind, counts)
+    assert interleaved
 
 
 def test_extract_vectors_unit_norms():
@@ -305,7 +365,7 @@ def test_extract_vectors_unit_norms():
     sol = solve_general(pencil, vectors=True)
     cls = classify_spectrum(sol, "qsvd", (3, 3, 3))
     for quad in cls.quadruples:
-        rec = extract_vectors(sol, quad, "qsvd", pencil, a, c=c)
+        rec = extract_vectors(sol, quad, pencil)
         assert abs(np.linalg.norm(rec.u) - 1) <= 1e-13
         assert abs(np.linalg.norm(rec.v) - 1) <= 1e-13
         lead = np.flatnonzero(np.abs(rec.u) > 1e-8)[0]
