@@ -14,9 +14,11 @@ from .bench import (
     write_sweep_csv,
 )
 from .ddarith import dd_to_decimal_string
-from .eigensolve import CLASS_FINITE, solve_general
+from .eigensolve import STRUCTURE_CLASS_TOL, solve_general
 from .genmat import GeneratorConfig, generate
 from .kcf import (
+    KIND_N,
+    KIND_ZERO_BLOCK,
     partition_for,
     partition_from_ranks,
     predict_kcf,
@@ -26,7 +28,7 @@ from .kcf import (
 )
 from .matcore import rank_with_tol, read_matrix_text, write_matrix_text
 from .pencils import FORMULATIONS, problem_kind
-from .recovery import GroupingError, classify_spectrum, group_quadruples
+from .recovery import GroupingError, classify_spectrum
 
 
 def _add_problem_args(parser, n, kappa_x):
@@ -89,23 +91,44 @@ def cmd_solve(args):
     if args.recover and args.formulation != "cpf":
         raise ValueError("--recover needs the cpf formulation")
     mats = _load_inputs(args)
-    pencil, kind = _build_pencil(args.formulation, mats)
-    sol = solve_pencil(pencil)
+    if args.formulation == "cpf":
+        sol, kind, partition = _solve_cpf(mats)
+    else:
+        sol = solve_pencil(_build_pencil(args.formulation, mats)[0])
     for v in sol.values:
         lam = v.value
         print(f"{lam.real:.16e} {lam.imag:.16e} {v.kind}")
     if args.recover:
-        dims = {"svd": (pencil.row_blocks[0], pencil.row_blocks[1]),
-                "qsvd": (pencil.row_blocks[0], pencil.row_blocks[1], pencil.row_blocks[3]),
-                "rsvd": (pencil.row_blocks[0], pencil.row_blocks[1],
-                         pencil.row_blocks[2], pencil.row_blocks[3])}[kind]
-        partition = None
-        if kind == "rsvd":
-            partition = partition_for(mats["a"], mats["b"], mats["c"])
-        cls = classify_spectrum(sol, kind, dims, partition=partition)
-        for t in cls.triplets:
+        for t in _classify(sol, kind, partition).triplets:
             print(f"{t.kind} {t.alpha:.16e} {t.beta:.16e} {t.gamma:.16e} "
                   f"{t.sigma:.16e} {t.phase_residual:.3e}")
+
+
+def _solve_cpf(mats):
+    """``(solution, kind, partition)`` of the inputs' cpf pencil.
+
+    Roundoff splits a size-k block at zero or infinity into values of size
+    ``eps**(1/k)`` (Van Dooren, LAA 27, 1979), so the pencil is classified
+    at ``STRUCTURE_CLASS_TOL`` when the ranks predict any block besides the
+    sigma quadruples, and at the regular default otherwise.
+    """
+    pencil, kind = _build_pencil("cpf", mats)
+    partition = partition_for(mats["a"], mats.get("b"), mats.get("c"))
+    structured = pencil.lhs.shape[0] > 4 * partition.p1
+    sol = solve_general(pencil, class_tol_rel=STRUCTURE_CLASS_TOL if structured else None)
+    return sol, kind, partition
+
+
+def _classify(sol, kind, partition):
+    """``classify_spectrum`` of a ``_solve_cpf`` solution, held to the
+    number of values the ranks predict."""
+    # the input sizes (p, q[, m][, n]) are those of the partition
+    dims = tuple(getattr(partition, d) for d in "pqmn" if hasattr(partition, d))
+    cls = classify_spectrum(sol, kind, dims, partition=partition)
+    if len(cls.quadruples) != partition.p1:
+        raise GroupingError(f"recovered {len(cls.quadruples)} {kind} values, "
+                            f"expected {partition.p1}")
+    return cls
 
 
 def cmd_kcf(args):
@@ -129,41 +152,30 @@ def cmd_kcf(args):
                                   v=problem.v, x=problem.x, y=problem.y)
         print(f"verification: stage1 off-structure {report.stage1_off:.3e}, "
               f"stage2 {report.stage2_off:.3e}, relative {report.relative:.3e}")
-        sol = solve_general(pencil, class_tol_rel=args.class_tol)
+        sol = solve_general(pencil)
         check = spectrum_counts_check(sol, structure)
         status = "ok" if check.ok else f"MISMATCH {check.mismatches()}"
         print(f"spectrum counts vs prediction: {status}")
         return
 
     mats = _load_inputs(args)
-    kind = problem_kind(mats.get("b"), mats.get("c"))
-    partition = partition_for(mats["a"], mats.get("b"), mats.get("c"))
-    sigmas = ()
-    if kind == "svd":
+    if problem_kind(mats.get("b"), mats.get("c")) == "svd":
+        # the singular values of A themselves, with no class threshold
+        kind, partition = "svd", partition_for(mats["a"])
         sigmas = rank_with_tol(mats["a"]).values[: partition.p1]
-    elif partition.p1:
-        sigmas = _cpf_sigmas(mats, kind, partition.p1, args.class_tol)
+    else:
+        sol, kind, partition = _solve_cpf(mats)
+        sigmas = [q.sigma for q in _classify(sol, kind, partition).quadruples]
     structure = predict_kcf(f"{args.formulation}-{kind}", partition, sigmas)
     _print_structure(structure)
-
-
-def _cpf_sigmas(mats, kind, p1, class_tol):
-    """Finite nonzero quotient or restricted values via the cpf pencil itself."""
-    pencil, _ = _build_pencil("cpf", mats)
-    sol = solve_general(pencil, class_tol_rel=class_tol)
-    finite = [v for v in sol.values if v.kind == CLASS_FINITE]
-    quads = group_quadruples(finite)
-    if len(quads) != p1:
-        raise SystemExit(f"recovered {len(quads)} {kind} values, expected {p1}")
-    return [q.sigma for q in quads]
 
 
 def _print_structure(structure):
     print(f"predicted canonical structure ({structure.rows} x {structure.cols}):")
     for b in sorted(structure.blocks, key=lambda b: (b.kind, b.rows)):
-        if b.kind == "zero-block":
+        if b.kind == KIND_ZERO_BLOCK:
             print(f"  zero block {b.rows} x {b.cols}")
-        elif b.kind == "n-infinite":
+        elif b.kind == KIND_N:
             print(f"  N_{b.rows} (infinite eigenvalue)")
         else:
             z = b.eigenvalue
@@ -217,7 +229,6 @@ def main(argv=None):
                         "transformation chain against its exact factors")
     k.add_argument("--kind", choices=("qsvd", "rsvd"), default="qsvd")
     _add_problem_args(k, n=4, kappa_x=10.0)
-    k.add_argument("--class-tol", dest="class_tol", type=float, default=1e-4)
     k.set_defaults(func=cmd_kcf)
 
     w = sub.add_parser("sweep", help="median-max chordal error sweep, CSV out")
@@ -240,9 +251,10 @@ def main(argv=None):
     except GroupingError as exc:
         # a spectrum that cannot be grouped is a result, not misuse
         raise SystemExit(str(exc)) from exc
-    except ValueError as exc:
-        # invalid values the library rejects (a kappa, a matrix file) are
-        # usage errors: exit 2 with the message, not a traceback
+    except (ValueError, OSError) as exc:
+        # invalid values the library rejects (a kappa, a matrix file) and
+        # files it cannot open are usage errors: exit 2 with the message
+        # (which names the file), not a traceback
         parser.error(str(exc))
 
 

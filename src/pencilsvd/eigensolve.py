@@ -21,7 +21,7 @@ dimension.  Every pencil the builders make is exactly Hermitian on both
 sides, so its left null space is its right one: that one SVD gives the
 basis ``W``, and deflation is the congruence ``W* (lhs, rhs) W`` (Van
 Dooren, LAA 27, 1979).  Only a pencil that is not Hermitian (a generic
-one) also takes the SVD of ``[lhs, rhs]`` for its left null space.  It
+one) also takes the SVD of ``[lhs*; rhs*]`` for its left null space.  It
 returns values by default; ``vectors=True`` adds the eigenvectors (the
 null basis for the deflated pairs) and the backward-error verdict.
 """
@@ -45,6 +45,10 @@ CLASS_INDETERMINATE = "indeterminate"
 # per-eigenpair residual bound, relative to (||lhs|| + |lam| ||rhs||) ||x||,
 # that defines the ``backward_stable`` flag of solve_general
 RESIDUAL_TOL = 1e-12
+
+# class threshold for spectra with Jordan blocks at zero or infinity, whose
+# roundoff splits a size-k block into values of size eps**(1/k)
+STRUCTURE_CLASS_TOL = 1e-4
 
 
 class NotDefiniteError(np.linalg.LinAlgError):
@@ -104,35 +108,14 @@ def classify_pair(alpha_e: complex, beta_e: complex, tol_zero: float, tol_inf: f
     return CLASS_FINITE
 
 
-def _common_nullspaces(lhs, rhs, tol_rel):
-    """Common right null basis, right and left keep bases, and both nullities.
-
-    The SVD of ``[lhs; rhs]`` gives the right ones.  A Hermitian pencil has
-    ``[lhs, rhs] = [lhs; rhs]*``, so its left ones are the same; any other
-    pencil takes the SVD of ``[lhs, rhs]`` for them (its singular values
-    alone when there is no right null vector).
-    """
+def _null_split(lhs, rhs, tol_rel):
+    """Common right null basis of (lhs, rhs) and its complement, from the
+    SVD of ``[lhs; rhs]``; the left ones are those of ``(lhs*, rhs*)``."""
     k = lhs.shape[0]
-    stacked = np.vstack([lhs, rhs])
-    _, s_r, vh = np.linalg.svd(stacked, full_matrices=False)
-    smax = s_r[0] if s_r.size else 0.0
-    nr = int(np.count_nonzero(s_r <= tol_rel * smax))
-    right_null = vh[k - nr:, :].conj().T if nr else np.zeros((k, 0), dtype=complex)
-    right_keep = vh[: k - nr, :].conj().T
-    if np.array_equal(lhs, lhs.conj().T) and np.array_equal(rhs, rhs.conj().T):
-        return right_null, right_keep, right_keep, nr, nr
-
-    side = np.hstack([lhs, rhs])
-    if not nr:
-        # nothing to deflate, and nothing may be: the left nullity must be
-        # 0 too, which the singular values alone show
-        s_l = np.linalg.svd(side, compute_uv=False)
-        return right_null, right_keep, None, 0, int(np.count_nonzero(s_l <= tol_rel * s_l[0]))
-    u, s_l, _ = np.linalg.svd(side, full_matrices=False)
-    smax = s_l[0] if s_l.size else 0.0
-    nl = int(np.count_nonzero(s_l <= tol_rel * smax))
-    left_keep = u[:, : k - nl]
-    return right_null, right_keep, left_keep, nr, nl
+    _, s, vh = np.linalg.svd(np.vstack([lhs, rhs]), full_matrices=False)
+    nullity = int(np.count_nonzero(s <= tol_rel * s[0]))
+    v = vh.conj().T
+    return v[:, k - nullity:], v[:, : k - nullity]
 
 
 def solve_general(pencil: Pencil, class_tol_rel: float | None = None,
@@ -152,7 +135,8 @@ def solve_general(pencil: Pencil, class_tol_rel: float | None = None,
         ``dim * eps``, which suits regular pencils.  Spectra containing
         Jordan blocks need a looser value: a size-k block at 0 or infinity
         splits under roundoff into eigenvalues of magnitude ``eps**(1/k)``,
-        so count checks against predicted canonical structure use ~1e-4.
+        so count checks against predicted canonical structure use
+        ``STRUCTURE_CLASS_TOL``.
     vectors : bool, optional
         By default the solve returns the eigenvalues alone, with ``vectors``
         and ``backward_stable`` left ``None``: QZ accumulates no ``Q``/``Z``
@@ -173,7 +157,11 @@ def solve_general(pencil: Pencil, class_tol_rel: float | None = None,
     null_vecs = np.zeros((k, 0), dtype=complex)
     w_right = None
     if k > 0:
-        null_vecs, right_keep, left_keep, nr, nl = _common_nullspaces(lhs, rhs, k * EPS)
+        null_vecs, right_keep = _null_split(lhs, rhs, k * EPS)
+        left_keep = right_keep
+        if not (np.array_equal(lhs, lhs.conj().T) and np.array_equal(rhs, rhs.conj().T)):
+            _, left_keep = _null_split(lhs.conj().T, rhs.conj().T, k * EPS)
+        nr, nl = k - right_keep.shape[1], k - left_keep.shape[1]
         if nr != nl:
             raise SingularPencilError(
                 f"common null spaces have unequal dimensions ({nr} right, {nl} left); "

@@ -176,11 +176,10 @@ def _sigma_to_triplet(sigma: float, phase_residual: float) -> SingularTriplet:
 
 @dataclass(frozen=True)
 class SpectrumClassification:
-    """Triplets recovered from a cpf spectrum plus raw eigenvalue counts."""
+    """Triplets recovered from a cpf spectrum and the quadruples behind them."""
 
     triplets: tuple[SingularTriplet, ...]
     quadruples: tuple[Quadruple, ...]
-    eigenvalue_counts: dict
 
 
 def classify_spectrum(sol: EigenSolution, kind: str, dims,
@@ -262,7 +261,7 @@ def classify_spectrum(sol: EigenSolution, kind: str, dims,
     triplets += [SingularTriplet(1.0, 0.0, 0.0, math.inf, TRIPLET_100)] * n100
     triplets += [SingularTriplet(0.0, 1.0, 1.0, 0.0, TRIPLET_011)] * (n_zero // 2)
     triplets += [SingularTriplet(0.0, 0.0, 0.0, math.nan, TRIPLET_TRIVIAL)] * n_ind
-    return SpectrumClassification(tuple(triplets), tuple(quads), counts)
+    return SpectrumClassification(tuple(triplets), tuple(quads))
 
 
 def extract_vectors(sol: EigenSolution, quad: Quadruple, pencil: Pencil) -> RecoveredVectors:

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import DEFLATING_COUNTS, structured_problem
 from pencilsvd import cli
 from pencilsvd.cli import main
 from pencilsvd.matcore import read_matrix_text, write_matrix_text
@@ -75,6 +76,17 @@ def test_solve_reports_entries_beyond_the_header(tmp_path, capsys):
     assert f"error: {path}: content after the 1x2 entries" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["solve", "--formulation", "cpf"], ["kcf"]],
+                         ids=["solve", "kcf"])
+def test_missing_matrix_file_is_a_usage_error(tmp_path, capsys, command):
+    path = tmp_path / "missing.txt"
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--a", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and str(path) in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["solve", "kcf"])
 def test_b_without_c_is_a_usage_error(tmp_path, capsys, command):
     ap, bp = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -131,7 +143,7 @@ def test_solve_requires_a(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", [["solve", "--formulation", "cpf", "--recover"],
-                                     ["kcf", "--class-tol", "1e-20"]])
+                                     ["kcf"]])
 def test_ungroupable_spectrum_is_a_result_not_a_usage_error(tmp_path, command):
     # A = [[1e-20]], B = C = [[1]]: two of the four cpf eigenvalues are exact
     # zeros, so the finite ones cannot form a quadruple
@@ -148,6 +160,36 @@ def test_ungroupable_spectrum_is_a_result_not_a_usage_error(tmp_path, command):
     assert "usage:" not in proc.stdout + proc.stderr
 
 
+def test_solve_prints_an_ungroupable_spectrum(tmp_path, capsys):
+    # the spectrum above, printed without --recover: nothing is grouped
+    mats = {"a": 1e-20, "b": 1.0, "c": 1.0}
+    for name, value in mats.items():
+        write_matrix_text(tmp_path / f"{name}.txt", np.array([[value]]))
+    out = run_cli(capsys, "solve", "--formulation", "cpf",
+                  *(f"--{x}={tmp_path / f'{x}.txt'}" for x in mats))
+    assert len(out.strip().splitlines()) == 4
+
+
+@pytest.mark.parametrize("command", [["solve", "--formulation", "cpf", "--recover"], ["kcf"]],
+                         ids=["solve-recover", "kcf"])
+@pytest.mark.parametrize("kind, counts", DEFLATING_COUNTS)
+def test_rank_structured_files(tmp_path, capsys, kind, counts, command):
+    # Jordan blocks at zero or infinity: the ranks select the structure
+    # class threshold, and the values group
+    _, sigmas, inputs, _ = structured_problem(kind, counts, np.random.default_rng(3))
+    args = []
+    for name, m in inputs.items():
+        write_matrix_text(tmp_path / f"{name}.txt", m)
+        args.append(f"--{name}={tmp_path / f'{name}.txt'}")
+    out = run_cli(capsys, *command, *args)
+    if command[0] == "kcf":
+        assert f"finite-nonzero={4 * len(sigmas)}," in out
+    else:
+        got = sorted(float(ln.split()[4]) for ln in out.splitlines()
+                     if ln.startswith("regular"))
+        assert got == pytest.approx(sigmas, rel=1e-10)
+
+
 def test_kcf_predict_from_files(tmp_path, capsys):
     ap = tmp_path / "a.txt"
     cp = tmp_path / "c.txt"
@@ -160,9 +202,16 @@ def test_kcf_predict_from_files(tmp_path, capsys):
     assert "finite-nonzero=8" in out
 
 
-@pytest.mark.xfail(strict=True, raises=SystemExit, reason=(
-    "shared-scale class threshold (ROADMAP item 5): at --class-tol 1e-4 "
-    "two eigenvalue pairs of this full-rank input classify as indeterminate"))
+def test_kcf_reports_fewer_values_than_the_ranks_predict(tmp_path):
+    # A has full column rank, but its quadruple at sqrt(1e-9) lies inside
+    # the structure class threshold that its zero rows call for
+    ap, cp = tmp_path / "a.txt", tmp_path / "c.txt"
+    write_matrix_text(ap, np.array([[1.0, 0.0], [0.0, 1e-9], [0.0, 0.0]]))
+    write_matrix_text(cp, np.eye(2))
+    with pytest.raises(SystemExit, match="^recovered 1 qsvd values, expected 2$"):
+        main(["kcf", "--a", str(ap), "--c", str(cp)])
+
+
 def test_readme_kcf_example(tmp_path, capsys):
     # the README's Command line example, as printed there
     out = tmp_path / "prob"
@@ -173,19 +222,23 @@ def test_readme_kcf_example(tmp_path, capsys):
     assert "finite-nonzero=16" in text
 
 
-def test_kcf_class_tol_reaches_file_inputs(tmp_path):
-    ap = tmp_path / "a.txt"
-    cp = tmp_path / "c.txt"
-    write_matrix_text(ap, np.diag([2.0, 0.5]))
-    write_matrix_text(cp, np.eye(2))
-    # a class threshold above every |alpha|, |beta| leaves no finite value
-    with pytest.raises(SystemExit, match="recovered 0 qsvd values, expected 2"):
-        main(["kcf", "--a", str(ap), "--c", str(cp), "--class-tol", "1e3"])
+@pytest.mark.parametrize("kappa_y", ["1e7", "1e10"])
+@pytest.mark.parametrize("kind", ["qsvd", "rsvd"])
+def test_kcf_on_generated_files(tmp_path, capsys, kind, kappa_y):
+    # full-rank inputs are classified at the regular default
+    out = tmp_path / "prob"
+    run_cli(capsys, "generate", "--kind", kind, "--n", "4", "--kappa-y", kappa_y,
+            "--out", str(out))
+    text = run_cli(capsys, "kcf", *(f"--{x}={out / f'{x.upper()}.txt'}"
+                                    for x in ("abc" if kind == "rsvd" else "ac")))
+    assert "finite-nonzero=16," in text
 
 
-def test_kcf_generated_verification(capsys):
-    out = run_cli(capsys, "kcf", "--generated", "--kind", "rsvd", "--n", "3",
-                  "--kappa-y", "100", "--kappa-x", "10", "--seed", "2")
+@pytest.mark.parametrize("kind, n, kappa_y", [
+    ("rsvd", "3", "100"), ("qsvd", "4", "1e7"), ("qsvd", "10", "1e10"), ("rsvd", "10", "1e10")])
+def test_kcf_generated_verification(capsys, kind, n, kappa_y):
+    out = run_cli(capsys, "kcf", "--generated", "--kind", kind, "--n", n,
+                  "--kappa-y", kappa_y, "--kappa-x", "10", "--seed", "2")
     assert "verification: " in out
     assert "spectrum counts vs prediction: ok" in out
 
@@ -210,7 +263,7 @@ _PROBLEM_DEFAULTS = dict(kappa_y=10.0, kappa_sigma=10.0, seed=0)
 @pytest.mark.parametrize("argv, want", [
     (["generate", "--kind", "rsvd", "--n", "5", "--out", "p"],
      dict(kind="rsvd", n=5, kappa_x=1.0)),
-    (["kcf"], dict(kind="qsvd", n=4, kappa_x=10.0, formulation="cpf", class_tol=1e-4)),
+    (["kcf"], dict(kind="qsvd", n=4, kappa_x=10.0, formulation="cpf")),
     (["sweep", "--kind", "qsvd", "--axis", "kappa_y", "--grid", "1e1", "--out", "s.csv"],
      dict(kind="qsvd", n=10, kappa_x=10.0, samples=100)),
 ])
