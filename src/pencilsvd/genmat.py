@@ -21,9 +21,10 @@ quotient generator.  ``x_dd`` and ``y_dd`` are ``X`` and ``Y``, which
 Y^-1 = A`` holds to about ``kappa * 1e-16``, enough for the binary64
 reduction checks of :mod:`pencilsvd.kcf`.
 
-Random numbers are generated in binary64 and promoted exactly; everything
-downstream (grids, products, the quotient generator's solves) runs in
-double-double and is rounded to working precision only at the very end.
+Random numbers are generated in binary64 and promoted exactly; the grids
+and products run in double-double, and the quotient generator's solves
+factor ``Y*`` in binary64 and refine in double-double (``cdd_solve``);
+the matrices are rounded to working precision only at the very end.
 The Haar factors are binary64 samples, unitary only to about 1e-16, so
 the grid values match the singular values of the double-double problem to
 5e-18..3e-16 relative (n = 4, kappa_Y = 1e7), not to 30 digits; rounding
@@ -31,11 +32,7 @@ the matrices to binary64 moves the stored problem's values further
 (5e-13..1.3e-10 relative at kappa_Y = 1e7).
 ``truth.txt`` of the CLI prints 30 digits of the grid.  Problems are
 square (p = q = m = n) and full rank by construction.
-
-The grids depend only on ``(n, kappa)``, so each is computed once and
-memoised; problems generated with the same ``(n, kappa)`` share the
-memoised ``sigmas``, ``sigma_alpha`` and ``sigma_gamma``, whose arrays
-are read-only.
+The grids depend only on ``(n, kappa)`` and are memoised (:func:`_grids`).
 """
 
 from __future__ import annotations
@@ -53,6 +50,11 @@ from .matcore import haar_unitary
 
 @dataclass(frozen=True)
 class GeneratorConfig:
+    """Size, condition numbers and seed of a problem.  The quotient
+    generator's ``kappa_y`` range ends where its solves' binary64 LU
+    refinement stops converging, with a ValueError: safe while
+    ``kappa_y * n * eps`` <~ 1e-2, at about 1e17 for n = 4..32."""
+
     n: int
     kappa_sigma: float
     kappa_y: float
@@ -78,9 +80,9 @@ class GeneratedProblem:
     of ``(n, kappa_sigma)``, shared with every problem of that key and
     read-only.  ``y_dd`` is ``Y`` (and ``x_dd`` is ``X`` for rsvd) in
     double-double.  The quotient ``A`` and ``C`` are solved against ``Y``
-    in double-double; the restricted ``A``, ``B`` and ``C`` are built from
-    products whose ``Z_Y`` and ``Z_X`` invert ``Y`` and ``X*`` only to
-    binary64 precision (see the module docstring).
+    (binary64 LU, double-double refinement); the restricted ``A``, ``B``
+    and ``C`` are built from products whose ``Z_Y`` and ``Z_X`` invert
+    ``Y`` and ``X*`` only to binary64 precision (see the module docstring).
     """
 
     kind: str
@@ -169,8 +171,11 @@ def generate_qsvd(config: GeneratorConfig) -> GeneratedProblem:
     v = haar_unitary(n, rng)
     sigmas, alpha, gamma = _grids(n, config.kappa_sigma)
     y_ct = y_dd.conj_t()
-    a_dd = cdd_solve(y_ct, CDD.from_complex(u).conj_t().scaled(alpha[:, None])).conj_t()
-    c_dd = cdd_solve(y_ct, CDD.from_complex(v).conj_t().scaled(gamma[:, None])).conj_t()
+    try:
+        a_dd = cdd_solve(y_ct, CDD.from_complex(u).conj_t().scaled(alpha[:, None])).conj_t()
+        c_dd = cdd_solve(y_ct, CDD.from_complex(v).conj_t().scaled(gamma[:, None])).conj_t()
+    except ZeroDivisionError:  # Y rounds to a singular binary64 matrix
+        raise ValueError(f"kappa_y {config.kappa_y:g} is too large for binary64 LU") from None
     return GeneratedProblem(
         kind="qsvd", config=config,
         a=a_dd.to_complex(), b=None, c=c_dd.to_complex(),

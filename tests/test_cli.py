@@ -49,6 +49,17 @@ def test_generate_rejects_non_finite_kappa(tmp_path, capsys, value):
     assert not out.exists()
 
 
+def test_generate_beyond_the_refinement_range_is_a_usage_error(tmp_path, capsys):
+    # kappa_y * n * eps ~ 2e3: the quotient solves' refinement cannot converge
+    out = tmp_path / "prob"
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--kind", "qsvd", "--n", "10", "--kappa-y", "1e18",
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert "error: cdd_solve: refinement stopped converging" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_reports_malformed_matrix_file(tmp_path, capsys):
     path = tmp_path / "a.txt"
     path.write_text("2 1 real\n1.0\n")  # the file ends one entry early

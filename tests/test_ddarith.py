@@ -8,15 +8,22 @@ from hypothesis import strategies as st
 
 from helpers import RefCDD, cdd_diag, ref_cdd_solve
 
+from pencilsvd import ddarith
 from pencilsvd.ddarith import (
     _OUTER_PRODUCT_BUDGET,
+    _REFINE_RESOLUTION,
+    _REFINE_SHRINK,
+    _REFINE_STALL_LIMIT,
     DD,
     CDD,
+    _refinement_stops,
     cdd_solve,
     dd_nth_root,
     dd_pow_int,
     dd_to_decimal_string,
 )
+from pencilsvd.genmat import true_sigma_grid
+from pencilsvd.matcore import haar_unitary
 
 EPS_DD = 2.0 ** -104
 
@@ -177,9 +184,33 @@ def _side_by_side(*blocks: CDD) -> CDD:
                  for part in ("re", "im")))
 
 
-def test_stacked_solve_equals_separate_solves_bitwise():
-    # a tiny (0, 0) entry forces a row swap at step 0; the diagonal block's
-    # exact zeros run through the elimination, and tobytes tells -0.0 from 0.0
+def _columns(x):
+    """A CDD or RefCDD solution as a 2-d CDD, one column per right-hand side."""
+    x = CDD(x.re, x.im)
+    return x if len(x.shape) == 2 else CDD(x.re[:, None], x.im[:, None])
+
+
+def _max_rows(z: CDD) -> np.ndarray:
+    return (np.abs(z.re.hi) + np.abs(z.im.hi)).max(axis=0)
+
+
+def _assert_agrees(a: CDD, b: CDD, got, want, c=4.0):
+    """``got`` and ``want`` solve ``a x = b`` alike: each column differs by
+    at most ``c * n * cond(a) * 2**-104`` of its size, and each residual
+    ``b - a x``, formed in dd, is at most ``c * n * 2**-104 * |a| |x|``."""
+    n = a.shape[0]
+    got, want, b = _columns(got), _columns(want), _columns(b)
+    assert got.shape == want.shape
+    bound = c * n * np.linalg.cond(a.to_complex()) * EPS_DD
+    assert np.all(_max_rows(got - want) <= bound * _max_rows(want))
+    a_norm = (np.abs(a.re.hi) + np.abs(a.im.hi)).sum(axis=1).max()
+    assert np.all(_max_rows(a.matmul(got) - b) <= c * n * EPS_DD * a_norm * _max_rows(got))
+
+
+def test_stacked_solve_agrees_with_separate_solves():
+    # the columns share one stopping rule, so a stacked solve may take a
+    # step that a separate one stops before; both stay at dd accuracy.  A
+    # tiny (0, 0) entry forces a row swap; the diagonal block has exact zeros
     rng = np.random.default_rng(9)
     a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     a[0, 0] = 1e-3 - 1e-3j
@@ -187,10 +218,56 @@ def test_stacked_solve_equals_separate_solves_bitwise():
     b1 = cdd_diag(DD(rng.standard_normal(5)) / DD(np.array(3.0)))
     b2 = CDD.from_complex(rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3)))
     x = cdd_solve(ac, _side_by_side(b1, b2))
-    x1, x2 = cdd_solve(ac, b1), cdd_solve(ac, b2)
-    got = _parts(x[:, :5]) + _parts(x[:, 5:])
-    want = _parts(x1) + _parts(x2)
-    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    _assert_agrees(ac, b1, x[:, :5], cdd_solve(ac, b1))
+    _assert_agrees(ac, b2, x[:, 5:], cdd_solve(ac, b2))
+
+
+def test_refinement_stops_at_each_constant_edge():
+    up = np.nextafter
+    # a correction at the resolution has converged; one just above goes on
+    assert _refinement_stops(_REFINE_RESOLUTION, 1.0)
+    assert not _refinement_stops(up(_REFINE_RESOLUTION, 1.0), 1.0)
+    # shrinking by _REFINE_SHRINK goes on; less has stalled, which is
+    # accepted below the stall limit (2**-71) and raises above it (2**-41)
+    low, high = 2.0 ** -70, 2.0 ** -40
+    assert not _refinement_stops(_REFINE_SHRINK * low, low)
+    assert not _refinement_stops(_REFINE_SHRINK * high, high)
+    assert _refinement_stops(up(_REFINE_SHRINK * low, 1.0), low)
+    with pytest.raises(ValueError, match="stopped converging"):
+        _refinement_stops(up(_REFINE_SHRINK * high, 1.0), high)
+    # a stalled correction at the stall limit is accepted, one above is not
+    assert _refinement_stops(_REFINE_STALL_LIMIT, _REFINE_STALL_LIMIT)
+    with pytest.raises(ValueError, match="stopped converging"):
+        _refinement_stops(up(_REFINE_STALL_LIMIT, 1.0), _REFINE_STALL_LIMIT)
+    with pytest.raises(ValueError, match="stopped converging"):
+        _refinement_stops(float("nan"), 1.0)
+
+
+def _haar_built(n, kappa, seed):
+    """``U diag(eta) V*`` in dd with singular values on the kappa grid."""
+    rng = np.random.default_rng(seed)
+    u, v = (CDD.from_complex(haar_unitary(n, rng)) for _ in range(2))
+    return u.scaled(true_sigma_grid(n, kappa)).matmul(v.conj_t()), rng
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_cdd_solve_raises_when_refinement_diverges(seed):
+    # cond(a) * n * eps ~ 2e3: binary64 LU cannot start the refinement
+    a, rng = _haar_built(10, 1e18, seed)
+    b = CDD.from_complex(rng.standard_normal((10, 2)) + 0j)
+    with pytest.raises(ValueError, match="stopped converging"):
+        cdd_solve(a, b)
+
+
+def test_cdd_solve_stall_is_accepted_only_below_the_stall_limit(monkeypatch):
+    # at cond(a) = 1e10 the corrections stall at the residual's rounding
+    # noise, ~1e-23 relative, above the resolution and below the limit
+    a, rng = _haar_built(10, 1e10, 4)
+    b = CDD.from_complex(rng.standard_normal((10, 3)) + 1j * rng.standard_normal((10, 3)))
+    _assert_agrees(a, b, cdd_solve(a, b), ref_cdd_solve(RefCDD.of(a), RefCDD.of(b)))
+    monkeypatch.setattr(ddarith, "_REFINE_STALL_LIMIT", 1e-30)
+    with pytest.raises(ValueError, match="stopped converging"):
+        cdd_solve(a, b)
 
 
 def test_cdd_diag_and_conj_t():
@@ -251,7 +328,7 @@ def _assert_same_bits(got: CDD, want: RefCDD):
 @given(n=st.integers(1, 12), r=st.integers(1, 24), vector=st.booleans(),
        swap=st.booleans(), diag=st.booleans(), zeros=st.booleans(),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_cdd_solve_matches_operator_reference_bitwise(n, r, vector, swap, diag, zeros, seed):
+def test_cdd_solve_agrees_with_operator_reference(n, r, vector, swap, diag, zeros, seed):
     rng = np.random.default_rng(seed)
     # exact zeros off the diagonal only: the matrix stays nonsingular
     off = (rng.random((n, n)) < 0.3) & ~np.eye(n, dtype=bool) if zeros else None
@@ -271,7 +348,7 @@ def test_cdd_solve_matches_operator_reference_bitwise(n, r, vector, swap, diag, 
         b = _side_by_side(block, b)[:, :r]
     if vector:
         b = b[:, 0]
-    _assert_same_bits(cdd_solve(a, b), ref_cdd_solve(RefCDD.of(a), RefCDD.of(b)))
+    _assert_agrees(a, b, cdd_solve(a, b), ref_cdd_solve(RefCDD.of(a), RefCDD.of(b)))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -2,7 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from helpers import RefCDD, cdd_diag
+from helpers import RefCDD, cdd_diag, ref_cdd_solve
 
 from pencilsvd import genmat
 from pencilsvd.ddarith import CDD, DD, dd_to_decimal_string
@@ -193,6 +193,14 @@ def test_generate_rsvd_sigma_grid_matches_qsvd():
     assert np.array_equal(pq.sigmas.to_float(), pr.sigmas.to_float())
 
 
+@pytest.mark.parametrize("n,seed", [(4, 2), (10, 0)])
+def test_generate_qsvd_beyond_its_kappa_y_range_raises_value_error(n, seed):
+    # at kappa_y = 1e18 binary64 LU of Y* either cannot start the refinement
+    # or meets an exact zero pivot (n = 4, seed 2); both are a ValueError
+    with pytest.raises(ValueError, match="refinement stopped converging|too large"):
+        generate_qsvd(GeneratorConfig(n=n, kappa_sigma=10.0, kappa_y=1e18, seed=seed))
+
+
 def test_generator_determinism():
     cfg = GeneratorConfig(n=4, kappa_sigma=10.0, kappa_y=100.0, seed=29)
     p1 = generate_qsvd(cfg)
@@ -201,24 +209,47 @@ def test_generator_determinism():
     assert np.array_equal(p1.c, p2.c)
 
 
+def _eta(n, kappa):
+    return true_sigma_grid(n, kappa) if kappa > 1.0 else DD(np.ones(n))
+
+
+def _diag(d):
+    return RefCDD.of(cdd_diag(d))
+
+
+def _assert_qsvd_matches_dd_lu(cfg):
+    """``Y = U_Y diag(eta_y) V_Y*`` rebuilt from the same Haar draws, and
+    ``A* = Y^-* Sigma_alpha U*``, ``C* = Y^-* Sigma_gamma V*`` solved by the
+    operator-level dd LU of ``helpers.ref_cdd_solve``: the stored binary64
+    matrices must be their roundings, byte for byte."""
+    q = generate_qsvd(cfg)
+    rng = np.random.default_rng(cfg.seed)
+    uy, vy, u, v = (CDD.from_complex(haar_unitary(cfg.n, rng)) for _ in range(4))
+    y = RefCDD.of(uy).matmul(_diag(_eta(cfg.n, cfg.kappa_y))).matmul(RefCDD.of(vy.conj_t()))
+    y_ct = RefCDD.of(CDD(y.re, y.im).conj_t())
+    for name, f, d in (("a", u, q.sigma_alpha), ("c", v, q.sigma_gamma)):
+        x = ref_cdd_solve(y_ct, _diag(d).matmul(RefCDD.of(f.conj_t())))
+        want = CDD(x.re, x.im).conj_t().to_complex()
+        assert getattr(q, name).tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("n", [4, 10])
+@pytest.mark.parametrize("kappa_y", [10.0 ** e for e in range(1, 11)])
+def test_qsvd_matches_dd_lu_along_kappa_y(n, kappa_y):
+    _assert_qsvd_matches_dd_lu(GeneratorConfig(n=n, kappa_sigma=1e3, kappa_y=kappa_y,
+                                               seed=int(np.log10(kappa_y)) + 100 * n))
+
+
 @pytest.mark.parametrize("n,kappa_sigma,kappa_y,kappa_x,seed", [
     (4, 10.0, 100.0, 50.0, 31),
     (7, 1e6, 1e7, 1e3, 37),
     (10, 1e13, 10.0, 1.0, 41),
 ])
 def test_generators_match_reference_constructions(n, kappa_sigma, kappa_y, kappa_x, seed):
-    # qsvd: rebuild the binary64 matrices with a separate cdd_solve for
-    # every right-hand side, which must round to the same bits
-    from pencilsvd.ddarith import cdd_solve
-
+    # qsvd: the stored A and C against an operator-level dd LU
     cfg = GeneratorConfig(n=n, kappa_sigma=kappa_sigma, kappa_y=kappa_y,
                           kappa_x=kappa_x, seed=seed)
-    q = generate_qsvd(cfg)
-    y_ct = q.y_dd.conj_t()
-    a = cdd_solve(y_ct, CDD.from_complex(q.u).conj_t().scaled(q.sigma_alpha[:, None])).conj_t()
-    c = cdd_solve(y_ct, CDD.from_complex(q.v).conj_t().scaled(q.sigma_gamma[:, None])).conj_t()
-    assert q.a.tobytes() == a.to_complex().tobytes()
-    assert q.c.tobytes() == c.to_complex().tobytes()
+    _assert_qsvd_matches_dd_lu(cfg)
 
     # rsvd: the defining relation A = Z_X Sigma_alpha Z_Y, B = Z_X U*,
     # C = V Sigma_gamma Z_Y with Z_Y = V_Y diag(1/eta_y) U_Y* (~ Y^-1) and
@@ -227,13 +258,8 @@ def test_generators_match_reference_constructions(n, kappa_sigma, kappa_y, kappa
     r = generate_rsvd(cfg)
     rng = np.random.default_rng(seed)
     uy, vy, ux, vx, u, v = (CDD.from_complex(haar_unitary(n, rng)) for _ in range(6))
-    eta_y, eta_x = (true_sigma_grid(n, k) if k > 1.0 else DD(np.ones(n))
-                    for k in (kappa_y, kappa_x))
-    ref = RefCDD.of
-
-    def diag(d):
-        return ref(cdd_diag(d))
-
+    eta_y, eta_x = _eta(n, kappa_y), _eta(n, kappa_x)
+    ref, diag = RefCDD.of, _diag
     z_y = ref(vy).matmul(diag(DD(1.0) / eta_y)).matmul(ref(uy.conj_t()))
     z_x = ref(ux).matmul(diag(DD(1.0) / eta_x)).matmul(ref(vx.conj_t()))
     want = {
