@@ -121,14 +121,10 @@ def _solve_cpf(mats):
 
 def _classify(sol, kind, partition):
     """``classify_spectrum`` of a ``_solve_cpf`` solution, held to the
-    number of values the ranks predict."""
+    counts the ranks predict."""
     # the input sizes (p, q[, m][, n]) are those of the partition
     dims = tuple(getattr(partition, d) for d in "pqmn" if hasattr(partition, d))
-    cls = classify_spectrum(sol, kind, dims, partition=partition)
-    if len(cls.quadruples) != partition.p1:
-        raise GroupingError(f"recovered {len(cls.quadruples)} {kind} values, "
-                            f"expected {partition.p1}")
-    return cls
+    return classify_spectrum(sol, kind, dims, partition=partition)
 
 
 def cmd_kcf(args):

@@ -7,23 +7,22 @@ specialized path for Hermitian pencils with positive definite right-hand
 side (the classical augmented formulations when B has full row rank and C
 full column rank).
 
-The cross-product-free pencils are singular pencils whenever the inputs
-share a null space (their canonical form contains a square zero block).
-QZ output on such pencils is unreliable: rounding can scatter the
-eigenvalues belonging to the singular part anywhere in the plane and
-corrupt its neighbours.  Because the singular part of these pencil
-families is always a *square* zero block, it equals the common left/right
-null space of (lhs, rhs) and can be split off exactly: ``solve_general``
-therefore deflates the common null space first (one rank decision, at
-``dim * eps``, on the SVD of ``[lhs; rhs]``), solves the remaining regular
-pencil with QZ, and reports one indeterminate ``(0, 0)`` pair per deflated
-dimension.  Every pencil the builders make is exactly Hermitian on both
-sides, so its left null space is its right one: that one SVD gives the
-basis ``W``, and deflation is the congruence ``W* (lhs, rhs) W`` (Van
-Dooren, LAA 27, 1979).  Only a pencil that is not Hermitian (a generic
-one) also takes the SVD of ``[lhs*; rhs*]`` for its left null space.  It
-returns values by default; ``vectors=True`` adds the eigenvectors (the
-null basis for the deflated pairs) and the backward-error verdict.
+The cross-product-free pencils are singular whenever the inputs share a
+null space (their canonical form holds a square zero block), and QZ on a
+singular pencil can scatter the eigenvalues of that part anywhere and
+corrupt their neighbours.  Every builder's pencil is exactly Hermitian, so
+that block is its common right null space and also its left one:
+``solve_general`` splits it off by the congruence ``W* (lhs, rhs) W``
+(Van Dooren, LAA 27, 1979), solves the regular rest with QZ, and reports
+one indeterminate ``(0, 0)`` pair per deflated dimension.  The builders'
+block columns of ``[lhs; rhs]`` touch disjoint rows, so ``W`` is block
+diagonal, one small SVD per block column: ``[A*; B*]``, ``[A; C]`` and two
+of full rank for cpf, ``[A*; BB*]`` and ``[A; C*C]`` for aug, the whole
+stack for sq.  Only Hermitian pencils deflate: one that is not (a generic
+pencil) with a common null space on either side raises
+``SingularPencilError``.  It returns values by default; ``vectors=True``
+adds the eigenvectors (the null basis for the deflated pairs) and the
+backward-error verdict.
 """
 
 from __future__ import annotations
@@ -56,7 +55,8 @@ class NotDefiniteError(np.linalg.LinAlgError):
 
 
 class SingularPencilError(np.linalg.LinAlgError):
-    """Pencil is singular in a way the deflation step cannot handle."""
+    """Pencil is not Hermitian and has a common null space, so it cannot be
+    deflated."""
 
 
 @dataclass(frozen=True)
@@ -108,22 +108,34 @@ def classify_pair(alpha_e: complex, beta_e: complex, tol_zero: float, tol_inf: f
     return CLASS_FINITE
 
 
-def _null_split(lhs, rhs, tol_rel):
-    """Common right null basis of (lhs, rhs) and its complement, from the
-    SVD of ``[lhs; rhs]``; the left ones are those of ``(lhs*, rhs*)``."""
+def _null_split(lhs, rhs, blocks):
+    """Common right null basis of (lhs, rhs) and its complement, block
+    diagonal: one SVD per block column of ``[lhs; rhs]`` (widths ``blocks``),
+    cut at ``dim * eps * ||[lhs; rhs]||_2``, which is the largest block norm
+    when the block columns touch disjoint rows, as every builder's do; one
+    SVD of the whole stack when they do not."""
     k = lhs.shape[0]
-    _, s, vh = np.linalg.svd(np.vstack([lhs, rhs]), full_matrices=False)
-    nullity = int(np.count_nonzero(s <= tol_rel * s[0]))
-    v = vh.conj().T
-    return v[:, k - nullity:], v[:, : k - nullity]
+    off = np.cumsum((0, *blocks))
+    cols = [np.vstack([lhs[:, i:j], rhs[:, i:j]]) for i, j in zip(off, off[1:])]
+    if np.sum([c.any(axis=1) for c in cols], axis=0).max(initial=0) > 1:
+        off, cols = off[[0, -1]], [np.vstack([lhs, rhs])]
+    v, s = np.zeros((k, k), dtype=complex), np.zeros(k)
+    for col, i, j in zip(cols, off, off[1:]):
+        _, s[i:j], vh = np.linalg.svd(col, full_matrices=False)
+        v[i:j, i:j] = vh.conj().T
+    kept = s > k * EPS * s.max(initial=0.0)
+    return v[:, ~kept], v[:, kept]
 
 
 def solve_general(pencil: Pencil, class_tol_rel: float | None = None,
                   vectors: bool = False) -> EigenSolution:
     """Solve ``lhs x = lam rhs x`` for the full spectrum via QZ.
 
-    The common null space of (lhs, rhs) is split off first (see the module
-    docstring); a regular pencil has none, so QZ sees it as given.
+    A Hermitian pencil's common null space is split off first, one SVD per
+    block column of ``[lhs; rhs]`` (see the module docstring); a regular
+    pencil has none, so QZ sees it as given.  A pencil that is not Hermitian
+    must be regular: a common null space on either side raises
+    :class:`SingularPencilError`.
 
     Parameters
     ----------
@@ -155,26 +167,19 @@ def solve_general(pencil: Pencil, class_tol_rel: float | None = None,
     tol_abs = class_tol_rel * scale
 
     null_vecs = np.zeros((k, 0), dtype=complex)
-    w_right = None
-    if k > 0:
-        null_vecs, right_keep = _null_split(lhs, rhs, k * EPS)
-        left_keep = right_keep
-        if not (np.array_equal(lhs, lhs.conj().T) and np.array_equal(rhs, rhs.conj().T)):
-            _, left_keep = _null_split(lhs.conj().T, rhs.conj().T, k * EPS)
-        nr, nl = k - right_keep.shape[1], k - left_keep.shape[1]
-        if nr != nl:
-            raise SingularPencilError(
-                f"common null spaces have unequal dimensions ({nr} right, {nl} left); "
-                "the singular part is not a square zero block")
-        if nr:
-            lhs = left_keep.conj().T @ lhs @ right_keep
-            rhs = left_keep.conj().T @ rhs @ right_keep
-            w_right = right_keep
+    if np.array_equal(lhs, lhs.conj().T) and np.array_equal(rhs, rhs.conj().T):
+        null_vecs, keep = _null_split(lhs, rhs, pencil.row_blocks)
+        if null_vecs.shape[1]:
+            lhs, rhs = (keep.conj().T @ m @ keep for m in (lhs, rhs))
+    else:
+        nr, nl = (_null_split(x, y, (k,))[0].shape[1]
+                  for x, y in ((lhs, rhs), (lhs.conj().T, rhs.conj().T)))
+        if nr or nl:
+            raise SingularPencilError(f"common null spaces ({nr} right, {nl} left) in a "
+                                      "pencil that is not Hermitian; only a Hermitian "
+                                      "pencil deflates")
 
-    if not lhs.shape[0]:
-        alphas = betas = np.zeros(0, dtype=complex)
-        vr = np.zeros((0, 0), dtype=complex)
-    elif vectors:
+    if vectors:
         (alphas, betas), vr = sla.eig(lhs, rhs, right=True, homogeneous_eigvals=True)
     else:
         # Pencil has already rejected NaN and Inf
@@ -190,12 +195,10 @@ def solve_general(pencil: Pencil, class_tol_rel: float | None = None,
     if not vectors:
         return EigenSolution(tuple(values), None, None)
 
-    vecs = vr if w_right is None else w_right @ vr
+    vecs = keep @ vr if s else vr
     nrm = np.linalg.norm(vecs, axis=0)
     nrm[nrm == 0] = 1.0
-    vecs = vecs / nrm
-    if s:
-        vecs = np.hstack([vecs, null_vecs])
+    vecs = np.hstack([vecs / nrm, null_vecs])
 
     # backward error of every finite eigenpair at once, one column each
     fin = [i for i, val in enumerate(values) if val.kind == CLASS_FINITE]

@@ -77,7 +77,7 @@ def _as_matrix(m, name) -> np.ndarray:
 
 def _hermitize(m: np.ndarray) -> np.ndarray:
     # floating-point cross products are only Hermitian up to roundoff; the
-    # definite solver and the one-SVD deflation need exact Hermitian storage
+    # definite solver and the Hermitian-only deflation need exact storage
     return (m + m.conj().T) / 2.0
 
 

@@ -194,13 +194,14 @@ def classify_spectrum(sol: EigenSolution, kind: str, dims,
     dims : tuple
         Input matrix dimensions: (p, q) / (p, q, n) / (p, q, m, n).
     partition : optional
-        Known structure partition, read by the rsvd branch alone: there the
-        counts are checked against its prediction, and it is required when
-        the spectrum has infinite eigenvalues, since eigenvalue counts alone
-        cannot split the infinite families (two sizes of blocks at
-        infinity).  svd and qsvd take their structure from the counts and
-        ``dims`` (the quotient split is solvable from them) and ignore a
-        partition passed to them.
+        Known structure partition of the inputs.  For every kind, once the
+        finite values are grouped, the class counts are held to the ones it
+        predicts (``GroupingError`` otherwise), so a quadruple that the class
+        threshold swallows is an error, not a missing triplet.  rsvd needs it
+        when the spectrum has infinite eigenvalues, since eigenvalue counts
+        alone cannot split the infinite families (two sizes of blocks at
+        infinity); svd and qsvd take their triplet classes from the counts
+        and ``dims`` (the quotient split is solvable from them).
     """
     if kind not in ("svd", "qsvd", "rsvd"):
         raise ValueError(f"unknown kind {kind!r}")
@@ -217,6 +218,13 @@ def classify_spectrum(sol: EigenSolution, kind: str, dims,
     quads = [Quadruple(q.members, tuple(finite[i] for i in q.member_indices), q.sigma,
                        q.phase_residual) for q in group_quadruples([sol.values[i] for i in finite])]
     triplets = [_sigma_to_triplet(q.sigma, q.phase_residual) for q in quads]
+    if partition is not None:
+        # the predicted counts depend on the number of values, not on them
+        predicted = predict_kcf(f"cpf-{kind}", partition, np.ones(partition.p1))
+        mismatches = spectrum_counts_check(sol, predicted).mismatches()
+        if mismatches:
+            raise GroupingError("eigenvalue counts do not match the partition "
+                                f"prediction (predicted, observed): {mismatches}")
 
     n110 = n101 = n100 = 0
     if kind == "svd":
@@ -240,21 +248,14 @@ def classify_spectrum(sol: EigenSolution, kind: str, dims,
             raise GroupingError("spectrum inconsistent with a quotient structure")
         n110 = p2   # size-3 blocks at infinity, backed by (1, 0) pairs
         n100 = n3   # simple infinite eigenvalues from the C row deficiency
-    else:
-        if partition is not None:
-            # the predicted counts depend on the number of values, not on them
-            predicted = predict_kcf("cpf-rsvd", partition, np.ones(partition.p1))
-            mismatches = spectrum_counts_check(sol, predicted).mismatches()
-            if mismatches:
-                raise GroupingError("eigenvalue counts do not match the partition "
-                                    f"prediction (predicted, observed): {mismatches}")
-            n110 = partition.p2
-            n101 = partition.p3
-            n100 = partition.p4 + partition.q6 + partition.m3 + partition.n4
-        elif n_inf > 0:
-            raise ValueError(
-                "restricted spectra with infinite eigenvalues need a structure "
-                "partition to resolve the infinite triplet classes")
+    elif partition is not None:  # rsvd: the infinite classes come from the partition
+        n110 = partition.p2
+        n101 = partition.p3
+        n100 = partition.p4 + partition.q6 + partition.m3 + partition.n4
+    elif n_inf > 0:
+        raise ValueError(
+            "restricted spectra with infinite eigenvalues need a structure "
+            "partition to resolve the infinite triplet classes")
 
     triplets += [SingularTriplet(1.0, 1.0, 0.0, math.inf, TRIPLET_110)] * n110
     triplets += [SingularTriplet(1.0, 0.0, 1.0, math.inf, TRIPLET_101)] * n101

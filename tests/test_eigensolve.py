@@ -17,11 +17,12 @@ from pencilsvd.eigensolve import (
 )
 from pencilsvd.genmat import GeneratorConfig, generate_qsvd, generate_rsvd
 from pencilsvd.kcf import predict_kcf
-from pencilsvd.matcore import haar_unitary
+from pencilsvd.matcore import EPS, haar_unitary
 from pencilsvd.pencils import (
     FORMULATIONS,
     Pencil,
     build_aug_qsvd,
+    build_aug_rsvd,
     build_cpf_qsvd,
     build_cpf_svd,
     generic_pencil,
@@ -272,17 +273,18 @@ def test_solve_pencil_takes_the_values_only_path():
     assert sol.vectors is None and sol.backward_stable is None
 
 
-# -- one SVD for Hermitian pencils -----------------------------------------------
+# -- one SVD per block column for Hermitian pencils --------------------------------
 
 
 def count_svds(monkeypatch):
-    """Record every ``np.linalg.svd`` call from here on."""
+    """Record the shape of every matrix passed to ``np.linalg.svd`` from
+    here on."""
     calls = []
     svd = np.linalg.svd
 
-    def counting(*args, **kwargs):
-        calls.append(kwargs.get("compute_uv", True))
-        return svd(*args, **kwargs)
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting)
     return calls
@@ -304,10 +306,13 @@ def nudged(pencil):
 
 
 @pytest.mark.parametrize("vectors", [False, True])
-@pytest.mark.parametrize("case, want", [
+@pytest.mark.parametrize("case, sides", [
     ("regular cpf", 1), ("deflating cpf", 1), ("deflating aug", 1),
     ("regular generic", 2), ("nudged deflating cpf", 2)])
-def test_hermitian_pencils_deflate_with_one_svd(monkeypatch, case, want, vectors):
+def test_hermitian_pencils_deflate_with_one_svd(monkeypatch, case, sides, vectors):
+    # a Hermitian pencil's right null space is its left one: one SVD per
+    # block column of [lhs; rhs] and none of [lhs*; rhs*]; a pencil that is
+    # not Hermitian takes the SVD of both stacks and must be regular
     kind, counts = DEFLATING_COUNTS[0]
     _, _, inputs, _ = structured_problem(kind, counts, np.random.default_rng(6))
     cpf = FORMULATIONS["cpf-qsvd"].build_from(inputs)
@@ -320,24 +325,55 @@ def test_hermitian_pencils_deflate_with_one_svd(monkeypatch, case, want, vectors
     }[case]
     hermitian = (np.array_equal(pencil.lhs, pencil.lhs.conj().T)
                  and np.array_equal(pencil.rhs, pencil.rhs.conj().T))
-    assert hermitian == (want == 1)
+    assert hermitian == (sides == 1)
+    k = pencil.lhs.shape[0]
     calls = count_svds(monkeypatch)
-    solve_general(pencil, vectors=vectors)
-    assert len(calls) == want
+    if case.startswith("nudged"):
+        with pytest.raises(SingularPencilError, match="only a Hermitian pencil deflates"):
+            solve_general(pencil, vectors=vectors)
+    else:
+        solve_general(pencil, vectors=vectors)
+    if hermitian:
+        # four block columns for cpf, two for aug
+        assert calls == [(2 * k, width) for width in pencil.row_blocks]
+        assert len(calls) == (4 if "cpf" in case else 2)
+    else:
+        assert calls == [(2 * k, k)] * 2
+
+
+def test_block_columns_that_share_rows_deflate_as_one_block(monkeypatch):
+    # a Hermitian pencil labelled with a builder's formulation but not laid
+    # out like one: its block columns share rows, so the split takes the
+    # whole stack and deflates the three common null directions
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10)))
+    sides = [q @ np.diag(d) @ q.conj().T for d in ([1, 2, 3, 4, 5, 6, 7, 0, 0, 0.0],
+                                                  [1, -1, 0.5, 2, 1, 1, 3, 0, 0, 0.0])]
+    lhs, rhs = ((m + m.conj().T) / 2 for m in sides)
+    calls = count_svds(monkeypatch)
+    sol = solve_general(Pencil(lhs, rhs, "aug-qsvd", (5, 5)))
+    assert calls == [(20, 10)]
+    assert sol.counts()[CLASS_INDETERMINATE] == 3
+    assert_multiset_close([abs(v.value) for v in sol.values if v.kind == CLASS_FINITE],
+                          [1, 2, 2, 7 / 3, 5, 6, 6])
 
 
 @pytest.mark.parametrize("kind, counts", DEFLATING_COUNTS)
 def test_one_ulp_off_hermitian_takes_two_svds_and_same_counts(monkeypatch, kind, counts):
-    # the two-SVD path finds the left null space on its own and agrees
+    # only Hermitian pencils deflate: one ulp off, the pencil takes the two
+    # whole-stack SVDs, finds on each side the nullity that the Hermitian
+    # pencil deflates, and raises
     part, sigmas, inputs, _ = structured_problem(kind, counts, np.random.default_rng(8))
     pencil = FORMULATIONS[f"cpf-{kind}"].build_from(inputs)
     off = nudged(pencil)
     assert not np.array_equal(off.lhs, off.lhs.conj().T)
+    want = predict_kcf(f"cpf-{kind}", part, sigmas).eigenvalue_counts()
+    assert solve_general(pencil, class_tol_rel=1e-4).counts() == want
+    nullity = want[CLASS_INDETERMINATE]
     calls = count_svds(monkeypatch)
-    sol = solve_general(off, class_tol_rel=1e-4)
+    with pytest.raises(SingularPencilError, match=f"{nullity} right, {nullity} left"):
+        solve_general(off, class_tol_rel=1e-4)
     assert len(calls) == 2
-    assert sol.counts() == solve_general(pencil, class_tol_rel=1e-4).counts()
-    assert sol.counts() == predict_kcf(f"cpf-{kind}", part, sigmas).eigenvalue_counts()
 
 
 def aug_sigmas(sol):
@@ -364,3 +400,38 @@ def test_congruence_deflation_keeps_structure_and_values(kind, counts, family):
         got = aug_sigmas(sol)
     assert max(bench.chordal(s, g) for s, g in zip(sorted(sigmas), got)) <= 1e-12
     assert solve_general(pencil, class_tol_rel=1e-4, vectors=True).backward_stable is True
+
+
+@pytest.mark.parametrize("factor, deflated", [(0.5, 1), (2.0, 0)])
+@pytest.mark.parametrize("family", ["cpf", "aug"])
+def test_deflation_cutoff_at_its_edge(family, factor, deflated):
+    # one input block column, [A; C] of a cpf-qsvd pencil or [A*; BB*] of an
+    # aug-rsvd one, with its smallest singular value at factor times the
+    # cutoff dim * eps * ||[lhs; rhs]||_2: below it, that dimension deflates.
+    # The block's norm is ~1e-3 of the stack's, so a cutoff relative to the
+    # block alone would keep both cases
+    rng = np.random.default_rng(11)
+    if family == "cpf":
+        u = haar_unitary(5, rng)[:, :2]
+
+        def build(t):
+            ac = u * [1e-3, t]
+            return build_cpf_qsvd(ac[:3], ac[3:]), ac
+    else:
+        w = haar_unitary(3, rng)[:, :1]
+
+        def build(t):
+            # A* = [1e-3 w, 0] and BB* = diag(1e-3, t): orthogonal columns
+            a = np.vstack([1e-3 * w.conj().T, np.zeros((1, 3))])
+            pencil = build_aug_rsvd(a, np.diag(np.sqrt([1e-3, t])), np.eye(3))
+            return pencil, np.vstack([a.conj().T, pencil.rhs[:2, :2]])
+
+    def cutoff(pencil):
+        k = pencil.lhs.shape[0]
+        return k * EPS * np.linalg.norm(np.vstack([pencil.lhs, pencil.rhs]), 2)
+
+    pencil, block = build(factor * cutoff(build(0.0)[0]))
+    smallest = np.linalg.svd(block, compute_uv=False)[-1]
+    assert smallest / cutoff(pencil) == pytest.approx(factor, rel=1e-6)
+    null, _ = eigensolve._null_split(pencil.lhs, pencil.rhs, pencil.row_blocks)
+    assert null.shape[1] == deflated

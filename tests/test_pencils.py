@@ -127,9 +127,11 @@ def test_cpf_shapes_and_blocks():
 @given(dims=st.tuples(*[st.integers(1, 5)] * 4), spread=st.integers(0, 100),
        seed=st.integers(0, 2**32 - 1))
 def test_every_formulation_is_exactly_hermitian(dims, spread, seed):
-    # eigensolve deflates a pencil with one SVD only when both sides are
-    # exactly Hermitian: every builder must give that, for any shapes and
-    # for entries spread over 10**-spread .. 10**spread
+    # eigensolve deflates only a pencil whose sides are both exactly
+    # Hermitian, one SVD per block column of [lhs; rhs], which holds when
+    # those block columns touch pairwise disjoint rows: every builder must
+    # give both, for any shapes and for entries spread over
+    # 10**-spread .. 10**spread
     p, q, m, n = dims
     rng = np.random.default_rng(seed)
 
@@ -142,6 +144,10 @@ def test_every_formulation_is_exactly_hermitian(dims, spread, seed):
         pencil = f.build_from(mats)
         assert np.array_equal(pencil.lhs, pencil.lhs.conj().T), name
         assert np.array_equal(pencil.rhs, pencil.rhs.conj().T), name
+        stack = np.vstack([pencil.lhs, pencil.rhs])
+        off = pencil.row_offsets()
+        rows = [np.any(stack[:, i:j] != 0, axis=1) for i, j in zip(off, off[1:])]
+        assert np.sum(rows, axis=0).max() <= 1, name
 
 
 def test_cpf_entries_are_inputs_zeros_or_ones():

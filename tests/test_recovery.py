@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import DEFLATING_COUNTS, structured_problem
-from pencilsvd.eigensolve import CLASS_FINITE, solve_general
+from pencilsvd.eigensolve import CLASS_FINITE, STRUCTURE_CLASS_TOL, solve_general
 from pencilsvd.genmat import GeneratorConfig, generate_qsvd
 from pencilsvd.kcf import partition_for
 from pencilsvd.pencils import (
@@ -246,6 +246,27 @@ def test_classify_rsvd_infinite_values_need_a_partition():
     with pytest.raises(ValueError, match="need a structure partition") as exc:
         classify_spectrum(sol, "rsvd", (2, 2, 2, 2))
     assert not isinstance(exc.value, GroupingError)
+
+
+@pytest.mark.parametrize("kind", ["svd", "qsvd"])
+def test_classify_holds_every_kind_to_the_partition(kind):
+    # A has full column rank, but its quadruple at sqrt(1e-9) lies inside
+    # the structure class threshold: two values predicted, one grouped
+    a = np.array([[1.0, 0.0], [0.0, 1e-9], [0.0, 0.0]])
+    mats = {"a": a} if kind == "svd" else {"a": a, "c": np.eye(2)}
+    sol = solve_general(FORMULATIONS[f"cpf-{kind}"].build_from(mats),
+                        class_tol_rel=STRUCTURE_CLASS_TOL)
+    dims = (3, 2) if kind == "svd" else (3, 2, 2)
+    assert len(classify_spectrum(sol, kind, dims).quadruples) == 1
+    with pytest.raises(GroupingError, match=r"'finite-nonzero': \(8, 4\)"):
+        classify_spectrum(sol, kind, dims, partition=partition_for(**mats))
+
+
+def test_classify_groups_before_it_checks_the_partition():
+    # an ungroupable spectrum keeps the grouping message
+    sol = solve_general(generic_pencil(np.diag([1.0, 2.0, 3.0]), np.eye(3)))
+    with pytest.raises(GroupingError, match="count 3 is not divisible by 4"):
+        classify_spectrum(sol, "qsvd", (1, 1, 1), partition=partition_for(np.eye(1), c=np.eye(1)))
 
 
 def test_extract_vectors_scalar_qsvd():

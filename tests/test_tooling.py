@@ -1,8 +1,9 @@
 """Source hygiene checks that need only the standard library.
 
-No linter is a dependency of the package or its tests, so the one lint
-rule that deletions keep breaking, an import left without a use (pyflakes
-F401), is checked here with ``ast``.
+No linter is a dependency of the package or its tests, so the two rules
+that deletions keep breaking are checked here with ``ast``: an import left
+without a use (pyflakes F401), and a private helper, constant or class
+that no module of the package reads any more.
 """
 
 import ast
@@ -55,3 +56,56 @@ def test_src_has_no_unused_imports():
     found = {path.name: unused_imports(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     assert len(found) >= 10
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def private_definitions(tree: ast.Module) -> list[str]:
+    """Private names (one leading underscore) a module binds at top level."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    """Names a module loads, reads as attributes, or imports by name."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read |= {alias.name for alias in node.names}
+    return read
+
+
+def unread_private_names(texts) -> list[str]:
+    """Private top-level names of the modules that no module reads."""
+    trees = [ast.parse(text) for text in texts]
+    read = set().union(*(read_names(tree) for tree in trees))
+    return [name for tree in trees for name in private_definitions(tree) if name not in read]
+
+
+def test_unread_private_name_check_sees_dead_helpers():
+    first = ("_LIMIT = 3\n"
+             "_a, (_b, __c) = 1, (2, 3)\n"
+             "def _dead():\n"
+             "    return _LIMIT\n"
+             "def _shared():\n"
+             "    _dead_local = 1\n"
+             "class _Record:\n"
+             "    pass\n")
+    second = ("from first import _shared\n"
+              "import first\n"
+              "x = first._Record, _b\n")
+    assert unread_private_names([first, second]) == ["_a", "_dead"]
+
+
+def test_src_private_names_are_read_in_src():
+    texts = [path.read_text() for path in sorted(SRC.glob("*.py"))]
+    assert len(texts) >= 10
+    assert unread_private_names(texts) == []
