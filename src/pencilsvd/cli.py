@@ -19,6 +19,7 @@ from .genmat import GeneratorConfig, generate
 from .kcf import (
     KIND_N,
     KIND_ZERO_BLOCK,
+    input_dims,
     partition_for,
     partition_from_ranks,
     predict_kcf,
@@ -122,9 +123,7 @@ def _solve_cpf(mats):
 def _classify(sol, kind, partition):
     """``classify_spectrum`` of a ``_solve_cpf`` solution, held to the
     counts the ranks predict."""
-    # the input sizes (p, q[, m][, n]) are those of the partition
-    dims = tuple(getattr(partition, d) for d in "pqmn" if hasattr(partition, d))
-    return classify_spectrum(sol, kind, dims, partition=partition)
+    return classify_spectrum(sol, kind, input_dims(partition), partition=partition)
 
 
 def cmd_kcf(args):

@@ -18,6 +18,7 @@ scope: only structures arising from the supported formulations are handled.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -35,6 +36,15 @@ from .pencils import FORMULATIONS, Pencil, build_cpf_rsvd, generic_pencil, probl
 KIND_ZERO_BLOCK = "zero-block"
 KIND_N = "n-infinite"
 KIND_J = "j-finite"
+
+# triplet classes (alpha, beta, gamma) of De Moor & Golub (SIMAX 12(3), 1991):
+# regular ones carry a finite nonzero sigma, the others are backed by blocks
+TRIPLET_REGULAR = "regular"
+TRIPLET_110 = "one-one-zero"
+TRIPLET_101 = "one-zero-one"
+TRIPLET_100 = "one-zero-zero"
+TRIPLET_011 = "zero-one-one"
+TRIPLET_TRIVIAL = "trivial"
 
 
 class PartitionError(ValueError):
@@ -257,6 +267,11 @@ def partition_from_ranks(p: int, q: int, m: int, n: int,
     )
 
 
+def input_dims(partition) -> tuple[int, ...]:
+    """Input sizes (p, q), (p, q, n) or (p, q, m, n) of a partition."""
+    return tuple(getattr(partition, d) for d in "pqmn" if hasattr(partition, d))
+
+
 def partition_for(a, b=None, c=None):
     """Partition of A (svd), (A, C) (qsvd) or (A, B, C) (rsvd) from the
     numerical ranks of the inputs; B without C raises ValueError."""
@@ -287,15 +302,17 @@ class _Layout:
 
     ``block_rows`` are the fields giving the sizes of the pencil's block
     rows (their sum is its order), ``groups`` the canonical blocks ahead of
-    the sigma part as
-    ``(block kind, block size, count fields)``, in canonical order.  The cpf
-    formulations also carry their transformation chain: ``factors`` of the
-    diagonal congruence (one per block row) and the fields of the blocks
-    that the permutations ``perm_x``/``perm_y`` (1-indexed) move.
+    the sigma part as ``(block kind, block size, count fields, triplet
+    class)``, in canonical order; the count is also that of the triplets of
+    the class the blocks back (the aug pencils, of order p+q, have no blocks
+    for those counted by ``n3``, ``m3`` and ``n4``).  The cpf formulations
+    also carry their transformation chain: ``factors`` of the diagonal
+    congruence (one per block row) and the fields of the blocks that the
+    permutations ``perm_x``/``perm_y`` (1-indexed) move.
     """
 
     block_rows: str
-    groups: tuple[tuple[str, int, str], ...]
+    groups: tuple[tuple[str, int, str, str], ...]
     factors: str = ""
     sizes: str = ""
     perm_x: tuple[int, ...] = ()
@@ -303,26 +320,30 @@ class _Layout:
 
 
 _LAYOUTS = {
-    "aug-svd": _Layout("p q", ((KIND_J, 1, "p2 q2"),)),
-    "aug-qsvd": _Layout("p q", ((KIND_ZERO_BLOCK, 1, "q1"), (KIND_N, 2, "p2"),
-                                (KIND_J, 1, "p3 q2"))),
-    "aug-rsvd": _Layout("p q", ((KIND_ZERO_BLOCK, 1, "p6 q1"), (KIND_N, 1, "p4 q6"),
-                                (KIND_N, 2, "p2"), (KIND_N, 2, "p3"),
-                                (KIND_J, 1, "p5 q2"))),
+    "aug-svd": _Layout("p q", ((KIND_J, 1, "p2 q2", TRIPLET_011),)),
+    "aug-qsvd": _Layout("p q", ((KIND_ZERO_BLOCK, 1, "q1", TRIPLET_TRIVIAL),
+                                (KIND_N, 2, "p2", TRIPLET_110),
+                                (KIND_J, 1, "p3 q2", TRIPLET_011))),
+    "aug-rsvd": _Layout("p q", ((KIND_ZERO_BLOCK, 1, "p6 q1", TRIPLET_TRIVIAL),
+                                (KIND_N, 1, "p4 q6", TRIPLET_100),
+                                (KIND_N, 2, "p2", TRIPLET_110), (KIND_N, 2, "p3", TRIPLET_101),
+                                (KIND_J, 1, "p5 q2", TRIPLET_011))),
     "cpf-svd": _Layout(
-        "p q p q", ((KIND_J, 2, "p2"), (KIND_J, 2, "q2")),
+        "p q p q", ((KIND_J, 2, "p2", TRIPLET_011), (KIND_J, 2, "q2", TRIPLET_011)),
         factors="u v u v", sizes="p1 p2 q1 q2 p1 p2 q1 q2",
         perm_x=(2, 6, 4, 8, 1, 3, 5, 7), perm_y=(6, 2, 8, 4, 1, 3, 5, 7)),
     "cpf-qsvd": _Layout(
-        "p q p n", ((KIND_ZERO_BLOCK, 1, "q1"), (KIND_N, 1, "n3"), (KIND_N, 3, "p2"),
-                    (KIND_J, 2, "p3"), (KIND_J, 2, "q2")),
+        "p q p n", ((KIND_ZERO_BLOCK, 1, "q1", TRIPLET_TRIVIAL), (KIND_N, 1, "n3", TRIPLET_100),
+                    (KIND_N, 3, "p2", TRIPLET_110), (KIND_J, 2, "p3", TRIPLET_011),
+                    (KIND_J, 2, "q2", TRIPLET_011)),
         factors="u y u v", sizes="p1 p2 p3 q1 q2 q3 q4 p1 p2 p3 n1 n2 n3",
         perm_x=(4, 13, 7, 9, 2, 3, 10, 5, 11, 1, 6, 8, 12),
         perm_y=(4, 13, 2, 9, 7, 10, 3, 11, 5, 1, 6, 8, 12)),
     "cpf-rsvd": _Layout(
-        "p q m n", ((KIND_ZERO_BLOCK, 1, "p6 q1"), (KIND_N, 1, "p4 q6 m3 n4"),
-                    (KIND_N, 3, "p2"), (KIND_N, 3, "p3"),
-                    (KIND_J, 2, "p5"), (KIND_J, 2, "q2")),
+        "p q m n", ((KIND_ZERO_BLOCK, 1, "p6 q1", TRIPLET_TRIVIAL),
+                    (KIND_N, 1, "p4 q6 m3 n4", TRIPLET_100),
+                    (KIND_N, 3, "p2", TRIPLET_110), (KIND_N, 3, "p3", TRIPLET_101),
+                    (KIND_J, 2, "p5", TRIPLET_011), (KIND_J, 2, "q2", TRIPLET_011)),
         factors="x y u v",
         sizes="p1 p2 p3 p4 p5 p6 q1 q2 q3 q4 q5 q6 m1 m2 m3 m4 n1 n2 n3 n4",
         perm_x=(6, 7, 12, 4, 15, 20, 10, 14, 2, 3, 19, 11, 5, 16, 8, 17, 1, 9, 13, 18),
@@ -337,7 +358,24 @@ def _fields(partition, names: str) -> list[int]:
 def _groups(layout: _Layout, partition):
     """``(block kind, block size, count)`` of each group ahead of the sigma part."""
     return [(kind, size, sum(_fields(partition, names)))
-            for kind, size, names in layout.groups]
+            for kind, size, names, _ in layout.groups]
+
+
+def _layout(formulation: str) -> _Layout:
+    layout = _LAYOUTS.get(formulation)
+    if layout is None:
+        raise ValueError(f"no structure prediction for formulation {formulation!r}")
+    return layout
+
+
+def triplet_counts(formulation: str, partition) -> Counter:
+    """Triplets of each class that the formulation's canonical blocks ahead
+    of the sigma part back, read from its layout (0 for a class without
+    blocks).  An unknown formulation raises ``ValueError``."""
+    counts = Counter()
+    for _, _, names, triplet in _layout(formulation).groups:
+        counts[triplet] += sum(_fields(partition, names))
+    return counts
 
 
 # -- block multiset prediction ------------------------------------------------
@@ -359,9 +397,7 @@ def predict_kcf(formulation: str, partition, sigmas=()) -> KcfStructure:
     classical augmented restricted form needs the per-sigma weights only
     for eigenvalue positions, which stay ``+-sigma`` regardless.
     """
-    layout = _LAYOUTS.get(formulation)
-    if layout is None:
-        raise ValueError(f"no structure prediction for formulation {formulation!r}")
+    layout = _layout(formulation)
     sigmas = tuple(float(s) for s in sigmas)
     if len(sigmas) != partition.p1:
         raise ValueError(f"expected {partition.p1} singular values, got {len(sigmas)}")

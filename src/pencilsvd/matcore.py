@@ -56,22 +56,14 @@ def haar_unitary(n: int, rng) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def rank_with_tol(m: np.ndarray, tol_rel: float | None = None) -> RankReport:
-    """Numerical rank from singular values.
-
-    The rank is the number of singular values ``s_i > tol_rel * s_max``;
-    ``tol_rel`` defaults to ``max(rows, cols) * eps``.
-    """
+def rank_with_tol(m: np.ndarray) -> RankReport:
+    """Numerical rank from singular values: the number of singular values
+    ``s_i > max(rows, cols) * eps * s_max``."""
     m = np.asarray(m)
-    if tol_rel is None:
-        tol_rel = max(m.shape) * EPS if m.size else 0.0
-    if tol_rel < 0:
-        raise ValueError("tolerance must be nonnegative")
     if m.size == 0:
         return RankReport(0, np.zeros(0), 0.0)
     s = np.linalg.svd(m, compute_uv=False)
-    smax = s[0] if s.size else 0.0
-    cutoff = tol_rel * smax
+    cutoff = max(m.shape) * EPS * s[0]
     return RankReport(int(np.count_nonzero(s > cutoff)), s, float(cutoff))
 
 

@@ -22,6 +22,12 @@ axes: a quadruple near the diagonals, where perturbations can push members
 across a class boundary, unbalances the classes.  Since a quadruple is
 unchanged by a quarter turn, a common rotation counts modulo pi/2.  The
 cpf spectra of real sigma >= 0 lie on the axes.
+
+Classification needs the structure partition of the inputs: each quadruple
+gives a regular triplet, and the other classes -- (1,1,0), (1,0,1), (1,0,0),
+(0,1,1) and trivial -- are counted from the canonical blocks that back them
+in the cpf layouts of :mod:`pencilsvd.kcf`, since eigenvalue counts alone
+cannot split the restricted pencil's two sizes of blocks at infinity.
 """
 
 from __future__ import annotations
@@ -31,23 +37,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensolve import (
-    CLASS_FINITE,
-    CLASS_INDETERMINATE,
-    CLASS_INFINITE,
-    CLASS_ZERO,
-    EigenSolution,
-    GeneralizedEigenvalue,
+from .eigensolve import CLASS_FINITE, EigenSolution, GeneralizedEigenvalue
+from .kcf import (
+    TRIPLET_011,
+    TRIPLET_100,
+    TRIPLET_101,
+    TRIPLET_110,
+    TRIPLET_REGULAR,
+    TRIPLET_TRIVIAL,
+    input_dims,
+    predict_kcf,
+    spectrum_counts_check,
+    triplet_counts,
 )
-from .kcf import predict_kcf, spectrum_counts_check
 from .pencils import FORMULATIONS, Pencil
-
-TRIPLET_REGULAR = "regular"
-TRIPLET_110 = "one-one-zero"
-TRIPLET_101 = "one-zero-one"
-TRIPLET_100 = "one-zero-zero"
-TRIPLET_011 = "zero-one-one"
-TRIPLET_TRIVIAL = "trivial"
 
 
 class GroupingError(ValueError):
@@ -183,8 +186,16 @@ class SpectrumClassification:
 
 
 def classify_spectrum(sol: EigenSolution, kind: str, dims,
-                      partition=None) -> SpectrumClassification:
+                      partition) -> SpectrumClassification:
     """Convert a cpf pencil spectrum into singular triplets.
+
+    The finite values are grouped into quadruples, one regular triplet
+    each; then the class counts are held to the ones the partition predicts
+    (``GroupingError`` otherwise), so a quadruple that the class threshold
+    swallows is an error, not a missing triplet.  The other triplets are
+    those the partition's canonical blocks back, read from the cpf layout
+    (:func:`pencilsvd.kcf.triplet_counts`), in the order 110, 101, 100,
+    011, trivial.
 
     Parameters
     ----------
@@ -192,76 +203,33 @@ def classify_spectrum(sol: EigenSolution, kind: str, dims,
         Spectrum of the cpf pencil of the stated kind.
     kind : {'svd', 'qsvd', 'rsvd'}
     dims : tuple
-        Input matrix dimensions: (p, q) / (p, q, n) / (p, q, m, n).
-    partition : optional
-        Known structure partition of the inputs.  For every kind, once the
-        finite values are grouped, the class counts are held to the ones it
-        predicts (``GroupingError`` otherwise), so a quadruple that the class
-        threshold swallows is an error, not a missing triplet.  rsvd needs it
-        when the spectrum has infinite eigenvalues, since eigenvalue counts
-        alone cannot split the infinite families (two sizes of blocks at
-        infinity); svd and qsvd take their triplet classes from the counts
-        and ``dims`` (the quotient split is solvable from them).
+        Input matrix dimensions: (p, q) / (p, q, n) / (p, q, m, n); they
+        must be the partition's (``ValueError`` otherwise).
+    partition : SvdPartition, QsvdPartition or RsvdPartition
+        Structure partition of the inputs, e.g. from
+        :func:`pencilsvd.kcf.partition_for`.
     """
-    if kind not in ("svd", "qsvd", "rsvd"):
-        raise ValueError(f"unknown kind {kind!r}")
-    counts = sol.counts()
-    n_fin = counts[CLASS_FINITE]
-    n_inf = counts[CLASS_INFINITE]
-    n_zero = counts[CLASS_ZERO]
-    n_ind = counts[CLASS_INDETERMINATE]
-    if n_zero % 2:
-        raise GroupingError(f"zero eigenvalue count {n_zero} is odd")
-
+    if tuple(dims) != input_dims(partition):
+        raise ValueError(f"dims {tuple(dims)} are not the partition's input "
+                         f"sizes {input_dims(partition)}")
     finite = [i for i, v in enumerate(sol.values) if v.kind == CLASS_FINITE]
     # member indices point into sol.values, where the classes interleave
     quads = [Quadruple(q.members, tuple(finite[i] for i in q.member_indices), q.sigma,
                        q.phase_residual) for q in group_quadruples([sol.values[i] for i in finite])]
+    formulation = f"cpf-{kind}"
+    # the predicted counts depend on the number of values, not on them
+    predicted = predict_kcf(formulation, partition, np.ones(partition.p1))
+    mismatches = spectrum_counts_check(sol, predicted).mismatches()
+    if mismatches:
+        raise GroupingError("eigenvalue counts do not match the partition "
+                            f"prediction (predicted, observed): {mismatches}")
+    n = triplet_counts(formulation, partition)
     triplets = [_sigma_to_triplet(q.sigma, q.phase_residual) for q in quads]
-    if partition is not None:
-        # the predicted counts depend on the number of values, not on them
-        predicted = predict_kcf(f"cpf-{kind}", partition, np.ones(partition.p1))
-        mismatches = spectrum_counts_check(sol, predicted).mismatches()
-        if mismatches:
-            raise GroupingError("eigenvalue counts do not match the partition "
-                                f"prediction (predicted, observed): {mismatches}")
-
-    n110 = n101 = n100 = 0
-    if kind == "svd":
-        if n_inf or n_ind:
-            raise GroupingError("ordinary problems cannot have infinite or "
-                                "indeterminate eigenvalues")
-    elif kind == "qsvd":
-        p, q, n = dims
-        p1 = n_fin // 4
-        # unknown partition counts p2, p3, q2, n3 satisfy
-        #   p2 + p3 = p - p1,  q2 + p2 = q - q1 - p1,  q2 + n3 = n - p1,
-        #   n_inf = n3 + 3 p2,  n_zero = 2 (p3 + q2)
-        num = n_inf - (n - p1) + (q - n_ind - p1)
-        if num % 4 or num < 0:
-            raise GroupingError("spectrum inconsistent with a quotient structure")
-        p2 = num // 4
-        p3 = (p - p1) - p2
-        q2 = (q - n_ind - p1) - p2
-        n3 = n_inf - 3 * p2
-        if min(p2, p3, q2, n3) < 0 or n_zero != 2 * (p3 + q2):
-            raise GroupingError("spectrum inconsistent with a quotient structure")
-        n110 = p2   # size-3 blocks at infinity, backed by (1, 0) pairs
-        n100 = n3   # simple infinite eigenvalues from the C row deficiency
-    elif partition is not None:  # rsvd: the infinite classes come from the partition
-        n110 = partition.p2
-        n101 = partition.p3
-        n100 = partition.p4 + partition.q6 + partition.m3 + partition.n4
-    elif n_inf > 0:
-        raise ValueError(
-            "restricted spectra with infinite eigenvalues need a structure "
-            "partition to resolve the infinite triplet classes")
-
-    triplets += [SingularTriplet(1.0, 1.0, 0.0, math.inf, TRIPLET_110)] * n110
-    triplets += [SingularTriplet(1.0, 0.0, 1.0, math.inf, TRIPLET_101)] * n101
-    triplets += [SingularTriplet(1.0, 0.0, 0.0, math.inf, TRIPLET_100)] * n100
-    triplets += [SingularTriplet(0.0, 1.0, 1.0, 0.0, TRIPLET_011)] * (n_zero // 2)
-    triplets += [SingularTriplet(0.0, 0.0, 0.0, math.nan, TRIPLET_TRIVIAL)] * n_ind
+    triplets += [SingularTriplet(1.0, 1.0, 0.0, math.inf, TRIPLET_110)] * n[TRIPLET_110]
+    triplets += [SingularTriplet(1.0, 0.0, 1.0, math.inf, TRIPLET_101)] * n[TRIPLET_101]
+    triplets += [SingularTriplet(1.0, 0.0, 0.0, math.inf, TRIPLET_100)] * n[TRIPLET_100]
+    triplets += [SingularTriplet(0.0, 1.0, 1.0, 0.0, TRIPLET_011)] * n[TRIPLET_011]
+    triplets += [SingularTriplet(0.0, 0.0, 0.0, math.nan, TRIPLET_TRIVIAL)] * n[TRIPLET_TRIVIAL]
     return SpectrumClassification(tuple(triplets), tuple(quads))
 
 

@@ -23,8 +23,15 @@ from pencilsvd.kcf import (
     lemma_reduce,
     partition_from_ranks,
     qsvd_partition_from_ranks,
+    svd_partition,
 )
 from pencilsvd.matcore import haar_unitary
+
+
+def random_svd_counts(rng, max_count=2):
+    """Free counts (p1, p2, q2) with p1 >= 1."""
+    c = rng.integers(0, max_count + 1, 3)
+    return (int(c[0]) + 1,) + tuple(int(x) for x in c[1:])
 
 
 def random_qsvd_counts(rng, max_count=2):
@@ -140,10 +147,18 @@ DEFLATING_COUNTS = (
 
 
 def structured_problem(kind, counts, rng):
-    """``(partition, sigmas, inputs, factors)`` of a rank-structured qsvd or
-    rsvd problem with Haar factors and sigmas spread over [0.5, 2];
+    """``(partition, sigmas, inputs, factors)`` of a rank-structured svd,
+    qsvd or rsvd problem with Haar factors and sigmas spread over [0.5, 2];
     ``inputs`` maps "a", "b", "c" to the matrices, ``factors`` holds the
     keyword arguments of ``verify_reduction``."""
+    if kind == "svd":
+        p1, p2, q2 = counts
+        part = svd_partition(p1 + p2, p1 + q2, p1)
+        sigmas = np.linspace(0.5, 2.0, p1)
+        a0 = np.zeros((part.p, part.q))
+        a0[:p1, :p1] = np.diag(sigmas)
+        u, v = haar_unitary(part.p, rng), haar_unitary(part.q, rng)
+        return part, sigmas, {"a": u @ a0 @ v.conj().T}, {"u": u, "v": v}
     if kind == "qsvd":
         part = qsvd_partition_from_counts(*counts)
         sigmas = np.linspace(0.5, 2.0, part.p1)

@@ -67,11 +67,17 @@ def test_rank_tiny_singular_value_default_tol():
     assert np.allclose(np.sort(report.values), [1e-20, 1.0])
 
 
-def test_rank_monotone_in_tolerance():
-    rng = np.random.default_rng(11)
-    m = rng.standard_normal((6, 4)) @ np.diag([1, 1e-2, 1e-6, 1e-12]) @ rng.standard_normal((4, 4))
-    ranks = [rank_with_tol(m, t).rank for t in (0.0, 1e-10, 1e-4, 1e-1, 2.0)]
-    assert ranks == sorted(ranks, reverse=True)
+@pytest.mark.parametrize("factor,rank", [(0.5, 1), (2.0, 2)])
+def test_rank_cutoff_at_its_edge(factor, rank):
+    # the cutoff is max(rows, cols) * eps * s_max = 5 eps for this 5x2
+    # matrix (the smaller side's 2 eps would keep the value at 0.5x); the
+    # SVD of a diagonal matrix is exact
+    m = np.zeros((5, 2))
+    m[0, 0], m[1, 1] = 1.0, factor * 5 * EPS
+    report = rank_with_tol(m)
+    assert report.tolerance == 5 * EPS
+    assert report.values[1] == factor * 5 * EPS
+    assert report.rank == rank
 
 
 def test_rank_empty_matrix():

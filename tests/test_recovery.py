@@ -6,10 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import DEFLATING_COUNTS, structured_problem
+from helpers import (
+    DEFLATING_COUNTS,
+    random_qsvd_counts,
+    random_rsvd_counts,
+    random_svd_counts,
+    structured_problem,
+)
 from pencilsvd.eigensolve import CLASS_FINITE, STRUCTURE_CLASS_TOL, solve_general
 from pencilsvd.genmat import GeneratorConfig, generate_qsvd
-from pencilsvd.kcf import partition_for
+from pencilsvd.kcf import input_dims, partition_for, triplet_counts
 from pencilsvd.pencils import (
     FORMULATIONS,
     build_aug_rsvd,
@@ -21,6 +27,7 @@ from pencilsvd.pencils import (
 from pencilsvd.recovery import (
     TRIPLET_100,
     TRIPLET_011,
+    TRIPLET_101,
     TRIPLET_110,
     TRIPLET_REGULAR,
     TRIPLET_TRIVIAL,
@@ -167,9 +174,9 @@ def test_geometric_mean_direct_arithmetic():
 
 
 def test_classify_identity_pair():
-    pencil = build_cpf_qsvd(np.array([[1.0]]), np.array([[1.0]]))
-    sol = solve_general(pencil)
-    cls = classify_spectrum(sol, "qsvd", (1, 1, 1))
+    a = c = np.array([[1.0]])
+    sol = solve_general(build_cpf_qsvd(a, c))
+    cls = classify_spectrum(sol, "qsvd", (1, 1, 1), partition=partition_for(a, c=c))
     assert [t.kind for t in cls.triplets] == [TRIPLET_REGULAR]
     t = cls.triplets[0]
     assert t.sigma == pytest.approx(1.0)
@@ -179,9 +186,9 @@ def test_classify_identity_pair():
 
 
 def test_classify_empty_c_gives_infinite_class():
-    pencil = build_cpf_qsvd(np.array([[1.0]]), np.zeros((0, 1)))
-    sol = solve_general(pencil)
-    cls = classify_spectrum(sol, "qsvd", (1, 1, 0))
+    a, c = np.array([[1.0]]), np.zeros((0, 1))
+    sol = solve_general(build_cpf_qsvd(a, c))
+    cls = classify_spectrum(sol, "qsvd", (1, 1, 0), partition=partition_for(a, c=c))
     assert [t.kind for t in cls.triplets] == [TRIPLET_110]
     assert cls.triplets[0].sigma == math.inf
 
@@ -194,7 +201,7 @@ def test_classify_zero_and_trivial_classes():
     c = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
     pencil = build_cpf_qsvd(a, c)
     sol = solve_general(pencil, class_tol_rel=1e-8)
-    cls = classify_spectrum(sol, "qsvd", (1, 3, 2))
+    cls = classify_spectrum(sol, "qsvd", (1, 3, 2), partition=partition_for(a, c=c))
     kinds = sorted(t.kind for t in cls.triplets)
     assert kinds == sorted([TRIPLET_110, TRIPLET_100, TRIPLET_011, TRIPLET_TRIVIAL])
 
@@ -205,7 +212,8 @@ def test_classify_ill_conditioned_quotient_keeps_every_triplet():
     # as evidence
     problem = generate_qsvd(GeneratorConfig(n=4, kappa_sigma=10.0, kappa_y=1e10, seed=0))
     sol = solve_general(build_cpf_qsvd(problem.a, problem.c))
-    cls = classify_spectrum(sol, "qsvd", (4, 4, 4))
+    cls = classify_spectrum(sol, "qsvd", (4, 4, 4),
+                            partition=partition_for(problem.a, c=problem.c))
     assert [t.kind for t in cls.triplets] == [TRIPLET_REGULAR] * 4
     residuals = [t.phase_residual for t in cls.triplets]
     assert residuals == [q.phase_residual for q in cls.quadruples]
@@ -215,11 +223,13 @@ def test_classify_ill_conditioned_quotient_keeps_every_triplet():
 
 
 def test_classify_rejects_bad_counts():
-    pencil = build_cpf_svd(np.array([[2.0]]))
-    sol = solve_general(pencil)
-    with pytest.raises(GroupingError):
-        # wrong kind: svd spectrum declared as qsvd with impossible dims
-        classify_spectrum(sol, "qsvd", (1, 1, 5))
+    a = c = np.array([[2.0]])
+    sol = solve_general(build_cpf_qsvd(a, c))
+    # dims that are not the partition's input sizes (1, 1, 1)
+    for dims in ((1, 1, 5), (1, 1)):
+        with pytest.raises(ValueError, match=r"not the partition's input sizes \(1, 1, 1\)") as exc:
+            classify_spectrum(sol, "qsvd", dims, partition=partition_for(a, c=c))
+        assert not isinstance(exc.value, GroupingError)
 
 
 def _rsvd_with_infinite_values():
@@ -241,13 +251,6 @@ def test_classify_rsvd_rejects_a_partition_with_other_counts():
         classify_spectrum(sol, "rsvd", (2, 2, 2, 2), partition=partition_for(a, b, np.eye(2)))
 
 
-def test_classify_rsvd_infinite_values_need_a_partition():
-    _, sol = _rsvd_with_infinite_values()
-    with pytest.raises(ValueError, match="need a structure partition") as exc:
-        classify_spectrum(sol, "rsvd", (2, 2, 2, 2))
-    assert not isinstance(exc.value, GroupingError)
-
-
 @pytest.mark.parametrize("kind", ["svd", "qsvd"])
 def test_classify_holds_every_kind_to_the_partition(kind):
     # A has full column rank, but its quadruple at sqrt(1e-9) lies inside
@@ -257,7 +260,6 @@ def test_classify_holds_every_kind_to_the_partition(kind):
     sol = solve_general(FORMULATIONS[f"cpf-{kind}"].build_from(mats),
                         class_tol_rel=STRUCTURE_CLASS_TOL)
     dims = (3, 2) if kind == "svd" else (3, 2, 2)
-    assert len(classify_spectrum(sol, kind, dims).quadruples) == 1
     with pytest.raises(GroupingError, match=r"'finite-nonzero': \(8, 4\)"):
         classify_spectrum(sol, kind, dims, partition=partition_for(**mats))
 
@@ -269,12 +271,47 @@ def test_classify_groups_before_it_checks_the_partition():
         classify_spectrum(sol, "qsvd", (1, 1, 1), partition=partition_for(np.eye(1), c=np.eye(1)))
 
 
+def _triplet_oracle(kind, part):
+    """Triplets of each class without a finite value (De Moor & Golub,
+    SIMAX 12(3), 1991), written out from the partition fields."""
+    if kind == "svd":
+        return {TRIPLET_011: part.p2 + part.q2}
+    if kind == "qsvd":
+        return {TRIPLET_110: part.p2, TRIPLET_100: part.n3,
+                TRIPLET_011: part.p3 + part.q2, TRIPLET_TRIVIAL: part.q1}
+    return {TRIPLET_110: part.p2, TRIPLET_101: part.p3,
+            TRIPLET_100: part.p4 + part.q6 + part.m3 + part.n4,
+            TRIPLET_011: part.p5 + part.q2, TRIPLET_TRIVIAL: part.p6 + part.q1}
+
+
+def test_classify_counts_every_class_as_the_oracle():
+    # every class's count, in the output order, over structured problems
+    # solved at the structure class threshold
+    rng = np.random.default_rng(20)
+    draw = {"svd": random_svd_counts, "qsvd": random_qsvd_counts, "rsvd": random_rsvd_counts}
+    cases = list(DEFLATING_COUNTS) + [(kind, draw[kind](rng)) for kind in draw for _ in range(20)]
+    order = (TRIPLET_110, TRIPLET_101, TRIPLET_100, TRIPLET_011, TRIPLET_TRIVIAL)
+    for kind, counts in cases:
+        part, _, inputs, _ = structured_problem(kind, counts, rng)
+        sol = solve_general(FORMULATIONS[f"cpf-{kind}"].build_from(inputs),
+                            class_tol_rel=STRUCTURE_CLASS_TOL)
+        cls = classify_spectrum(sol, kind, input_dims(part), partition=part)
+        oracle = _triplet_oracle(kind, part)
+        want = [TRIPLET_REGULAR] * part.p1 + [t for t in order for _ in range(oracle.get(t, 0))]
+        assert [t.kind for t in cls.triplets] == want, (kind, counts)
+        # the augmented pencils, of order p+q, have no blocks for n3, m3, n4
+        if kind != "svd":
+            oracle[TRIPLET_100] -= part.n3 if kind == "qsvd" else part.m3 + part.n4
+        aug = triplet_counts(f"aug-{kind}", part)
+        assert {t: aug[t] for t in order} == {t: oracle.get(t, 0) for t in order}
+
+
 def test_extract_vectors_scalar_qsvd():
     a = np.array([[2.0]])
     c = np.array([[1.0]])
     pencil = build_cpf_qsvd(a, c)
     sol = solve_general(pencil, vectors=True)
-    cls = classify_spectrum(sol, "qsvd", (1, 1, 1))
+    cls = classify_spectrum(sol, "qsvd", (1, 1, 1), partition=partition_for(a, c=c))
     rec = extract_vectors(sol, cls.quadruples[0], pencil)
     assert rec.u == pytest.approx(np.array([1.0 + 0j]))
     assert abs(abs(rec.v[0]) - 1.0) <= 1e-13
@@ -290,7 +327,7 @@ def test_extract_vectors_rejects_a_values_only_solution():
     sol = solve_general(pencil)
     # the default solve is values-only: classifying needs only the values,
     # and the vectors were never computed
-    cls = classify_spectrum(sol, "qsvd", (1, 1, 1))
+    cls = classify_spectrum(sol, "qsvd", (1, 1, 1), partition=partition_for(a, c=c))
     with pytest.raises(ValueError, match="values-only"):
         extract_vectors(sol, cls.quadruples[0], pencil)
 
@@ -299,7 +336,7 @@ def test_extract_vectors_cpf_svd_diag():
     a = np.diag([3.0])
     pencil = build_cpf_svd(a)
     sol = solve_general(pencil, vectors=True)
-    cls = classify_spectrum(sol, "svd", (1, 1))
+    cls = classify_spectrum(sol, "svd", (1, 1), partition=partition_for(a))
     rec = extract_vectors(sol, cls.quadruples[0], pencil)
     assert rec.u == pytest.approx(np.array([1.0 + 0j]))
     assert rec.z == pytest.approx(np.array([1.0 + 0j]), abs=1e-10)
@@ -314,8 +351,9 @@ def test_extract_vectors_rsvd_identity_reduction():
     pencil_s = build_cpf_svd(a)
     sol_r = solve_general(pencil_r, vectors=True)
     sol_s = solve_general(pencil_s, vectors=True)
-    cls_r = classify_spectrum(sol_r, "rsvd", (2, 2, 2, 2))
-    cls_s = classify_spectrum(sol_s, "svd", (2, 2))
+    cls_r = classify_spectrum(sol_r, "rsvd", (2, 2, 2, 2),
+                              partition=partition_for(a, np.eye(2), np.eye(2)))
+    cls_s = classify_spectrum(sol_s, "svd", (2, 2), partition=partition_for(a))
     for qr, qs in zip(cls_r.quadruples, cls_s.quadruples):
         rr = extract_vectors(sol_r, qr, pencil_r)
         rs = extract_vectors(sol_s, qs, pencil_s)
@@ -384,7 +422,7 @@ def test_extract_vectors_unit_norms():
     c = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     pencil = build_cpf_qsvd(a, c)
     sol = solve_general(pencil, vectors=True)
-    cls = classify_spectrum(sol, "qsvd", (3, 3, 3))
+    cls = classify_spectrum(sol, "qsvd", (3, 3, 3), partition=partition_for(a, c=c))
     for quad in cls.quadruples:
         rec = extract_vectors(sol, quad, pencil)
         assert abs(np.linalg.norm(rec.u) - 1) <= 1e-13
