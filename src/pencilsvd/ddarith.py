@@ -9,7 +9,10 @@ Each formula has one home, a helper on raw ``(hi, lo)`` arrays.  A complex
 array (:class:`CDD`) stacks (re, im) on a leading axis of size 2 of its
 ``hi`` and ``lo`` arrays, so one helper call covers both parts.
 :meth:`CDD.matmul` forms the outer products of a block of columns in one
-stacked product and adds them in order of the column.  The kernels perform
+stacked product and adds them in order of the column; it also takes stacks
+of matrices on leading batch axes, so independent products of one shape
+share its small ufunc calls (about 240 for 10 columns; their number, not
+their flops, is the dd layer's cost).  The kernels perform
 the IEEE operations of the per-operator formulas (one real dd operation at
 a time) in the same order, so they match those bit for bit.  :func:`cdd_solve`
 refines a binary64 solve in double-double: it agrees with a dd LU to about
@@ -23,16 +26,22 @@ linear solves.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _SPLITTER = 134217729.0  # 2**27 + 1, Dekker split constant
 
 # Outer products that CDD.matmul forms per stacked product, counted as
-# block * n * m.  One product over every column is slower once its
-# temporaries outgrow the cache: at n = 32 (one BLAS thread) all 32 columns
-# at once took 10.1 ms, blocks of 8 (this budget) 6.4 ms and one column at
-# a time 7.6 ms; at n = 10 the budget covers all 10 columns, 0.50 ms against
-# 0.63 ms in blocks of 8 and 1.07 ms one column at a time.
+# block * batch * n * m (batch = members of a stack, 1 for a 2-d product).
+# One product over every column is slower once its temporaries outgrow the
+# cache: at n = 32 (one BLAS thread) all 32 columns at once took 10.1 ms,
+# blocks of 8 (this budget) 6.4 ms and one column at a time 7.6 ms; at
+# n = 10 the budget covers all 10 columns, 0.50 ms against 0.63 ms in blocks
+# of 8 and 1.07 ms one column at a time.  Stacked (medians of three rounds,
+# noisy 2-vCPU machine): at n = 10 four members took 0.99 ms and three 0.86
+# ms against 0.52 ms for one; at n = 32 (blocks of 2) four took 17.9 ms and
+# three 14.6 ms against 5.2 ms for one, and four without the budget 33.0 ms.
 _OUTER_PRODUCT_BUDGET = 8192
 
 # Stopping rule of cdd_solve's refinement (see _refinement_stops).  The dd
@@ -61,15 +70,19 @@ def _quick_two_sum(a, b):
     return s, b - (s - a)
 
 
-def _two_prod(a, b):
-    """Error-free product via Dekker splitting: (p, e) with p + e == a*b."""
-    p = a * b
+def _split(a):
+    """Dekker split: (ah, al) with ah + al == a, each half of 26 bits."""
     ah = _SPLITTER * a
     ah = ah - (ah - a)
-    al = a - ah
-    bh = _SPLITTER * b
-    bh = bh - (bh - b)
-    bl = b - bh
+    return ah, a - ah
+
+
+def _two_prod(a, b, a_split=None):
+    """Error-free product via Dekker splitting: (p, e) with p + e == a*b.
+    ``a_split`` is ``_split(a)`` when the caller already has it."""
+    p = a * b
+    ah, al = _split(a) if a_split is None else a_split
+    bh, bl = _split(b)
     e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
     return p, e
 
@@ -84,20 +97,23 @@ def _dd_add(ahi, alo, bhi, blo):
     return _quick_two_sum(s, e)
 
 
-def _dd_mul(ahi, alo, bhi, blo):
-    """Double-double product of (ahi, alo) and (bhi, blo), as (hi, lo)."""
-    p, e = _two_prod(ahi, bhi)
+def _dd_mul(ahi, alo, bhi, blo, a_split=None):
+    """Double-double product of (ahi, alo) and (bhi, blo), as (hi, lo);
+    ``a_split`` is ``_split(ahi)`` when the caller already has it."""
+    p, e = _two_prod(ahi, bhi, a_split)
     e = e + (ahi * blo + alo * bhi)
     return _quick_two_sum(p, e)
 
 
 def _dd_div(ahi, alo, bhi, blo):
-    """Double-double quotient from three binary64 quotient digits."""
+    """Double-double quotient from three binary64 quotient digits; the
+    divisor is split once for both remainders."""
+    b_split = _split(bhi)
     q1 = ahi / bhi
-    phi, plo = _dd_mul(bhi, blo, q1, 0.0)
+    phi, plo = _dd_mul(bhi, blo, q1, 0.0, b_split)
     rhi, rlo = _dd_add(ahi, alo, -phi, -plo)
     q2 = rhi / bhi
-    phi, plo = _dd_mul(bhi, blo, q2, 0.0)
+    phi, plo = _dd_mul(bhi, blo, q2, 0.0, b_split)
     rhi, rlo = _dd_add(rhi, rlo, -phi, -plo)
     q3 = rhi / bhi
     s, e = _quick_two_sum(q1, q2)
@@ -233,6 +249,11 @@ class CDD:
         return z
 
     @classmethod
+    def stack(cls, zs) -> "CDD":
+        """Arrays of one shape stacked on a new leading batch axis."""
+        return cls._of(np.stack([z.hi for z in zs], axis=1), np.stack([z.lo for z in zs], axis=1))
+
+    @classmethod
     def from_complex(cls, z):
         z = np.asarray(z, dtype=np.complex128)
         hi = np.stack([z.real, z.imag])
@@ -262,9 +283,10 @@ class CDD:
         return f[0] + 1j * f[1]
 
     def conj_t(self):
-        """Conjugate transpose of a 2-d array."""
-        sign = np.array([1.0, -1.0])[:, None, None]  # negates the imaginary part exactly
-        return CDD._of((sign * self.hi).swapaxes(1, 2), (sign * self.lo).swapaxes(1, 2))
+        """Conjugate transpose of a 2-d array (of each member of a stack)."""
+        # negates the imaginary part exactly
+        sign = np.array([1.0, -1.0]).reshape((2,) + (1,) * (self.hi.ndim - 1))
+        return CDD._of((sign * self.hi).swapaxes(-1, -2), (sign * self.lo).swapaxes(-1, -2))
 
     def scaled(self, d: DD) -> "CDD":
         """Elementwise product with the real dd array ``d`` (broadcast).
@@ -279,22 +301,30 @@ class CDD:
         return CDD._of(*_dd_add(self.hi, self.lo, -other.hi, -other.lo))
 
     def matmul(self, other: "CDD") -> "CDD":
-        """Dense product of 2-d arrays, accumulated in double-double.
+        """Dense product, accumulated in double-double, of 2-d arrays or of
+        stacks of them: ``(*batch, n, k) @ (*batch, k, m)`` multiplies
+        member by member, and each member's product has the bits of its
+        2-d product.
 
         The outer products of column j and row j are added in order of j.
         Those of a block of columns are formed in one stacked complex
-        product of shape (2, block, n, m), with at most
+        product of shape (2, block, *batch, n, m), with at most
         :data:`_OUTER_PRODUCT_BUDGET` elements per (re, im) part.
         """
-        n, k = self.shape
-        k2, m = other.shape
-        if k != k2:
+        *batch, n, k = self.shape
+        *batch2, k2, m = other.shape
+        if k != k2 or batch != batch2:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        block = max(1, _OUTER_PRODUCT_BUDGET // max(1, n * m))
-        # column j of self as a (n, 1) slab and row j of other as a (1, m) slab
-        ahi, alo = (x.transpose(0, 2, 1)[..., None] for x in (self.hi, self.lo))
-        bhi, blo = other.hi[:, :, None], other.lo[:, :, None]
-        hi, lo = np.zeros((2, n, m)), np.zeros((2, n, m))
+        out = (2, *batch, n, m)
+        block = max(1, _OUTER_PRODUCT_BUDGET // max(1, math.prod(out[1:])))
+        # column j of self as a (*batch, n, 1) slab and row j of other as a
+        # (*batch, 1, m) slab, with j on axis 1; copied to C order, since
+        # strided slabs (of a conj_t, say) slow a stack down twofold
+        ahi, alo = (np.ascontiguousarray(np.moveaxis(x, -1, 1))[..., None]
+                    for x in (self.hi, self.lo))
+        bhi, blo = (np.ascontiguousarray(np.moveaxis(x, -2, 1))[..., None, :]
+                    for x in (other.hi, other.lo))
+        hi, lo = np.zeros(out), np.zeros(out)
         for j in range(0, k, block):
             cols = slice(j, j + block)
             phi, plo = _cdd_mul(ahi[:, cols], alo[:, cols], bhi[:, cols], blo[:, cols])

@@ -21,6 +21,12 @@ quotient generator.  ``x_dd`` and ``y_dd`` are ``X`` and ``Y``, which
 Y^-1 = A`` holds to about ``kappa * 1e-16``, enough for the binary64
 reduction checks of :mod:`pencilsvd.kcf`.
 
+Each generator draws its Haar factors in one stacked call
+(``haar_unitary(n, rng, count)``), in the order above and with the bytes
+of successive draws.  The restricted generator forms ``Y, X, Z_Y, Z_X`` in
+one stacked double-double product and ``A, B, C`` in a second (both
+``1/eta`` in one division); each member has the bits of its own product.
+
 Random numbers are generated in binary64 and promoted exactly; the grids
 and products run in double-double, and the quotient generator's solves
 factor ``Y*`` in binary64 and refine in double-double (``cdd_solve``);
@@ -148,17 +154,14 @@ def _grids(n: int, kappa: float) -> tuple[DD, DD, DD]:
     return grids
 
 
-def _haar_factors(n: int, kappa: float, rng) -> tuple[CDD, DD, CDD]:
-    """Haar unitaries ``U``, ``V`` and the grid ``eta`` (unit for
-    ``kappa = 1``): ``U diag(eta) V*`` has singular values exactly ``eta``."""
-    u = CDD.from_complex(haar_unitary(n, rng))
-    v = CDD.from_complex(haar_unitary(n, rng))
-    eta = _grids(n, kappa)[0] if kappa > 1.0 else DD(np.ones(n))
-    return u, eta, v
+def _eta(n: int, kappa: float) -> DD:
+    """The grid of ``kappa`` (unit for ``kappa = 1``)."""
+    return _grids(n, kappa)[0] if kappa > 1.0 else DD(np.ones(n))
 
 
 def _sandwich(u: CDD, d: DD, v: CDD) -> CDD:
-    """``u diag(d) v*`` in double-double."""
+    """``u diag(d) v*`` in double-double (member by member for stacks,
+    with ``d`` of shape ``(batch, 1, n)``)."""
     return u.scaled(d).matmul(v.conj_t())
 
 
@@ -166,9 +169,8 @@ def generate_qsvd(config: GeneratorConfig) -> GeneratedProblem:
     """Quotient pair (A, C) with quotient singular values on the sigma grid."""
     rng = np.random.default_rng(config.seed)
     n = config.n
-    y_dd = _sandwich(*_haar_factors(n, config.kappa_y, rng))
-    u = haar_unitary(n, rng)
-    v = haar_unitary(n, rng)
+    uy, vy, u, v = haar_unitary(n, rng, 4)
+    y_dd = _sandwich(CDD.from_complex(uy), _eta(n, config.kappa_y), CDD.from_complex(vy))
     sigmas, alpha, gamma = _grids(n, config.kappa_sigma)
     y_ct = y_dd.conj_t()
     try:
@@ -189,18 +191,20 @@ def generate_rsvd(config: GeneratorConfig) -> GeneratedProblem:
     from products only (see the module docstring)."""
     rng = np.random.default_rng(config.seed)
     n = config.n
-    uy, eta_y, vy = _haar_factors(n, config.kappa_y, rng)
-    ux, eta_x, vx = _haar_factors(n, config.kappa_x, rng)
-    u = haar_unitary(n, rng)
-    v = haar_unitary(n, rng)
+    w = haar_unitary(n, rng, 6)  # U_Y, V_Y, U_X, V_X, U, V
+    u, v = w[4], w[5]
     sigmas, alpha, gamma = _grids(n, config.kappa_sigma)
-    y_dd = _sandwich(uy, eta_y, vy)
-    x_dd = _sandwich(ux, eta_x, vx)
-    z_y = _sandwich(vy, DD(1.0) / eta_y, uy)  # ~ Y^-1
-    z_x = _sandwich(ux, DD(1.0) / eta_x, vx)  # ~ X^-*
-    a_dd = z_x.scaled(alpha).matmul(z_y)
-    b_dd = z_x.matmul(CDD.from_complex(u).conj_t())
-    c_dd = CDD.from_complex(v).scaled(gamma).matmul(z_y)
+    eta = [_eta(n, config.kappa_y), _eta(n, config.kappa_x)]
+    eta = DD(np.stack([e.hi for e in eta]), np.stack([e.lo for e in eta]))
+    inv = DD(1.0) / eta
+    # Y, X, Z_Y ~ Y^-1 and Z_X ~ X^-* as one stacked product
+    d = DD(np.concatenate([eta.hi, inv.hi])[:, None], np.concatenate([eta.lo, inv.lo])[:, None])
+    first = _sandwich(CDD.from_complex(w[[0, 2, 1, 2]]), d, CDD.from_complex(w[[1, 3, 0, 3]]))
+    y_dd, x_dd, z_y, z_x = (first[i] for i in range(4))
+    # A = (Z_X Sigma_alpha) Z_Y, B = Z_X U*, C = (V Sigma_gamma) Z_Y as a second one
+    left = CDD.stack([z_x.scaled(alpha), z_x, CDD.from_complex(v).scaled(gamma)])
+    second = left.matmul(CDD.stack([z_y, CDD.from_complex(u).conj_t(), z_y]))
+    a_dd, b_dd, c_dd = (second[i] for i in range(3))
     return GeneratedProblem(
         kind="rsvd", config=config,
         a=a_dd.to_complex(), b=b_dd.to_complex(), c=c_dd.to_complex(),

@@ -225,6 +225,9 @@ class RsvdPartition:
         return self.n1 + self.n2 + self.n3 + self.n4
 
 
+_PARTITIONS = {"svd": SvdPartition, "qsvd": QsvdPartition, "rsvd": RsvdPartition}
+
+
 def _check_nonneg(partition) -> None:
     for f in fields(partition):
         if getattr(partition, f.name) < 0:
@@ -361,19 +364,26 @@ def _groups(layout: _Layout, partition):
             for kind, size, names, _ in layout.groups]
 
 
-def _layout(formulation: str) -> _Layout:
+def _layout(formulation: str, partition) -> _Layout:
+    """The formulation's layout; ``ValueError`` for a formulation without
+    one or a partition of another kind than the formulation's."""
     layout = _LAYOUTS.get(formulation)
     if layout is None:
         raise ValueError(f"no structure prediction for formulation {formulation!r}")
+    want = _PARTITIONS[FORMULATIONS[formulation].kind]
+    if not isinstance(partition, want):
+        raise ValueError(f"formulation {formulation!r} needs a {want.__name__}, "
+                         f"got {type(partition).__name__}")
     return layout
 
 
 def triplet_counts(formulation: str, partition) -> Counter:
     """Triplets of each class that the formulation's canonical blocks ahead
     of the sigma part back, read from its layout (0 for a class without
-    blocks).  An unknown formulation raises ``ValueError``."""
+    blocks).  An unknown formulation, or a partition of another kind than
+    the formulation's, raises ``ValueError``."""
     counts = Counter()
-    for _, _, names, triplet in _layout(formulation).groups:
+    for _, _, names, triplet in _layout(formulation, partition).groups:
         counts[triplet] += sum(_fields(partition, names))
     return counts
 
@@ -395,9 +405,11 @@ def predict_kcf(formulation: str, partition, sigmas=()) -> KcfStructure:
 
     ``sigmas`` are the finite nonzero singular values (length p1); the
     classical augmented restricted form needs the per-sigma weights only
-    for eigenvalue positions, which stay ``+-sigma`` regardless.
+    for eigenvalue positions, which stay ``+-sigma`` regardless.  The
+    partition must be of the formulation's kind (``SvdPartition`` for an
+    svd formulation, and so on; ``ValueError`` otherwise).
     """
-    layout = _layout(formulation)
+    layout = _layout(formulation, partition)
     sigmas = tuple(float(s) for s in sigmas)
     if len(sigmas) != partition.p1:
         raise ValueError(f"expected {partition.p1} singular values, got {len(sigmas)}")

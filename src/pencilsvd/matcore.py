@@ -32,7 +32,7 @@ class RankReport:
         object.__setattr__(self, "values", vals)
 
 
-def haar_unitary(n: int, rng) -> np.ndarray:
+def haar_unitary(n: int, rng, count: int | None = None) -> np.ndarray:
     """Draw an n-by-n unitary matrix from the Haar distribution.
 
     Complex Ginibre sample, thin QR, then the Q columns are rescaled by the
@@ -45,15 +45,22 @@ def haar_unitary(n: int, rng) -> np.ndarray:
         Matrix order, at least 1.
     rng : numpy.random.Generator or int
         Random source (an integer is used as a seed).
+    count : int, optional
+        Draw a ``(count, n, n)`` stack in one stacked QR.  It holds the
+        bytes of ``count`` successive draws and leaves ``rng`` in their
+        state: each sample's real then imaginary part is drawn in turn.
     """
     if n < 1:
         raise ValueError(f"matrix order must be >= 1, got {n}")
+    if count is not None and count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    g = rng.standard_normal((1 if count is None else count, 2, n, n))
+    q, r = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0))
+    d = np.diagonal(r, axis1=-2, axis2=-1)[:, None, :]
+    u = q * (d / np.abs(d))
+    return u[0] if count is None else u
 
 
 def rank_with_tol(m: np.ndarray) -> RankReport:

@@ -371,3 +371,73 @@ def test_cdd_matmul_blocks_match_operator_reference_bitwise(n, k, m, block):
     b = _random_cdd(rng, (k, m), rng.random((k, m)) < 0.3)
     _assert_same_bits(a.matmul(b), RefCDD.of(a).matmul(RefCDD.of(b)))
 
+
+def _unsplit_dd_div(ahi, alo, bhi, blo):
+    """``_dd_div`` with the divisor split afresh in each remainder's
+    ``_dd_mul``: the formula whose bits the quotient keeps."""
+    q1 = ahi / bhi
+    phi, plo = ddarith._dd_mul(bhi, blo, q1, 0.0)
+    rhi, rlo = ddarith._dd_add(ahi, alo, -phi, -plo)
+    q2 = rhi / bhi
+    phi, plo = ddarith._dd_mul(bhi, blo, q2, 0.0)
+    rhi, rlo = ddarith._dd_add(rhi, rlo, -phi, -plo)
+    q3 = rhi / bhi
+    s, e = ddarith._quick_two_sum(q1, q2)
+    return ddarith._dd_add(s, e, q3, 0.0)
+
+
+# a dd operand: hi of either sign (signed zeros included) and lo up to an
+# ulp of it, of either sign (a signed zero when hi is one)
+_dd_operand = st.tuples(
+    st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+              st.floats(allow_nan=False, allow_infinity=False)),
+    st.floats(-1.0, 1.0),
+).map(lambda t: (t[0], t[0] * t[1] * 2.0 ** -53))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(_dd_operand, _dd_operand), min_size=1, max_size=8))
+def test_division_keeps_the_formula_bitwise(pairs):
+    (ahi, alo), (bhi, blo) = (np.array(side).T for side in zip(*pairs))
+    with np.errstate(all="ignore"):  # zero divisors and overflowing splits
+        got = DD(ahi, alo) / DD(bhi, blo)
+        want = _unsplit_dd_div(ahi, alo, bhi, blo)
+    assert got.hi.tobytes() == want[0].tobytes()
+    assert got.lo.tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("batch", [(1,), (2,), (3,), (4,), (2, 2)])
+@pytest.mark.parametrize("n,k,m", [(3, 4, 2), (10, 10, 10), (24, 7, 24), (32, 32, 32)])
+def test_stacked_matmul_equals_each_members_product_bitwise(batch, n, k, m):
+    # (24, 7, 24) x 3 members takes blocks of 4 + 3 columns and (32, 32, 32)
+    # x 4 blocks of 2: each crosses the budget's block boundaries
+    rng = np.random.default_rng(n * k * m + len(batch) * batch[0])
+    a = _random_cdd(rng, batch + (n, k), rng.random(batch + (n, k)) < 0.3)
+    b = _random_cdd(rng, batch + (k, m), rng.random(batch + (k, m)) < 0.3)
+    got = a.matmul(b)
+    assert got.shape == batch + (n, m)
+    for i in np.ndindex(*batch):
+        member = got[i]
+        assert [p.tobytes() for p in _parts(member)] == \
+            [p.tobytes() for p in _parts(a[i].matmul(b[i]))]
+        _assert_same_bits(member, RefCDD.of(a[i]).matmul(RefCDD.of(b[i])))
+
+
+def test_stacked_matmul_rejects_unequal_batches():
+    rng = np.random.default_rng(9)
+    a = _random_cdd(rng, (2, 3, 3))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        a.matmul(_random_cdd(rng, (3, 3, 3)))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        a.matmul(_random_cdd(rng, (3, 3)))
+
+
+def test_stacked_conj_t_and_stack():
+    rng = np.random.default_rng(10)
+    members = [_random_cdd(rng, (3, 4)) for _ in range(3)]
+    stacked = CDD.stack(members)
+    assert stacked.shape == (3, 3, 4)
+    for i, z in enumerate(members):
+        assert [p.tobytes() for p in _parts(stacked[i])] == [p.tobytes() for p in _parts(z)]
+        assert [p.tobytes() for p in _parts(stacked.conj_t()[i])] == \
+            [p.tobytes() for p in _parts(z.conj_t())]

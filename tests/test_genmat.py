@@ -274,6 +274,38 @@ def test_generators_match_reference_constructions(n, kappa_sigma, kappa_y, kappa
         assert getattr(r, name).tobytes() == ref.tobytes(), name
 
 
+@pytest.mark.parametrize("n", [2, 3, 10, 17])
+@pytest.mark.parametrize("kappa_sigma,kappa_y,kappa_x",
+                         [(1.0, 1.0, 1.0), (10.0, 1e3, 1.0), (1e6, 1e7, 50.0), (1e13, 1e12, 1e6)])
+def test_rsvd_stacked_products_equal_the_sequential_ones(n, kappa_sigma, kappa_y, kappa_x):
+    # the generator draws its six factors in one call and forms Y, X, Z_Y,
+    # Z_X and then A, B, C as two stacked products; the seven 2-d products
+    # from six successive draws must give the same bits
+    cfg = GeneratorConfig(n=n, kappa_sigma=kappa_sigma, kappa_y=kappa_y,
+                          kappa_x=kappa_x, seed=n + int(np.log10(kappa_y)))
+    r = generate_rsvd(cfg)
+    rng = np.random.default_rng(cfg.seed)
+    uy, vy, ux, vx, u, v = (CDD.from_complex(haar_unitary(n, rng)) for _ in range(6))
+    eta_y, eta_x = _eta(n, kappa_y), _eta(n, kappa_x)
+    sandwich = genmat._sandwich
+    z_y = sandwich(vy, DD(1.0) / eta_y, uy)
+    z_x = sandwich(ux, DD(1.0) / eta_x, vx)
+    want = {
+        "a": z_x.scaled(r.sigma_alpha).matmul(z_y),
+        "b": z_x.matmul(u.conj_t()),
+        "c": v.scaled(r.sigma_gamma).matmul(z_y),
+        "x_dd": sandwich(ux, eta_x, vx),
+        "y_dd": sandwich(uy, eta_y, vy),
+    }
+    for name, z in want.items():
+        got = getattr(r, name)
+        if name in "abc":
+            assert got.tobytes() == z.to_complex().tobytes(), name
+        else:
+            assert (got.hi.tobytes(), got.lo.tobytes()) == (z.hi.tobytes(), z.lo.tobytes()), name
+    assert (r.u.tobytes(), r.v.tobytes()) == (u.to_complex().tobytes(), v.to_complex().tobytes())
+
+
 def _restricted_values_mp(p):
     """Singular values, at 40 digits, of the stored binary64 problem's
     A C^-1 (qsvd) or B^-1 A C^-1 (rsvd), largest first."""

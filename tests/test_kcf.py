@@ -31,6 +31,7 @@ from pencilsvd.kcf import (
     qsvd_partition_from_ranks,
     spectrum_counts_check,
     svd_partition,
+    triplet_counts,
     verify_reduction,
 )
 from pencilsvd.pencils import FORMULATIONS, build_cpf_qsvd, build_cpf_rsvd, build_cpf_svd
@@ -160,6 +161,22 @@ def test_predict_aug_rsvd_block_list():
 def test_predict_unknown_tag():
     with pytest.raises(ValueError):
         predict_kcf("sq-qsvd", None)
+
+
+@pytest.mark.parametrize("formulation", sorted(_LAYOUTS))
+def test_predict_rejects_a_partition_of_another_kind(formulation):
+    eye = np.eye(2, dtype=complex)
+    partitions = {"svd": partition_for(eye), "qsvd": partition_for(eye, c=eye),
+                  "rsvd": partition_for(eye, eye, eye)}
+    kind = FORMULATIONS[formulation].kind
+    for other, partition in partitions.items():
+        for call in (lambda: predict_kcf(formulation, partition, np.ones(partition.p1)),
+                     lambda: triplet_counts(formulation, partition)):
+            if other == kind:
+                call()
+                continue
+            with pytest.raises(ValueError, match=f"needs a {type(partitions[kind]).__name__}"):
+                call()
 
 
 def test_kcf_block_shape_validation():

@@ -49,6 +49,29 @@ def test_haar_column_statistics_monte_carlo():
 def test_haar_rejects_bad_order():
     with pytest.raises(ValueError):
         haar_unitary(0, 1)
+    with pytest.raises(ValueError, match="count"):
+        haar_unitary(2, 1, 0)
+
+
+def _one_draw(n, rng):
+    """One sample by the unstacked formula: Ginibre, QR, phases of R."""
+    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+@pytest.mark.parametrize("n,count", [(1, 1), (2, 3), (4, 6), (10, 4), (17, 2)])
+def test_haar_count_equals_successive_draws(n, count):
+    stacked, single, formula = (np.random.default_rng(n) for _ in range(3))
+    stack = haar_unitary(n, stacked, count)
+    assert stack.shape == (count, n, n)
+    for member in stack:
+        assert member.tobytes() == haar_unitary(n, single).tobytes()
+        assert member.tobytes() == _one_draw(n, formula).tobytes()
+    # the three generators are left in the same state
+    nxt = [g.standard_normal(3).tobytes() for g in (stacked, single, formula)]
+    assert nxt[0] == nxt[1] == nxt[2]
 
 
 def test_rank_zero_matrix():

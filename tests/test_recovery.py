@@ -429,3 +429,16 @@ def test_extract_vectors_unit_norms():
         assert abs(np.linalg.norm(rec.v) - 1) <= 1e-13
         lead = np.flatnonzero(np.abs(rec.u) > 1e-8)[0]
         assert abs(rec.u[lead].imag) <= 1e-12 and rec.u[lead].real > 0
+
+
+@pytest.mark.parametrize("kind", ["rsvd", "svd"])
+def test_classify_rejects_a_partition_of_another_kind(kind):
+    # the cpf-qsvd spectrum of A = C = I_2 with its quotient partition,
+    # read as another kind: a typed error, not an AttributeError (rsvd) or
+    # two regular triplets (svd)
+    a = c = np.eye(2, dtype=complex)
+    partition = partition_for(a, c=c)
+    sol = solve_general(build_cpf_qsvd(a, c))
+    assert len(classify_spectrum(sol, "qsvd", input_dims(partition), partition).triplets) == 2
+    with pytest.raises(ValueError, match="needs a"):
+        classify_spectrum(sol, kind, input_dims(partition), partition)
