@@ -19,14 +19,18 @@ refines a binary64 solve in double-double: it agrees with a dd LU to about
 ``cond(a) * n * 2**-104`` relative, not bit for bit.
 
 Only what the generators and ground-truth bookkeeping need is implemented:
-real arithmetic (:class:`DD`), square roots and integer roots/powers, and
-for complex arrays (:class:`CDD`) diagonal scalings, matrix products and
-linear solves.
+real arithmetic (:class:`DD`), for complex arrays (:class:`CDD`) diagonal
+scalings, matrix products and linear solves, and the conversions from and
+to ``decimal`` (:func:`dd_from_decimal`, :func:`dd_to_decimal_string`);
+values the products do not need, such as the sigma grid's roots, are
+evaluated in ``decimal`` and rounded to double-double once.
 """
 
 from __future__ import annotations
 
 import math
+from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 
@@ -182,50 +186,11 @@ class DD:
         other = _as_dd(other)
         return DD(*_dd_div(self.hi, self.lo, other.hi, other.lo))
 
-    def sqrt(self):
-        """Elementwise square root (one dd Newton step from a binary64 seed)."""
-        y = np.sqrt(self.hi)
-        nonzero = y > 0.0
-        ysafe = np.where(nonzero, y, 1.0)
-        p, e = _two_prod(ysafe, ysafe)
-        corr = (self - DD(p, e)).to_float() / (2.0 * ysafe)
-        hi, lo = _quick_two_sum(ysafe, corr)
-        return DD(np.where(nonzero, hi, 0.0), np.where(nonzero, lo, 0.0))
-
 
 def _as_dd(x):
     if isinstance(x, DD):
         return x
     return DD(np.asarray(x, dtype=np.float64))
-
-
-def dd_pow_int(base: DD, k: int) -> DD:
-    """Integer power of a dd scalar/array by repeated multiplication."""
-    if k < 0:
-        return DD(1.0) / dd_pow_int(base, -k)
-    result = DD(np.ones(base.shape))
-    acc = base.copy()
-    n = k
-    while n > 0:
-        if n & 1:
-            result = result * acc
-        n >>= 1
-        if n:
-            acc = acc * acc
-    return result
-
-
-def dd_nth_root(x: DD, m: int) -> DD:
-    """m-th root of a positive dd scalar via Newton iteration on t**m - x."""
-    if m <= 0:
-        raise ValueError("root order must be positive")
-    if not np.all(x.hi > 0.0):
-        raise ValueError("dd_nth_root requires positive input")
-    t = DD(np.power(x.hi, 1.0 / m))
-    for _ in range(3):
-        tm1 = dd_pow_int(t, m - 1)
-        t = t - (tm1 * t - x) / (tm1 * m)
-    return t
 
 
 class CDD:
@@ -395,20 +360,25 @@ def cdd_solve(a: CDD, b: CDD) -> CDD:
         last = size
 
 
-def dd_to_decimal_string(x: DD, digits: int = 32) -> str:
-    """Format a dd scalar with the requested number of significant digits."""
-    from decimal import Decimal, getcontext
+def dd_from_decimal(values) -> DD:
+    """Round each ``Decimal`` to double-double: ``hi`` is the nearest
+    binary64 to the value and ``lo`` the nearest binary64 to the exact
+    remainder, so ``hi + lo`` is within ``2**-106 |hi|`` of the value
+    (for magnitudes above about 2e-292, where the remainder is normal)."""
+    hi, lo = [], []
+    for v in values:
+        hi.append(float(v))
+        lo.append(float(Fraction(v) - Fraction(hi[-1])))
+    return DD(np.array(hi), np.array(lo))
 
-    getcontext().prec = digits + 10
-    total = Decimal(float(x.hi)) + Decimal(float(x.lo))
+
+def dd_to_decimal_string(x: DD, digits: int = 32) -> str:
+    """Format a dd scalar with the requested number of significant digits
+    (half to even), in a decimal context of its own: the caller's context
+    is left as it was."""
+    with localcontext(Context(prec=digits + 10, rounding=ROUND_HALF_EVEN)):
+        total = Decimal(float(x.hi)) + Decimal(float(x.lo))
+        mant, exp10 = f"{total:.{digits - 1}e}".split("e")
     if total == 0:
         return "0." + "0" * (digits - 1) + "e+00"
-    exp10 = total.copy_abs().adjusted()
-    mant = total.scaleb(-exp10)
-    quant = Decimal(1).scaleb(1 - digits)
-    mant = mant.quantize(quant)
-    # carry can push the mantissa to +-10.000...
-    if mant.copy_abs() >= 10:
-        mant = mant.scaleb(-1).quantize(quant)
-        exp10 += 1
-    return f"{mant}e{exp10:+03d}"
+    return f"{mant}e{int(exp10):+03d}"

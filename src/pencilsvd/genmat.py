@@ -27,18 +27,21 @@ of successive draws.  The restricted generator forms ``Y, X, Z_Y, Z_X`` in
 one stacked double-double product and ``A, B, C`` in a second (both
 ``1/eta`` in one division); each member has the bits of its own product.
 
-Random numbers are generated in binary64 and promoted exactly; the grids
-and products run in double-double, and the quotient generator's solves
-factor ``Y*`` in binary64 and refine in double-double (``cdd_solve``);
-the matrices are rounded to working precision only at the very end.
+The grids (sigma, alpha, gamma, and eta of ``Y`` and ``X``) are evaluated
+at 50 digits in ``decimal`` and rounded to double-double once
+(:func:`_grids`).  Random numbers are generated in binary64 and promoted
+exactly; the products run in double-double, and the quotient generator's
+solves factor ``Y*`` in binary64 and refine in double-double
+(``cdd_solve``); the matrices are rounded to working precision only at
+the very end.
 The Haar factors are binary64 samples, unitary only to about 1e-16, so
 the grid values match the singular values of the double-double problem to
 5e-18..3e-16 relative (n = 4, kappa_Y = 1e7), not to 30 digits; rounding
 the matrices to binary64 moves the stored problem's values further
 (5e-13..1.3e-10 relative at kappa_Y = 1e7).
-``truth.txt`` of the CLI prints 30 digits of the grid.  Problems are
-square (p = q = m = n) and full rank by construction.
-The grids depend only on ``(n, kappa)`` and are memoised (:func:`_grids`).
+``truth.txt`` of the CLI prints the correctly rounded grid to 30 digits.
+Problems are square (p = q = m = n) and full rank by construction.  The
+grids depend only on ``(n, kappa)`` and are memoised.
 """
 
 from __future__ import annotations
@@ -47,10 +50,11 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
+from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 
 import numpy as np
 
-from .ddarith import CDD, DD, cdd_solve, dd_nth_root, dd_pow_int
+from .ddarith import CDD, DD, cdd_solve, dd_from_decimal
 from .matcore import haar_unitary
 
 
@@ -118,16 +122,17 @@ class GeneratedProblem:
 
 
 def true_sigma_grid(n: int, kappa: float) -> DD:
-    """Geometric grid ``kappa**(1/2 - (j-1)/(n-1))`` in double-double.
+    """Geometric grid ``kappa**(1/2 - (j-1)/(n-1))`` in double-double,
+    each value within about ``2**-106`` relative of the exact one.
 
     The grid is nonincreasing with ``sigma_1 * sigma_n = 1`` and
-    ``sigma_1 / sigma_n = kappa``.  The returned arrays are shared and
-    read-only (see :func:`_grids`).
+    ``sigma_1 / sigma_n = kappa`` (all ones for ``kappa = 1``).  The
+    returned arrays are shared and read-only (see :func:`_grids`).
     """
     if n < 2:
         raise ValueError("grid needs n >= 2")
-    if kappa < 1.0:
-        raise ValueError("kappa must be >= 1")
+    if not 1.0 <= kappa < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"kappa must be finite and >= 1, got {kappa!r}")
     return _grids(n, kappa)[0]
 
 
@@ -135,28 +140,24 @@ def true_sigma_grid(n: int, kappa: float) -> DD:
 def _grids(n: int, kappa: float) -> tuple[DD, DD, DD]:
     """``(sigmas, alpha, gamma)`` for one ``(n, kappa)``, computed once.
 
-    Every problem generated with the same ``(n, kappa)`` shares these
-    arrays, so their ``hi`` and ``lo`` parts are read-only.
+    The values are evaluated at 50 significant digits in a fresh
+    ``decimal`` context (the caller's precision and rounding do not reach
+    it) and rounded to double-double by :func:`dd_from_decimal`, so each
+    ``hi + lo`` is within about ``2**-106`` relative of the exact value;
+    the grid of ``kappa = 1`` is exactly ones.  Every problem generated
+    with the same ``(n, kappa)`` shares these arrays, so their ``hi`` and
+    ``lo`` parts are read-only.
     """
-    root = dd_nth_root(DD(np.array(float(kappa))), 2 * (n - 1))
-    hi = np.empty(n)
-    lo = np.empty(n)
-    for j in range(n):
-        val = dd_pow_int(root, n - 1 - 2 * j)
-        hi[j] = val.hi
-        lo[j] = val.lo
-    sigmas = DD(hi, lo)
-    denom = (sigmas * sigmas + 1.0).sqrt()
-    grids = (sigmas, sigmas / denom, DD(np.ones(n)) / denom)
+    with localcontext(Context(prec=50, rounding=ROUND_HALF_EVEN)):
+        log_kappa = Decimal(kappa).ln()
+        sigmas = [(log_kappa * (n - 1 - 2 * j) / (2 * (n - 1))).exp() for j in range(n)]
+        roots = [(1 + s * s).sqrt() for s in sigmas]
+        grids = (dd_from_decimal(sigmas), dd_from_decimal(s / r for s, r in zip(sigmas, roots)),
+                 dd_from_decimal(1 / r for r in roots))
     for x in grids:
         x.hi.setflags(write=False)
         x.lo.setflags(write=False)
     return grids
-
-
-def _eta(n: int, kappa: float) -> DD:
-    """The grid of ``kappa`` (unit for ``kappa = 1``)."""
-    return _grids(n, kappa)[0] if kappa > 1.0 else DD(np.ones(n))
 
 
 def _sandwich(u: CDD, d: DD, v: CDD) -> CDD:
@@ -170,7 +171,8 @@ def generate_qsvd(config: GeneratorConfig) -> GeneratedProblem:
     rng = np.random.default_rng(config.seed)
     n = config.n
     uy, vy, u, v = haar_unitary(n, rng, 4)
-    y_dd = _sandwich(CDD.from_complex(uy), _eta(n, config.kappa_y), CDD.from_complex(vy))
+    y_dd = _sandwich(CDD.from_complex(uy), true_sigma_grid(n, config.kappa_y),
+                    CDD.from_complex(vy))
     sigmas, alpha, gamma = _grids(n, config.kappa_sigma)
     y_ct = y_dd.conj_t()
     try:
@@ -194,7 +196,7 @@ def generate_rsvd(config: GeneratorConfig) -> GeneratedProblem:
     w = haar_unitary(n, rng, 6)  # U_Y, V_Y, U_X, V_X, U, V
     u, v = w[4], w[5]
     sigmas, alpha, gamma = _grids(n, config.kappa_sigma)
-    eta = [_eta(n, config.kappa_y), _eta(n, config.kappa_x)]
+    eta = [true_sigma_grid(n, config.kappa_y), true_sigma_grid(n, config.kappa_x)]
     eta = DD(np.stack([e.hi for e in eta]), np.stack([e.lo for e in eta]))
     inv = DD(1.0) / eta
     # Y, X, Z_Y ~ Y^-1 and Z_X ~ X^-* as one stacked product

@@ -31,7 +31,8 @@ from .eigensolve import (
     EigenSolution,
 )
 from .matcore import rank_with_tol
-from .pencils import FORMULATIONS, Pencil, build_cpf_rsvd, generic_pencil, problem_kind
+from .pencils import (FORMULATIONS, Pencil, _checked, build_cpf_rsvd, generic_pencil,
+                      problem_kind)
 
 KIND_ZERO_BLOCK = "zero-block"
 KIND_N = "n-infinite"
@@ -277,11 +278,14 @@ def input_dims(partition) -> tuple[int, ...]:
 
 def partition_for(a, b=None, c=None):
     """Partition of A (svd), (A, C) (qsvd) or (A, B, C) (rsvd) from the
-    numerical ranks of the inputs; B without C raises ValueError."""
+    numerical ranks of the inputs.  The inputs pass the pencil builders'
+    checks (:func:`pencilsvd.pencils._checked`): B without C, an input that
+    is not a finite matrix, or shapes that do not fit raise ValueError."""
     def rank(m):
         return rank_with_tol(m).rank
 
     kind = problem_kind(b, c)
+    a, b, c = _checked(a, b, c)
     p, q = a.shape
     if kind == "svd":
         return svd_partition(p, q, rank(a))
@@ -407,12 +411,15 @@ def predict_kcf(formulation: str, partition, sigmas=()) -> KcfStructure:
     classical augmented restricted form needs the per-sigma weights only
     for eigenvalue positions, which stay ``+-sigma`` regardless.  The
     partition must be of the formulation's kind (``SvdPartition`` for an
-    svd formulation, and so on; ``ValueError`` otherwise).
+    svd formulation, and so on) and the sigmas finite and positive;
+    ``ValueError`` otherwise.
     """
     layout = _layout(formulation, partition)
     sigmas = tuple(float(s) for s in sigmas)
     if len(sigmas) != partition.p1:
         raise ValueError(f"expected {partition.p1} singular values, got {len(sigmas)}")
+    if not all(0.0 < s < np.inf for s in sigmas):  # NaN fails both comparisons
+        raise ValueError(f"singular values must be finite and positive, got {sigmas}")
     blocks: list[KcfBlock] = []
     for kind, size, count in _groups(layout, partition):
         if kind == KIND_ZERO_BLOCK:
@@ -589,14 +596,19 @@ def verify_reduction(pencil: Pencil, formulation: str, partition,
     exact block permutations; stage 2 the per-sigma 4x4 reductions.  The
     report carries the largest deviation from the predicted canonical
     form, checked separately for the constant and the lambda coefficient.
+    A partition of another kind than the formulation's, or a pencil whose
+    order is not the sum of the partition's block rows, raises ValueError.
     """
-    layout = _LAYOUTS.get(formulation)
-    if layout is None or not layout.factors:
+    layout = _layout(formulation, partition)
+    if not layout.factors:
         raise ValueError(f"no transformation chain for formulation {formulation!r}")
     sizes = _fields(partition, layout.sizes)
     given = dict(u=u, v=v, x=x, y=y)
     diag_factors = [given[name] for name in layout.factors.split()]
     group_dims = _fields(partition, layout.block_rows)
+    if pencil.lhs.shape[0] != sum(group_dims):
+        raise ValueError(f"pencil of order {pencil.lhs.shape[0]} does not fit the partition's "
+                         f"block rows {layout.block_rows} = {group_dims}")
     for f, blk in zip(diag_factors, group_dims):
         if f is None:
             raise ValueError("missing decomposition factor")

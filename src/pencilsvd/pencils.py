@@ -69,9 +69,12 @@ def generic_pencil(lhs, rhs) -> Pencil:
 
 
 def _as_matrix(m, name) -> np.ndarray:
-    m = np.atleast_2d(np.asarray(m, dtype=np.complex128))
-    if m.ndim != 2:
-        raise ValueError(f"{name} must be a matrix")
+    try:
+        m = np.atleast_2d(np.asarray(m, dtype=np.complex128))
+    except (TypeError, ValueError):  # ragged or non-numeric
+        raise ValueError(f"{name} must be a matrix") from None
+    _require(m.ndim == 2, f"{name} must be a matrix")
+    _require(np.isfinite(m).all(), f"{name} must not hold non-finite (NaN or Inf) entries")
     return m
 
 
@@ -87,8 +90,9 @@ def _require(cond: bool, msg: str) -> None:
 
 
 def _checked(a, b=None, c=None):
-    """``(A, B, C)`` as complex matrices, checked for the problem kind their
-    presence poses (:func:`problem_kind`); absent ones stay ``None``."""
+    """``(A, B, C)`` as finite complex matrices, checked for the problem
+    kind their presence poses (:func:`problem_kind`); absent ones stay
+    ``None``."""
     a = _as_matrix(a, "A")
     b = None if b is None else _as_matrix(b, "B")
     c = None if c is None else _as_matrix(c, "C")

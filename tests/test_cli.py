@@ -31,6 +31,16 @@ def test_generate_writes_problem(tmp_path, capsys):
     assert not (out / "B.txt").exists()
 
 
+def test_generate_prints_the_correctly_rounded_grid(tmp_path, capsys):
+    # sigma_16 of n = 17, kappa_sigma = 10 is 0.36517412725483770582499525660451...
+    out = tmp_path / "prob"
+    run_cli(capsys, "generate", "--kind", "qsvd", "--n", "17", "--kappa-sigma", "10",
+            "--out", str(out))
+    truth = (out / "truth.txt").read_text().splitlines()
+    assert len(truth) == 17
+    assert truth[15] == "3.65174127254837705824995256605e-01"
+
+
 def test_generate_rsvd_writes_b(tmp_path, capsys):
     out = tmp_path / "prob"
     run_cli(capsys, "generate", "--kind", "rsvd", "--n", "3",

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from decimal import ROUND_DOWN, Decimal, getcontext, localcontext
 from fractions import Fraction
 import re
 
@@ -18,8 +19,7 @@ from pencilsvd.ddarith import (
     CDD,
     _refinement_stops,
     cdd_solve,
-    dd_nth_root,
-    dd_pow_int,
+    dd_from_decimal,
     dd_to_decimal_string,
 )
 from pencilsvd.genmat import true_sigma_grid
@@ -63,18 +63,6 @@ def test_vectorized_ops_match_scalar():
         assert float(ci.lo) == float(c.lo[i])
 
 
-def test_sqrt_squares_back():
-    rng = np.random.default_rng(3)
-    vals = np.abs(rng.standard_normal(50)) + 0.1
-    a = DD(vals)
-    s = a.sqrt()
-    for i in range(50):
-        err = rel_err(s[i] * s[i], Fraction(float(vals[i])))
-        assert err <= 8 * EPS_DD
-    z = DD(np.array(0.0)).sqrt()
-    assert float(z.hi) == 0.0 and float(z.lo) == 0.0
-
-
 def test_roundtrip_binary64_exact():
     x = np.array([1.0, -3.5, 1e-300, 7.1e200, 0.1])
     assert np.array_equal(DD(x).to_float(), x)
@@ -85,15 +73,6 @@ def test_to_float_rounds_correctly():
     assert a.to_float() == 1.0
     b = DD(1.0, 2.0 ** -53 + 2.0 ** -60)
     assert b.to_float() == 1.0 + 2.0 ** -52
-
-
-def test_pow_int_and_nth_root():
-    k = DD(np.array(10.0))
-    r = dd_nth_root(k, 6)
-    assert rel_err(dd_pow_int(r, 6), Fraction(10)) <= 64 * EPS_DD
-    assert rel_err(dd_pow_int(r, -6) * 10, Fraction(1)) <= 64 * EPS_DD
-    with pytest.raises(ValueError):
-        dd_nth_root(DD(np.array(-1.0)), 3)
 
 
 def test_cdd_matmul_precision():
@@ -293,8 +272,31 @@ def test_decimal_string_30_digits():
     x = DD(np.array(1.0)) / DD(np.array(3.0))
     s = dd_to_decimal_string(x, digits=30)
     assert s.startswith("0.333333333333333333333333333333") or s.startswith("3.33333333333333333333333333333")
-    t = dd_to_decimal_string(DD(np.array(10.0)).sqrt(), digits=30)
+    root10 = dd_from_decimal([Decimal("3.16227766016837933199889354443271853371955513932521")])[0]
+    t = dd_to_decimal_string(root10, digits=30)
     assert t.startswith("3.16227766016837933199889354443")
+
+
+def test_from_decimal_rounds_hi_and_the_remainder_to_nearest():
+    third = Decimal(1) / Decimal(3)  # 28 digits in the default context
+    above_tie = "1.0000000000000001110223024625156540423631668090820312500001"
+    values = [third] + [Decimal(v) for v in (10, "-0.1", "1e-200", "2.5e300", 0, above_tie)]
+    x = dd_from_decimal(values)
+    assert x.shape == (len(values),)
+    for j, v in enumerate(values):
+        assert x.hi[j] == float(v)
+        assert x.lo[j] == float(Fraction(v) - Fraction(float(v)))
+        assert abs(exact(x[j]) - Fraction(v)) <= abs(Fraction(x.hi[j])) * 2.0 ** -106
+    # just above the tie 1 + 2**-53: hi rounds up, lo is the negative rest
+    assert x.hi[-1] == 1.0 + 2.0 ** -52 and x.lo[-1] < 0.0
+
+
+def test_decimal_string_leaves_the_callers_context_alone():
+    with localcontext() as ctx:
+        ctx.prec, ctx.rounding = 7, ROUND_DOWN
+        assert dd_to_decimal_string(DD(np.array(2.0)) / 3.0, 5) == "6.6667e-01"
+        assert (ctx.prec, ctx.rounding) == (7, ROUND_DOWN)
+        assert getcontext() is ctx
 
 
 @pytest.mark.parametrize("rhs_shape", [(3,), (5,), (3, 2), (5, 2)])

@@ -1,3 +1,5 @@
+import decimal
+
 import mpmath
 import numpy as np
 import pytest
@@ -47,6 +49,39 @@ def test_sigma_grid_symmetry_product_one():
             assert abs(prod.to_float() - 1.0) <= 8 * EPS_DD * n
         ratio = grid[0] / grid[n - 1]
         assert abs(ratio.to_float() - kappa) <= kappa * 64 * EPS_DD * n
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 10, 17, 32])
+def test_grids_against_a_60_digit_oracle(n):
+    # each grid value is rounded to dd from a correctly rounded 50-digit
+    # evaluation, so hi + lo is within 2**-106 relative of the exact value
+    with mpmath.workdps(60):
+        for kappa in (1.0, 1.5, 7.3, 10.0, 1e3, 1e7, 1e13, 1e16):
+            for j, got in enumerate(zip(*(zip(g.hi, g.lo) for g in _grids(n, kappa)))):
+                s = mpmath.mpf(kappa) ** (mpmath.mpf(n - 1 - 2 * j) / (2 * (n - 1)))
+                root = mpmath.sqrt(1 + s * s)
+                for (hi, lo), want in zip(got, (s, s / root, 1 / root)):
+                    err = abs(mpmath.mpf(hi) + mpmath.mpf(lo) - want) / want
+                    assert err <= 2.0 ** -105, (n, kappa, j, float(err))
+
+
+def test_grids_ignore_the_callers_decimal_context():
+    keys = [(17, 10.0), (5, 1e3), (32, 1e16), (3, 1.0)]
+    _grids.cache_clear()
+    want = [[(g.hi.tobytes(), g.lo.tobytes()) for g in _grids(*key)] for key in keys]
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.rounding = 5, decimal.ROUND_DOWN
+        _grids.cache_clear()
+        got = [[(g.hi.tobytes(), g.lo.tobytes()) for g in _grids(*key)] for key in keys]
+        assert (ctx.prec, ctx.rounding) == (5, decimal.ROUND_DOWN)
+    _grids.cache_clear()
+    assert got == want
+
+
+@pytest.mark.parametrize("kappa", [float("nan"), float("inf"), 0.5])
+def test_grid_rejects_kappa_that_is_not_finite_and_at_least_one(kappa):
+    with pytest.raises(ValueError, match="kappa must be finite and >= 1"):
+        true_sigma_grid(4, kappa)
 
 
 def test_config_validation():
@@ -209,10 +244,6 @@ def test_generator_determinism():
     assert np.array_equal(p1.c, p2.c)
 
 
-def _eta(n, kappa):
-    return true_sigma_grid(n, kappa) if kappa > 1.0 else DD(np.ones(n))
-
-
 def _diag(d):
     return RefCDD.of(cdd_diag(d))
 
@@ -225,7 +256,7 @@ def _assert_qsvd_matches_dd_lu(cfg):
     q = generate_qsvd(cfg)
     rng = np.random.default_rng(cfg.seed)
     uy, vy, u, v = (CDD.from_complex(haar_unitary(cfg.n, rng)) for _ in range(4))
-    y = RefCDD.of(uy).matmul(_diag(_eta(cfg.n, cfg.kappa_y))).matmul(RefCDD.of(vy.conj_t()))
+    y = RefCDD.of(uy).matmul(_diag(true_sigma_grid(cfg.n, cfg.kappa_y))).matmul(RefCDD.of(vy.conj_t()))
     y_ct = RefCDD.of(CDD(y.re, y.im).conj_t())
     for name, f, d in (("a", u, q.sigma_alpha), ("c", v, q.sigma_gamma)):
         x = ref_cdd_solve(y_ct, _diag(d).matmul(RefCDD.of(f.conj_t())))
@@ -258,7 +289,7 @@ def test_generators_match_reference_constructions(n, kappa_sigma, kappa_y, kappa
     r = generate_rsvd(cfg)
     rng = np.random.default_rng(seed)
     uy, vy, ux, vx, u, v = (CDD.from_complex(haar_unitary(n, rng)) for _ in range(6))
-    eta_y, eta_x = _eta(n, kappa_y), _eta(n, kappa_x)
+    eta_y, eta_x = true_sigma_grid(n, kappa_y), true_sigma_grid(n, kappa_x)
     ref, diag = RefCDD.of, _diag
     z_y = ref(vy).matmul(diag(DD(1.0) / eta_y)).matmul(ref(uy.conj_t()))
     z_x = ref(ux).matmul(diag(DD(1.0) / eta_x)).matmul(ref(vx.conj_t()))
@@ -286,7 +317,7 @@ def test_rsvd_stacked_products_equal_the_sequential_ones(n, kappa_sigma, kappa_y
     r = generate_rsvd(cfg)
     rng = np.random.default_rng(cfg.seed)
     uy, vy, ux, vx, u, v = (CDD.from_complex(haar_unitary(n, rng)) for _ in range(6))
-    eta_y, eta_x = _eta(n, kappa_y), _eta(n, kappa_x)
+    eta_y, eta_x = true_sigma_grid(n, kappa_y), true_sigma_grid(n, kappa_x)
     sandwich = genmat._sandwich
     z_y = sandwich(vy, DD(1.0) / eta_y, uy)
     z_x = sandwich(ux, DD(1.0) / eta_x, vx)

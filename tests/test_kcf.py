@@ -96,6 +96,26 @@ def test_partition_for_rejects_b_without_c():
         partition_for(np.eye(2), np.eye(2), None)
 
 
+@pytest.mark.parametrize("args,message", [
+    (([[np.inf, 1.0]],), "A must not hold non-finite"),
+    (([[1.0, np.nan]],), "A must not hold non-finite"),
+    ((np.eye(2), None, [[np.nan, 0.0]]), "C must not hold non-finite"),
+    ((np.eye(2), [[1.0], [np.inf]], np.eye(2)), "B must not hold non-finite"),
+    ((np.eye(2), None, np.ones((2, 3))), r"A and C must share columns, got \(2, 2\) and \(2, 3\)"),
+    (([[[1.0, 0.0], [0.0, 1.0]]],), "A must be a matrix"),
+    (([[1.0, 2.0], [3.0]],), "A must be a matrix"),
+])
+def test_partition_for_rejects_bad_input_naming_the_matrix(args, message):
+    with pytest.raises(ValueError, match=message):
+        partition_for(*args)
+
+
+def test_partition_for_takes_nested_lists_like_arrays():
+    a, c = [[1.0, 2.0], [2.0, 4.0]], [[0.0, 1.0]]
+    assert partition_for(a) == partition_for(np.array(a))
+    assert partition_for(a, c=c) == partition_for(np.array(a), c=np.array(c))
+
+
 def test_qsvd_partition_from_ranks():
     part = qsvd_partition_from_ranks(p=1, q=3, n=2, r_a=1, r_c=1, r_ac=2)
     assert (part.p1, part.p2, part.p3) == (0, 1, 0)
@@ -161,6 +181,13 @@ def test_predict_aug_rsvd_block_list():
 def test_predict_unknown_tag():
     with pytest.raises(ValueError):
         predict_kcf("sq-qsvd", None)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("formulation", ["cpf-svd", "aug-svd"])
+def test_predict_rejects_sigmas_that_are_not_finite_and_positive(formulation, bad):
+    with pytest.raises(ValueError, match="finite and positive"):
+        predict_kcf(formulation, svd_partition(2, 2, 2), sigmas=(1.0, bad))
 
 
 @pytest.mark.parametrize("formulation", sorted(_LAYOUTS))
@@ -308,6 +335,22 @@ def test_verify_reduction_factor_mismatch():
     with pytest.raises(ValueError):
         verify_reduction(pencil, "cpf-svd", svd_partition(1, 1, 1),
                          u=np.eye(3, dtype=complex), v=np.eye(1, dtype=complex))
+
+
+@pytest.mark.parametrize("other", ["svd", "rsvd"])
+def test_verify_reduction_rejects_a_partition_of_another_kind(other):
+    eye = np.eye(2, dtype=complex)
+    partition = partition_for(eye) if other == "svd" else partition_for(eye, eye, eye)
+    with pytest.raises(ValueError, match="needs a QsvdPartition"):
+        verify_reduction(build_cpf_qsvd(eye, eye), "cpf-qsvd", partition, u=eye, v=eye, y=eye)
+
+
+def test_verify_reduction_rejects_a_pencil_of_another_order():
+    eye2, eye3 = np.eye(2, dtype=complex), np.eye(3, dtype=complex)
+    partition = partition_for(eye2, c=eye2)
+    with pytest.raises(ValueError, match=r"order 12 does not fit .*p q p n = \[2, 2, 2, 2\]"):
+        verify_reduction(build_cpf_qsvd(eye3, eye3), "cpf-qsvd", partition,
+                         u=eye2, v=eye2, y=eye2)
 
 
 @pytest.mark.parametrize("kind", ["qsvd", "rsvd"])

@@ -1,15 +1,22 @@
 """Source hygiene checks that need only the standard library.
 
-No linter is a dependency of the package or its tests, so the two rules
-that deletions keep breaking are checked here with ``ast``: an import left
-without a use (pyflakes F401), and a private helper, constant or class
-that no module of the package reads any more.
+No linter is a dependency of the package or its tests, so the rules that
+changes keep breaking are checked here with ``ast``: an import left
+without a use (pyflakes F401), a private helper, constant or class that
+no module of the package reads any more, and an import of a package that
+is neither the standard library nor a runtime dependency (the test-only
+``mpmath`` oracle, say).
 """
 
 import ast
+import re
+import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "pencilsvd"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "pencilsvd"
 
 
 def unused_imports(text: str) -> list[str]:
@@ -109,3 +116,41 @@ def test_src_private_names_are_read_in_src():
     texts = [path.read_text() for path in sorted(SRC.glob("*.py"))]
     assert len(texts) >= 10
     assert unread_private_names(texts) == []
+
+
+def foreign_imports(text: str, allowed) -> list[str]:
+    """Top-level packages a module imports absolutely (relative imports are
+    the package's own) that are not in ``allowed``."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Import):
+            found += [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append(node.module.split(".")[0])
+    return [name for name in found if name not in allowed]
+
+
+def test_foreign_import_check_sees_a_test_only_package():
+    text = ("from __future__ import annotations\n"
+            "import decimal, os.path\n"
+            "import numpy as np\n"
+            "from mpmath import mp\n"
+            "from . import ddarith\n"
+            "from .genmat import _grids\n"
+            "def f():\n"
+            "    import hypothesis.strategies\n")
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    assert foreign_imports(text, allowed) == ["mpmath", "hypothesis"]
+
+
+def test_src_imports_only_the_stdlib_and_runtime_dependencies():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        deps = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower()
+                for dep in tomllib.load(fh)["project"]["dependencies"]}
+    assert deps == {"numpy", "scipy"}
+    allowed = set(sys.stdlib_module_names) | deps
+    found = {path.name: foreign_imports(path.read_text(), allowed)
+             for path in sorted(SRC.glob("*.py"))}
+    assert len(found) >= 10
+    assert {name: names for name, names in found.items() if names} == {}
