@@ -14,7 +14,6 @@ from .bench import (
     write_sweep_csv,
 )
 from .ddarith import dd_to_decimal_string
-from .eigensolve import STRUCTURE_CLASS_TOL, solve_general
 from .genmat import GeneratorConfig, generate
 from .kcf import (
     KIND_N,
@@ -92,38 +91,18 @@ def cmd_solve(args):
     if args.recover and args.formulation != "cpf":
         raise ValueError("--recover needs the cpf formulation")
     mats = _load_inputs(args)
-    if args.formulation == "cpf":
-        sol, kind, partition = _solve_cpf(mats)
-    else:
-        sol = solve_pencil(_build_pencil(args.formulation, mats)[0])
+    pencil, kind = _build_pencil(args.formulation, mats)
+    sol = solve_pencil(pencil)
     for v in sol.values:
         lam = v.value
         print(f"{lam.real:.16e} {lam.imag:.16e} {v.kind}")
     if args.recover:
-        for t in _classify(sol, kind, partition).triplets:
+        # the partition of the input ranks, not a class threshold, decides
+        # which values are zero, infinite or indeterminate
+        partition = partition_for(mats["a"], mats.get("b"), mats.get("c"))
+        for t in classify_spectrum(sol, kind, input_dims(partition), partition).triplets:
             print(f"{t.kind} {t.alpha:.16e} {t.beta:.16e} {t.gamma:.16e} "
                   f"{t.sigma:.16e} {t.phase_residual:.3e}")
-
-
-def _solve_cpf(mats):
-    """``(solution, kind, partition)`` of the inputs' cpf pencil.
-
-    Roundoff splits a size-k block at zero or infinity into values of size
-    ``eps**(1/k)`` (Van Dooren, LAA 27, 1979), so the pencil is classified
-    at ``STRUCTURE_CLASS_TOL`` when the ranks predict any block besides the
-    sigma quadruples, and at the regular default otherwise.
-    """
-    pencil, kind = _build_pencil("cpf", mats)
-    partition = partition_for(mats["a"], mats.get("b"), mats.get("c"))
-    structured = pencil.lhs.shape[0] > 4 * partition.p1
-    sol = solve_general(pencil, class_tol_rel=STRUCTURE_CLASS_TOL if structured else None)
-    return sol, kind, partition
-
-
-def _classify(sol, kind, partition):
-    """``classify_spectrum`` of a ``_solve_cpf`` solution, held to the
-    counts the ranks predict."""
-    return classify_spectrum(sol, kind, input_dims(partition), partition=partition)
 
 
 def cmd_kcf(args):
@@ -147,20 +126,21 @@ def cmd_kcf(args):
                                   v=problem.v, x=problem.x, y=problem.y)
         print(f"verification: stage1 off-structure {report.stage1_off:.3e}, "
               f"stage2 {report.stage2_off:.3e}, relative {report.relative:.3e}")
-        sol = solve_general(pencil)
-        check = spectrum_counts_check(sol, structure)
+        check = spectrum_counts_check(solve_pencil(pencil), structure)
         status = "ok" if check.ok else f"MISMATCH {check.mismatches()}"
         print(f"spectrum counts vs prediction: {status}")
         return
 
     mats = _load_inputs(args)
-    if problem_kind(mats.get("b"), mats.get("c")) == "svd":
-        # the singular values of A themselves, with no class threshold
-        kind, partition = "svd", partition_for(mats["a"])
+    kind = problem_kind(mats.get("b"), mats.get("c"))
+    partition = partition_for(mats["a"], mats.get("b"), mats.get("c"))
+    if kind == "svd":
+        # the singular values of A themselves
         sigmas = rank_with_tol(mats["a"]).values[: partition.p1]
     else:
-        sol, kind, partition = _solve_cpf(mats)
-        sigmas = [q.sigma for q in _classify(sol, kind, partition).quadruples]
+        sol = solve_pencil(_build_pencil("cpf", mats)[0])
+        cls = classify_spectrum(sol, kind, input_dims(partition), partition)
+        sigmas = [q.sigma for q in cls.quadruples]
     structure = predict_kcf(f"{args.formulation}-{kind}", partition, sigmas)
     _print_structure(structure)
 

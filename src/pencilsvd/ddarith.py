@@ -156,9 +156,6 @@ class DD:
     def shape(self):
         return self.hi.shape
 
-    def copy(self):
-        return DD(self.hi.copy(), self.lo.copy())
-
     def __getitem__(self, key):
         return DD(self.hi[key], self.lo[key])
 
@@ -235,9 +232,6 @@ class CDD:
     @property
     def im(self) -> DD:
         return DD(self.hi[1], self.lo[1])
-
-    def copy(self):
-        return CDD._of(self.hi.copy(), self.lo.copy())
 
     def __getitem__(self, key):
         key = (slice(None),) + (key if isinstance(key, tuple) else (key,))
@@ -378,6 +372,8 @@ def dd_to_decimal_string(x: DD, digits: int = 32) -> str:
     is left as it was."""
     with localcontext(Context(prec=digits + 10, rounding=ROUND_HALF_EVEN)):
         total = Decimal(float(x.hi)) + Decimal(float(x.lo))
+        if not total.is_finite():
+            raise ValueError(f"cannot format the non-finite dd value {total}")
         mant, exp10 = f"{total:.{digits - 1}e}".split("e")
     if total == 0:
         return "0." + "0" * (digits - 1) + "e+00"

@@ -2,7 +2,9 @@
 
 ``solve_general`` wraps the QZ algorithm (LAPACK ``zggev`` via scipy) and
 returns homogeneous eigenvalue pairs ``(alpha_e, beta_e)`` classified as
-finite-nonzero, zero, infinite or indeterminate.  ``solve_hpd`` is the
+finite-nonzero, zero, infinite or indeterminate at one threshold; the
+classes of a cpf spectrum are taken from the input ranks instead
+(:func:`pencilsvd.recovery.classify_spectrum`).  ``solve_hpd`` is the
 specialized path for Hermitian pencils with positive definite right-hand
 side (the classical augmented formulations when B has full row rank and C
 full column rank).
@@ -45,10 +47,6 @@ CLASS_INDETERMINATE = "indeterminate"
 # that defines the ``backward_stable`` flag of solve_general
 RESIDUAL_TOL = 1e-12
 
-# class threshold for spectra with Jordan blocks at zero or infinity, whose
-# roundoff splits a size-k block into values of size eps**(1/k)
-STRUCTURE_CLASS_TOL = 1e-4
-
 
 class NotDefiniteError(np.linalg.LinAlgError):
     """Right-hand side is not positive definite; use solve_general instead."""
@@ -69,10 +67,10 @@ class GeneralizedEigenvalue:
 
     @property
     def value(self) -> complex:
-        if self.kind == CLASS_INFINITE:
-            return complex(np.inf, 0.0)
         if self.kind == CLASS_INDETERMINATE:
             return complex(np.nan, np.nan)
+        if self.kind == CLASS_INFINITE or not self.beta_e:
+            return complex(np.inf, 0.0)
         return self.alpha_e / self.beta_e
 
 
@@ -144,11 +142,9 @@ def solve_general(pencil: Pencil, class_tol_rel: float | None = None,
     class_tol_rel : float, optional
         Relative threshold separating zero/infinite/indeterminate pairs from
         finite ones; scaled by ``max(||lhs||_F, ||rhs||_F)``.  Defaults to
-        ``dim * eps``, which suits regular pencils.  Spectra containing
-        Jordan blocks need a looser value: a size-k block at 0 or infinity
-        splits under roundoff into eigenvalues of magnitude ``eps**(1/k)``,
-        so count checks against predicted canonical structure use
-        ``STRUCTURE_CLASS_TOL``.
+        ``dim * eps``, which suits regular pencils: a size-k block at 0 or
+        infinity splits under roundoff into values of size ``eps**(1/k)``,
+        which it calls finite.
     vectors : bool, optional
         By default the solve returns the eigenvalues alone, with ``vectors``
         and ``backward_stable`` left ``None``: QZ accumulates no ``Q``/``Z``

@@ -23,11 +23,12 @@ across a class boundary, unbalances the classes.  Since a quadruple is
 unchanged by a quarter turn, a common rotation counts modulo pi/2.  The
 cpf spectra of real sigma >= 0 lie on the axes.
 
-Classification needs the structure partition of the inputs: each quadruple
-gives a regular triplet, and the other classes -- (1,1,0), (1,0,1), (1,0,0),
-(0,1,1) and trivial -- are counted from the canonical blocks that back them
-in the cpf layouts of :mod:`pencilsvd.kcf`, since eigenvalue counts alone
-cannot split the restricted pencil's two sizes of blocks at infinity.
+Classification needs the structure partition of the inputs, whose counts
+decide the classes of the values, since roundoff splits a size-k block at
+0 or infinity into values of size ``eps**(1/k)`` (Van Dooren, LAA 27,
+1979).  Each quadruple gives a regular triplet, and the other classes --
+(1,1,0), (1,0,1), (1,0,0), (0,1,1) and trivial -- are counted from the
+blocks that back them in the cpf layouts of :mod:`pencilsvd.kcf`.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensolve import CLASS_FINITE, EigenSolution, GeneralizedEigenvalue
+from .eigensolve import (CLASS_FINITE, CLASS_INDETERMINATE, CLASS_INFINITE, CLASS_ZERO,
+                         EigenSolution, GeneralizedEigenvalue)
 from .kcf import (
     TRIPLET_011,
     TRIPLET_100,
@@ -47,7 +49,6 @@ from .kcf import (
     TRIPLET_TRIVIAL,
     input_dims,
     predict_kcf,
-    spectrum_counts_check,
     triplet_counts,
 )
 from .pencils import FORMULATIONS, Pencil
@@ -114,6 +115,10 @@ class RecoveredVectors:
 # conjugate quarter turns taking phase classes 0..3 back onto class 0
 _UNTURN = np.array([1, -1j, -1, 1j])
 
+# least class gap (see classify_spectrum) at which the partition's counts
+# separate the zero and infinite values from the finite ones
+CLASS_GAP_FLOOR = 2.0
+
 # an eigenvector block with norm at or below NORM_FLOOR * |w| carries no
 # direction, so the singular vectors cannot be read from it
 NORM_FLOOR = 1e-12
@@ -179,28 +184,35 @@ def _sigma_to_triplet(sigma: float, phase_residual: float) -> SingularTriplet:
 
 @dataclass(frozen=True)
 class SpectrumClassification:
-    """Triplets recovered from a cpf spectrum and the quadruples behind them."""
+    """Triplets recovered from a cpf spectrum, the quadruples behind them,
+    and the class gap that separated the classes (see classify_spectrum)."""
 
     triplets: tuple[SingularTriplet, ...]
     quadruples: tuple[Quadruple, ...]
+    class_gap: float
 
 
 def classify_spectrum(sol: EigenSolution, kind: str, dims,
                       partition) -> SpectrumClassification:
     """Convert a cpf pencil spectrum into singular triplets.
 
-    The finite values are grouped into quadruples, one regular triplet
-    each; then the class counts are held to the ones the partition predicts
-    (``GroupingError`` otherwise), so a quadruple that the class threshold
-    swallows is an error, not a missing triplet.  The other triplets are
-    those the partition's canonical blocks back, read from the cpf layout
+    The classes follow the partition's predicted counts, not the solver's:
+    the exact ``(0, 0)`` pairs of deflation must number the indeterminate
+    ones (``GroupingError`` otherwise), the zeros are the other pairs of
+    least side ratio ``|alpha|/|(alpha, beta)|``, then the infinities those
+    of least ``|beta|/|(alpha, beta)|``.  The class gap, the least side ratio
+    of the rest over the largest ratio assigned (``inf`` if none is), must
+    reach ``CLASS_GAP_FLOOR`` (``GroupingError`` otherwise).  The rest group
+    into quadruples, one regular triplet each.  The other triplets are those
+    the partition's canonical blocks back, read from the cpf layout
     (:func:`pencilsvd.kcf.triplet_counts`), in the order 110, 101, 100,
     011, trivial.
 
     Parameters
     ----------
     sol : EigenSolution
-        Spectrum of the cpf pencil of the stated kind.
+        Spectrum of the cpf pencil of the stated kind, at any threshold; its
+        order must be the partition's (``ValueError`` otherwise).
     kind : {'svd', 'qsvd', 'rsvd'}
     dims : tuple
         Input matrix dimensions: (p, q) / (p, q, n) / (p, q, m, n); they
@@ -212,17 +224,38 @@ def classify_spectrum(sol: EigenSolution, kind: str, dims,
     if tuple(dims) != input_dims(partition):
         raise ValueError(f"dims {tuple(dims)} are not the partition's input "
                          f"sizes {input_dims(partition)}")
-    finite = [i for i, v in enumerate(sol.values) if v.kind == CLASS_FINITE]
-    # member indices point into sol.values, where the classes interleave
-    quads = [Quadruple(q.members, tuple(finite[i] for i in q.member_indices), q.sigma,
-                       q.phase_residual) for q in group_quadruples([sol.values[i] for i in finite])]
     formulation = f"cpf-{kind}"
     # the predicted counts depend on the number of values, not on them
-    predicted = predict_kcf(formulation, partition, np.ones(partition.p1))
-    mismatches = spectrum_counts_check(sol, predicted).mismatches()
-    if mismatches:
-        raise GroupingError("eigenvalue counts do not match the partition "
-                            f"prediction (predicted, observed): {mismatches}")
+    counts = predict_kcf(formulation, partition, np.ones(partition.p1)).eigenvalue_counts()
+    n_zero, n_inf, n_ind = (counts[c] for c in (CLASS_ZERO, CLASS_INFINITE, CLASS_INDETERMINATE))
+    vals, order = sol.values, sum(counts.values())
+    if len(vals) != order:
+        raise ValueError(f"spectrum of order {len(vals)} is not the order {order} of the "
+                         f"partition's {formulation} pencil")
+    mag = np.abs(np.array([v.alpha_e for v in vals] + [v.beta_e for v in vals])).reshape(2, -1)
+    live = np.flatnonzero(mag.any(axis=0))
+    if len(vals) - live.size != n_ind:
+        raise GroupingError(f"{len(vals) - live.size} deflated pairs, but the partition "
+                            f"predicts {n_ind} indeterminate ones")
+    ratio = mag[:, live]
+    ratio /= np.hypot(ratio[0], ratio[1])
+    by_alpha = np.argsort(ratio[0], kind="stable")
+    by_beta = by_alpha[n_zero:][np.argsort(ratio[1, by_alpha[n_zero:]], kind="stable")]
+    finite = np.sort(by_beta[n_inf:])
+    # the largest ratio assigned on each side is the last one taken
+    top = max(ratio[0, by_alpha[n_zero - 1]] if n_zero else 0,
+              ratio[1, by_beta[n_inf - 1]] if n_inf else 0)
+    gap = ratio[:, finite].min(initial=math.inf) / top if top else math.inf
+    if gap < CLASS_GAP_FLOOR:
+        raise GroupingError(f"class gap {gap:.3g} is below {CLASS_GAP_FLOOR}: the predicted "
+                            f"{n_zero} zero and {n_inf} infinite values are not apart")
+    # member indices point into sol.values, where the classes interleave
+    finite = live[finite].tolist()
+    members = [v if v.kind == CLASS_FINITE
+               else GeneralizedEigenvalue(v.alpha_e, v.beta_e, CLASS_FINITE)
+               for v in map(vals.__getitem__, finite)]
+    quads = [Quadruple(q.members, tuple(finite[i] for i in q.member_indices), q.sigma,
+                       q.phase_residual) for q in group_quadruples(members)]
     n = triplet_counts(formulation, partition)
     triplets = [_sigma_to_triplet(q.sigma, q.phase_residual) for q in quads]
     triplets += [SingularTriplet(1.0, 1.0, 0.0, math.inf, TRIPLET_110)] * n[TRIPLET_110]
@@ -230,7 +263,7 @@ def classify_spectrum(sol: EigenSolution, kind: str, dims,
     triplets += [SingularTriplet(1.0, 0.0, 0.0, math.inf, TRIPLET_100)] * n[TRIPLET_100]
     triplets += [SingularTriplet(0.0, 1.0, 1.0, 0.0, TRIPLET_011)] * n[TRIPLET_011]
     triplets += [SingularTriplet(0.0, 0.0, 0.0, math.nan, TRIPLET_TRIVIAL)] * n[TRIPLET_TRIVIAL]
-    return SpectrumClassification(tuple(triplets), tuple(quads))
+    return SpectrumClassification(tuple(triplets), tuple(quads), gap)
 
 
 def extract_vectors(sol: EigenSolution, quad: Quadruple, pencil: Pencil) -> RecoveredVectors:
@@ -251,16 +284,8 @@ def extract_vectors(sol: EigenSolution, quad: Quadruple, pencil: Pencil) -> Reco
         raise ValueError(f"extract_vectors needs a cpf pencil, got {pencil.formulation!r}")
     if sol.vectors is None:
         raise ValueError("values-only solution: solve with vectors=True to extract vectors")
-    member = None
-    for idx, val in zip(quad.member_indices, quad.members):
-        if val.kind == CLASS_FINITE:
-            # prefer the member nearest the positive real axis
-            score = abs(np.angle(val.value))
-            if member is None or score < member[0]:
-                member = (score, idx, val)
-    if member is None:
-        raise ValueError("quadruple has no member with a computed eigenvector")
-    _, idx, val = member
+    # the member nearest the positive real axis
+    _, idx = min(zip(quad.members, quad.member_indices), key=lambda m: abs(np.angle(m[0].value)))
     w = sol.vectors[:, idx]
     off = pencil.row_offsets()
     s = [slice(off[i], off[i + 1]) for i in range(4)]

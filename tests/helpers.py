@@ -227,6 +227,10 @@ def cdd_diag(values: DD) -> CDD:
     return CDD(DD(np.diag(values.hi), np.diag(values.lo)), DD(zero, zero))
 
 
+def _dd_copy(x: DD) -> DD:
+    return DD(x.hi.copy(), x.lo.copy())
+
+
 class RefCDD:
     """Complex dd array as a (re, im) pair of DD arrays, every complex
     operation spelled out one real dd operation at a time.
@@ -245,7 +249,7 @@ class RefCDD:
 
     @classmethod
     def of(cls, z: CDD) -> "RefCDD":
-        return cls(z.re.copy(), z.im.copy())
+        return cls(_dd_copy(z.re), _dd_copy(z.im))
 
     @classmethod
     def zeros(cls, shape):
@@ -259,7 +263,7 @@ class RefCDD:
         return (self.re.hi, self.re.lo, self.im.hi, self.im.lo)
 
     def copy(self):
-        return RefCDD(self.re.copy(), self.im.copy())
+        return RefCDD(_dd_copy(self.re), _dd_copy(self.im))
 
     def __getitem__(self, key):
         return RefCDD(self.re[key], self.im[key])
@@ -269,7 +273,7 @@ class RefCDD:
             dst[key] = src
 
     def conj(self):
-        return RefCDD(self.re.copy(), -self.im)
+        return RefCDD(_dd_copy(self.re), -self.im)
 
     def abs2(self) -> DD:
         return self.re * self.re + self.im * self.im

@@ -6,7 +6,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import DEFLATING_COUNTS, structured_problem
+from helpers import (
+    DEFLATING_COUNTS,
+    assembled_qsvd_pair,
+    assembled_rsvd_triplet,
+    qsvd_partition_from_counts,
+    random_qsvd_counts,
+    random_rsvd_counts,
+    rsvd_partition_from_counts,
+    structured_problem,
+)
 from pencilsvd import cli
 from pencilsvd.cli import main
 from pencilsvd.matcore import read_matrix_text, write_matrix_text
@@ -166,8 +175,8 @@ def test_solve_requires_a(tmp_path, capsys):
 @pytest.mark.parametrize("command", [["solve", "--formulation", "cpf", "--recover"],
                                      ["kcf"]])
 def test_ungroupable_spectrum_is_a_result_not_a_usage_error(tmp_path, command):
-    # A = [[1e-20]], B = C = [[1]]: two of the four cpf eigenvalues are exact
-    # zeros, so the finite ones cannot form a quadruple
+    # A = [[1e-20]], B = C = [[1]]: the ranks count all four cpf eigenvalues
+    # finite, but two of them are exact zeros, so they cannot form a quadruple
     mats = {"a": 1e-20, "b": 1.0, "c": 1.0}
     for name, value in mats.items():
         write_matrix_text(tmp_path / f"{name}.txt", np.array([[value]]))
@@ -177,7 +186,7 @@ def test_ungroupable_spectrum_is_a_result_not_a_usage_error(tmp_path, command):
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 1
-    assert proc.stderr == "finite eigenvalue count 2 is not divisible by 4\n"
+    assert proc.stderr == "grouping expects finite nonzero eigenvalues\n"
     assert "usage:" not in proc.stdout + proc.stderr
 
 
@@ -195,8 +204,8 @@ def test_solve_prints_an_ungroupable_spectrum(tmp_path, capsys):
                          ids=["solve-recover", "kcf"])
 @pytest.mark.parametrize("kind, counts", DEFLATING_COUNTS)
 def test_rank_structured_files(tmp_path, capsys, kind, counts, command):
-    # Jordan blocks at zero or infinity: the ranks select the structure
-    # class threshold, and the values group
+    # Jordan blocks at zero or infinity: the ranks fix the classes, and the
+    # values group
     _, sigmas, inputs, _ = structured_problem(kind, counts, np.random.default_rng(3))
     args = []
     for name, m in inputs.items():
@@ -223,17 +232,55 @@ def test_kcf_predict_from_files(tmp_path, capsys):
     assert "finite-nonzero=8" in out
 
 
-def test_kcf_reports_fewer_values_than_the_ranks_predict(tmp_path):
-    # A has full column rank, but its quadruple at sqrt(1e-9) lies inside
-    # the structure class threshold that its zero rows call for
+def _write_tiny_sigma_files(tmp_path):
+    # A has full column rank, and its quadruple at sqrt(1e-9) lies far
+    # inside a 1e-4 class threshold; the ranks still count it finite
     ap, cp = tmp_path / "a.txt", tmp_path / "c.txt"
     write_matrix_text(ap, np.array([[1.0, 0.0], [0.0, 1e-9], [0.0, 0.0]]))
     write_matrix_text(cp, np.eye(2))
-    with pytest.raises(SystemExit) as exc:
-        main(["kcf", "--a", str(ap), "--c", str(cp)])
-    assert str(exc.value) == ("eigenvalue counts do not match the partition prediction "
-                              "(predicted, observed): {'finite-nonzero': (8, 4), 'zero': (2, 6)}")
-    assert exc.value.code != 0
+    return ["--a", str(ap), "--c", str(cp)]
+
+
+def test_kcf_reports_the_values_the_ranks_predict(tmp_path, capsys):
+    out = run_cli(capsys, "kcf", *_write_tiny_sigma_files(tmp_path))
+    assert "finite-nonzero=8," in out
+    assert "J_1(+3.162278e-05+0.000000e+00i)" in out
+
+
+def test_solve_recovers_a_sigma_of_1e_minus_9(tmp_path, capsys):
+    out = run_cli(capsys, "solve", "--formulation", "cpf", "--recover",
+                  *_write_tiny_sigma_files(tmp_path))
+    got = [float(ln.split()[4]) for ln in out.splitlines() if ln.startswith("regular")]
+    assert got == pytest.approx([1.0, 1e-9], rel=1e-6)
+
+
+@pytest.mark.parametrize("lo, hi", [(-9, 0), (0, 9)], ids=["1e-9..1", "1..1e9"])
+@pytest.mark.parametrize("kind", ["qsvd", "rsvd"])
+def test_solve_recovers_sigmas_spread_over_nine_decades(tmp_path, capsys, kind, lo, hi):
+    # random helper partitions with log-uniform sigmas, one at the far end
+    # from 1: blocks at 0 and infinity split into values of size
+    # eps**(1/k), which a fixed class threshold cannot tell from the
+    # quadruples of sigmas near 1e-9 or 1e9; the ranks can
+    rng = np.random.default_rng((24, hi, kind == "rsvd"))
+    draw = random_qsvd_counts if kind == "qsvd" else random_rsvd_counts
+    build = qsvd_partition_from_counts if kind == "qsvd" else rsvd_partition_from_counts
+    for _ in range(50):
+        counts = draw(rng, max_count=3)
+        part = build(*counts)
+        exps = rng.uniform(lo, hi, part.p1)
+        exps[0] = hi if lo == 0 else lo
+        sigmas = np.sort(10.0 ** exps)
+        if kind == "qsvd":
+            mats = dict(zip("ac", assembled_qsvd_pair(part, sigmas, rng)))
+        else:
+            mats = dict(zip("abc", assembled_rsvd_triplet(part, sigmas, rng)))
+        args = []
+        for name, m in mats.items():
+            write_matrix_text(tmp_path / f"{name}.txt", m)
+            args.append(f"--{name}={tmp_path / f'{name}.txt'}")
+        out = run_cli(capsys, "solve", "--formulation", "cpf", "--recover", *args)
+        got = sorted(float(ln.split()[4]) for ln in out.splitlines() if ln.startswith("regular"))
+        assert got == pytest.approx(sigmas, rel=1e-6), (counts, sigmas)
 
 
 def test_readme_kcf_example(tmp_path, capsys):

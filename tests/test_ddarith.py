@@ -117,7 +117,7 @@ def test_cdd_solve_row_swap_leaves_inputs_unchanged(rhs_shape):
     a[0, 0] = 1e-3 + 1e-3j
     b = rng.standard_normal(rhs_shape) + 1j * rng.standard_normal(rhs_shape)
     ac, bc = CDD.from_complex(a), CDD.from_complex(b)
-    a_before, b_before = ac.copy(), bc.copy()
+    a_before, b_before = CDD.from_complex(a), CDD.from_complex(b)
     x = cdd_solve(ac, bc)
     assert x.shape == rhs_shape
     x2 = x if len(rhs_shape) == 2 else CDD(x.re[:, None], x.im[:, None])
@@ -289,6 +289,13 @@ def test_from_decimal_rounds_hi_and_the_remainder_to_nearest():
         assert abs(exact(x[j]) - Fraction(v)) <= abs(Fraction(x.hi[j])) * 2.0 ** -106
     # just above the tie 1 + 2**-53: hi rounds up, lo is the negative rest
     assert x.hi[-1] == 1.0 + 2.0 ** -52 and x.lo[-1] < 0.0
+
+
+@pytest.mark.parametrize("value, name", [(np.nan, "NaN"), (np.inf, "Infinity"),
+                                         (-np.inf, "-Infinity")])
+def test_decimal_string_rejects_a_non_finite_value(value, name):
+    with pytest.raises(ValueError, match=f"cannot format the non-finite dd value {name}$"):
+        dd_to_decimal_string(DD(np.array(value)), 10)
 
 
 def test_decimal_string_leaves_the_callers_context_alone():

@@ -13,7 +13,12 @@ from helpers import (
     random_svd_counts,
     structured_problem,
 )
-from pencilsvd.eigensolve import CLASS_FINITE, STRUCTURE_CLASS_TOL, solve_general
+from pencilsvd.eigensolve import (
+    CLASS_FINITE,
+    EigenSolution,
+    GeneralizedEigenvalue,
+    solve_general,
+)
 from pencilsvd.genmat import GeneratorConfig, generate_qsvd
 from pencilsvd.kcf import input_dims, partition_for, triplet_counts
 from pencilsvd.pencils import (
@@ -25,6 +30,7 @@ from pencilsvd.pencils import (
     generic_pencil,
 )
 from pencilsvd.recovery import (
+    CLASS_GAP_FLOOR,
     TRIPLET_100,
     TRIPLET_011,
     TRIPLET_101,
@@ -246,29 +252,72 @@ def test_classify_rsvd_rejects_a_partition_with_other_counts():
     cls = classify_spectrum(sol, "rsvd", (2, 2, 2, 2), partition=partition_for(a, b, c))
     assert sorted(t.kind for t in cls.triplets) == \
         sorted([TRIPLET_REGULAR, TRIPLET_110, TRIPLET_100])
-    # the partition of (A, B, I) predicts two finite quadruples and no infinite value
-    with pytest.raises(GroupingError, match=r"\{'finite-nonzero': \(8, 4\), 'infinite': \(0, 4\)\}"):
+    # the partition of (A, B, I) predicts two finite quadruples and no
+    # infinite value, so the four values at infinity do not group
+    with pytest.raises(GroupingError, match="grouping expects finite nonzero eigenvalues"):
         classify_spectrum(sol, "rsvd", (2, 2, 2, 2), partition=partition_for(a, b, np.eye(2)))
 
 
 @pytest.mark.parametrize("kind", ["svd", "qsvd"])
 def test_classify_holds_every_kind_to_the_partition(kind):
-    # A has full column rank, but its quadruple at sqrt(1e-9) lies inside
-    # the structure class threshold: two values predicted, one grouped
+    # A has full column rank, and its quadruple at sqrt(1e-9) lies far
+    # inside a 1e-4 class threshold, but the zero rows of A fix the zero
+    # and deflated counts, so the small sigma keeps its quadruple whatever
+    # threshold the solve classified at
     a = np.array([[1.0, 0.0], [0.0, 1e-9], [0.0, 0.0]])
     mats = {"a": a} if kind == "svd" else {"a": a, "c": np.eye(2)}
-    sol = solve_general(FORMULATIONS[f"cpf-{kind}"].build_from(mats),
-                        class_tol_rel=STRUCTURE_CLASS_TOL)
     dims = (3, 2) if kind == "svd" else (3, 2, 2)
-    with pytest.raises(GroupingError, match=r"'finite-nonzero': \(8, 4\)"):
-        classify_spectrum(sol, kind, dims, partition=partition_for(**mats))
+    for class_tol_rel in (None, 1e-4):
+        sol = solve_general(FORMULATIONS[f"cpf-{kind}"].build_from(mats), class_tol_rel)
+        cls = classify_spectrum(sol, kind, dims, partition=partition_for(**mats))
+        assert [t.kind for t in cls.triplets] == [TRIPLET_REGULAR] * 2 + [TRIPLET_011]
+        assert [t.sigma for t in cls.triplets[:2]] == pytest.approx([1.0, 1e-9], rel=1e-6)
+        assert {m.kind for q in cls.quadruples for m in q.members} == {CLASS_FINITE}
 
 
-def test_classify_groups_before_it_checks_the_partition():
-    # an ungroupable spectrum keeps the grouping message
+def test_classify_rejects_a_spectrum_of_another_order():
+    # three values cannot be the order-4 cpf-qsvd pencil of 1 x 1 inputs
     sol = solve_general(generic_pencil(np.diag([1.0, 2.0, 3.0]), np.eye(3)))
-    with pytest.raises(GroupingError, match="count 3 is not divisible by 4"):
+    with pytest.raises(ValueError, match="spectrum of order 3 is not the order 4 "
+                                         "of the partition's cpf-qsvd pencil") as exc:
         classify_spectrum(sol, "qsvd", (1, 1, 1), partition=partition_for(np.eye(1), c=np.eye(1)))
+    assert not isinstance(exc.value, GroupingError)
+
+
+def _gap_spectrum(gap):
+    """A hand-made cpf-svd spectrum of ``A = [[1, 0]]``: the quadruple of
+    sigma = 1, whose side ratios are 1/sqrt(2), and two zero values whose
+    ratio is ``1 / (sqrt(2) gap)``, so the class gap is ``gap``."""
+    r = 1 / (math.sqrt(2) * gap)
+    t = r / math.sqrt(1 - r * r)
+    values = [GeneralizedEigenvalue(lam, 1.0 + 0j, CLASS_FINITE)
+              for lam in (1, -1, 1j, -1j, t, -t)]
+    return EigenSolution(tuple(values), None, None)
+
+
+def test_classify_class_gap_floor_edge():
+    assert CLASS_GAP_FLOOR == 2.0
+    partition = partition_for(np.array([[1.0, 0.0]]))
+    with pytest.raises(GroupingError, match="class gap 1.9 is below 2.0"):
+        classify_spectrum(_gap_spectrum(1.9), "svd", (1, 2), partition=partition)
+    cls = classify_spectrum(_gap_spectrum(2.1), "svd", (1, 2), partition=partition)
+    assert cls.class_gap == pytest.approx(2.1, rel=1e-12)
+    assert [t.sigma for t in cls.triplets] == [pytest.approx(1.0), 0.0]
+    # a spectrum with no value predicted at zero or infinity has no gap
+    a = c = np.eye(1)
+    cls = classify_spectrum(solve_general(build_cpf_qsvd(a, c)), "qsvd", (1, 1, 1),
+                            partition=partition_for(a, c=c))
+    assert cls.class_gap == math.inf
+
+
+def test_classify_holds_the_deflated_pairs_to_the_partition():
+    # the common null direction of A = [[1, 0]] and C = [[0, 0]] deflates
+    # one (0, 0) pair; the partition of A and C = [[0, 1]] predicts none
+    a = np.array([[1.0, 0.0]])
+    sol = solve_general(build_cpf_qsvd(a, np.zeros((1, 2))))
+    with pytest.raises(GroupingError, match="1 deflated pairs, but the partition "
+                                            "predicts 0 indeterminate ones"):
+        classify_spectrum(sol, "qsvd", (1, 2, 1), partition=partition_for(a, c=np.eye(2)[1:]))
 
 
 def _triplet_oracle(kind, part):
@@ -286,15 +335,14 @@ def _triplet_oracle(kind, part):
 
 def test_classify_counts_every_class_as_the_oracle():
     # every class's count, in the output order, over structured problems
-    # solved at the structure class threshold
+    # solved at the regular default threshold
     rng = np.random.default_rng(20)
     draw = {"svd": random_svd_counts, "qsvd": random_qsvd_counts, "rsvd": random_rsvd_counts}
     cases = list(DEFLATING_COUNTS) + [(kind, draw[kind](rng)) for kind in draw for _ in range(20)]
     order = (TRIPLET_110, TRIPLET_101, TRIPLET_100, TRIPLET_011, TRIPLET_TRIVIAL)
     for kind, counts in cases:
         part, _, inputs, _ = structured_problem(kind, counts, rng)
-        sol = solve_general(FORMULATIONS[f"cpf-{kind}"].build_from(inputs),
-                            class_tol_rel=STRUCTURE_CLASS_TOL)
+        sol = solve_general(FORMULATIONS[f"cpf-{kind}"].build_from(inputs))
         cls = classify_spectrum(sol, kind, input_dims(part), partition=part)
         oracle = _triplet_oracle(kind, part)
         want = [TRIPLET_REGULAR] * part.p1 + [t for t in order for _ in range(oracle.get(t, 0))]

@@ -5,10 +5,14 @@ changes keep breaking are checked here with ``ast``: an import left
 without a use (pyflakes F401), a private helper, constant or class that
 no module of the package reads any more, and an import of a package that
 is neither the standard library nor a runtime dependency (the test-only
-``mpmath`` oracle, say).
+``mpmath`` oracle, say).  It also lists every library name that the
+benchmark in ``perfbench/`` reaches and the library no longer has, where a
+benchmark run stops at the first ``AttributeError``.
 """
 
 import ast
+import importlib
+import importlib.util
 import re
 import sys
 from pathlib import Path
@@ -17,6 +21,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "pencilsvd"
+PERFBENCH = ROOT / "perfbench"
 
 
 def unused_imports(text: str) -> list[str]:
@@ -154,3 +159,28 @@ def test_src_imports_only_the_stdlib_and_runtime_dependencies():
              for path in sorted(SRC.glob("*.py"))}
     assert len(found) >= 10
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_every_library_name_the_benchmark_reaches_resolves():
+    # the tracer's sites (owner object, attribute) and the workloads'
+    # ``module.attr`` reads of the modules they import from pencilsvd, which
+    # a rename in src/ breaks
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    sites = [(site[0], site[1]) for site in tracing.SITES]
+    assert len(sites) >= 20
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}" for owner, attr in sites
+               if not hasattr(owner, attr)]
+
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    modules = {alias.asname or alias.name for node in tree.body
+               if isinstance(node, ast.ImportFrom) and node.module == "pencilsvd"
+               for alias in node.names}
+    reads = {(node.value.id, node.attr) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             and node.value.id in modules}
+    assert len(reads) >= 20
+    missing += [f"{module}.{attr}" for module, attr in sorted(reads)
+                if not hasattr(importlib.import_module(f"pencilsvd.{module}"), attr)]
+    assert missing == []
