@@ -19,11 +19,12 @@ refines a binary64 solve in double-double: it agrees with a dd LU to about
 ``cond(a) * n * 2**-104`` relative, not bit for bit.
 
 Only what the generators and ground-truth bookkeeping need is implemented:
-real arithmetic (:class:`DD`), for complex arrays (:class:`CDD`) diagonal
-scalings, matrix products and linear solves, and the conversions from and
-to ``decimal`` (:func:`dd_from_decimal`, :func:`dd_to_decimal_string`);
-values the products do not need, such as the sigma grid's roots, are
-evaluated in ``decimal`` and rounded to double-double once.
+a real container (:class:`DD`, with no arithmetic of its own), for complex
+arrays (:class:`CDD`) diagonal scalings, matrix products and linear solves,
+and the conversions from and to ``decimal`` (:func:`dd_from_decimal`,
+:func:`dd_to_decimal_string`); values the products do not need, such as the
+sigma grid's roots and reciprocals, are evaluated in ``decimal`` and rounded
+to double-double once.
 """
 
 from __future__ import annotations
@@ -81,11 +82,10 @@ def _split(a):
     return ah, a - ah
 
 
-def _two_prod(a, b, a_split=None):
-    """Error-free product via Dekker splitting: (p, e) with p + e == a*b.
-    ``a_split`` is ``_split(a)`` when the caller already has it."""
+def _two_prod(a, b):
+    """Error-free product via Dekker splitting: (p, e) with p + e == a*b."""
     p = a * b
-    ah, al = _split(a) if a_split is None else a_split
+    ah, al = _split(a)
     bh, bl = _split(b)
     e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
     return p, e
@@ -101,27 +101,11 @@ def _dd_add(ahi, alo, bhi, blo):
     return _quick_two_sum(s, e)
 
 
-def _dd_mul(ahi, alo, bhi, blo, a_split=None):
-    """Double-double product of (ahi, alo) and (bhi, blo), as (hi, lo);
-    ``a_split`` is ``_split(ahi)`` when the caller already has it."""
-    p, e = _two_prod(ahi, bhi, a_split)
+def _dd_mul(ahi, alo, bhi, blo):
+    """Double-double product of (ahi, alo) and (bhi, blo), as (hi, lo)."""
+    p, e = _two_prod(ahi, bhi)
     e = e + (ahi * blo + alo * bhi)
     return _quick_two_sum(p, e)
-
-
-def _dd_div(ahi, alo, bhi, blo):
-    """Double-double quotient from three binary64 quotient digits; the
-    divisor is split once for both remainders."""
-    b_split = _split(bhi)
-    q1 = ahi / bhi
-    phi, plo = _dd_mul(bhi, blo, q1, 0.0, b_split)
-    rhi, rlo = _dd_add(ahi, alo, -phi, -plo)
-    q2 = rhi / bhi
-    phi, plo = _dd_mul(bhi, blo, q2, 0.0, b_split)
-    rhi, rlo = _dd_add(rhi, rlo, -phi, -plo)
-    q3 = rhi / bhi
-    s, e = _quick_two_sum(q1, q2)
-    return _dd_add(s, e, q3, 0.0)
 
 
 def _cdd_mul(ahi, alo, bhi, blo):
@@ -137,7 +121,8 @@ def _cdd_mul(ahi, alo, bhi, blo):
 
 
 class DD:
-    """Array of real double-double values, stored as (hi, lo) float64 pairs."""
+    """Array of real double-double values, stored as (hi, lo) float64 pairs;
+    a container only (the helpers above work on the raw arrays)."""
 
     __slots__ = ("hi", "lo")
 
@@ -150,8 +135,6 @@ class DD:
             if self.lo.shape != self.hi.shape:
                 self.lo = np.broadcast_to(self.lo, self.hi.shape).copy()
 
-    # -- bookkeeping -------------------------------------------------------
-
     @property
     def shape(self):
         return self.hi.shape
@@ -162,33 +145,6 @@ class DD:
     def to_float(self):
         """Round to nearest binary64 (exact because |lo| <= 0.5 ulp(hi))."""
         return self.hi + self.lo
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def __neg__(self):
-        return DD(-self.hi, -self.lo)
-
-    def __add__(self, other):
-        other = _as_dd(other)
-        return DD(*_dd_add(self.hi, self.lo, other.hi, other.lo))
-
-    def __sub__(self, other):
-        return self + (-_as_dd(other))
-
-    def __mul__(self, other):
-        other = _as_dd(other)
-        return DD(*_dd_mul(self.hi, self.lo, other.hi, other.lo))
-
-    def __truediv__(self, other):
-        other = _as_dd(other)
-        return DD(*_dd_div(self.hi, self.lo, other.hi, other.lo))
-
-
-def _as_dd(x):
-    if isinstance(x, DD):
-        return x
-    return DD(np.asarray(x, dtype=np.float64))
-
 
 class CDD:
     """Array of complex double-double values.

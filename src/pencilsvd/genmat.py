@@ -24,8 +24,10 @@ reduction checks of :mod:`pencilsvd.kcf`.
 Each generator draws its Haar factors in one stacked call
 (``haar_unitary(n, rng, count)``), in the order above and with the bytes
 of successive draws.  The restricted generator forms ``Y, X, Z_Y, Z_X`` in
-one stacked double-double product and ``A, B, C`` in a second (both
-``1/eta`` in one division); each member has the bits of its own product.
+one stacked double-double product and ``A, B, C`` in a second; each member
+has the bits of its own product.  ``1/eta`` is the reversed grid, since
+``eta_j eta_{n-1-j} = 1``: no division, and each value within ``2**-106``
+relative of the exact reciprocal.
 
 The grids (sigma, alpha, gamma, and eta of ``Y`` and ``X``) are evaluated
 at 50 digits in ``decimal`` and rounded to double-double once
@@ -196,11 +198,11 @@ def generate_rsvd(config: GeneratorConfig) -> GeneratedProblem:
     w = haar_unitary(n, rng, 6)  # U_Y, V_Y, U_X, V_X, U, V
     u, v = w[4], w[5]
     sigmas, alpha, gamma = _grids(n, config.kappa_sigma)
-    eta = [true_sigma_grid(n, config.kappa_y), true_sigma_grid(n, config.kappa_x)]
-    eta = DD(np.stack([e.hi for e in eta]), np.stack([e.lo for e in eta]))
-    inv = DD(1.0) / eta
-    # Y, X, Z_Y ~ Y^-1 and Z_X ~ X^-* as one stacked product
-    d = DD(np.concatenate([eta.hi, inv.hi])[:, None], np.concatenate([eta.lo, inv.lo])[:, None])
+    # Y, X, Z_Y ~ Y^-1 and Z_X ~ X^-* as one stacked product; 1/eta is the
+    # reversed grid (eta_j eta_{n-1-j} = 1)
+    eta = [true_sigma_grid(n, kappa) for kappa in (config.kappa_y, config.kappa_x)]
+    eta += [e[::-1] for e in eta]
+    d = DD(np.stack([e.hi for e in eta])[:, None], np.stack([e.lo for e in eta])[:, None])
     first = _sandwich(CDD.from_complex(w[[0, 2, 1, 2]]), d, CDD.from_complex(w[[1, 3, 0, 3]]))
     y_dd, x_dd, z_y, z_x = (first[i] for i in range(4))
     # A = (Z_X Sigma_alpha) Z_Y, B = Z_X U*, C = (V Sigma_gamma) Z_Y as a second one

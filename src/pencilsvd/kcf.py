@@ -461,13 +461,12 @@ _Y_UNIT = 0.5 * np.array([
 
 @dataclass(frozen=True)
 class LemmaReduction:
-    """Reduction of one singular value's pencil ``source`` (the 1x1
+    """Reduction of one singular value's order-4 pencil (the 1x1
     ``cpf-rsvd`` pencil of ``([[alpha]], [[beta]], [[gamma]])``, row blocks
     ``(1, 1, 1, 1)``) to ``target`` = ``(D, I)``."""
 
     x: np.ndarray
     y: np.ndarray
-    source: Pencil
     target: Pencil
     sigma: float
     residual_const: float
@@ -476,8 +475,8 @@ class LemmaReduction:
 
 def _lemma_factors(alpha, beta, gamma):
     """``(sigma, x, y, D)`` of the order-4 reduction of :func:`lemma_reduce`."""
-    if alpha <= 0 or beta <= 0 or gamma <= 0:
-        raise ValueError("lemma parameters must be positive")
+    if not all(0 < p < np.inf for p in (alpha, beta, gamma)):  # NaN fails both
+        raise ValueError("lemma parameters must be positive and finite")
     sigma = alpha / (beta * gamma)
     root = np.sqrt(sigma)
     scale = sigma ** -0.25 * np.array([1.0 / beta, 1.0 / gamma, root, root])
@@ -499,8 +498,8 @@ def lemma_reduce(alpha: float, beta: float = 1.0, gamma: float = 1.0) -> LemmaRe
     gamma = 1 it reduces to those unitaries alone.  Here the order-4 source
     pencil is built and both coefficient identities are verified entrywise
     before returning; :func:`verify_reduction` takes ``x``, ``y`` and ``D``
-    from the same construction without them.  Nonpositive parameters raise
-    ``ValueError``.
+    from the same construction without them.  Parameters that are not
+    positive and finite raise ``ValueError``.
     """
     sigma, x, y, d = _lemma_factors(alpha, beta, gamma)
     root = np.sqrt(sigma)
@@ -510,7 +509,7 @@ def lemma_reduce(alpha: float, beta: float = 1.0, gamma: float = 1.0) -> LemmaRe
     res_c = float(np.abs(const - d).max() / max(root, 1.0))
     res_l = float(np.abs(lam - np.eye(4)).max())
     target = generic_pencil(d, np.eye(4, dtype=complex))
-    return LemmaReduction(x, y, source, target, sigma, res_c, res_l)
+    return LemmaReduction(x, y, target, sigma, res_c, res_l)
 
 
 # -- full transformation chains -------------------------------------------------
@@ -596,26 +595,31 @@ def verify_reduction(pencil: Pencil, formulation: str, partition,
     exact block permutations; stage 2 the per-sigma 4x4 reductions.  The
     report carries the largest deviation from the predicted canonical
     form, checked separately for the constant and the lambda coefficient.
-    A partition of another kind than the formulation's, or a pencil whose
-    order is not the sum of the partition's block rows, raises ValueError.
+    A partition of another kind than the formulation's, a pencil whose
+    order is not the sum of the partition's block rows, or a factor that is
+    missing, of the wrong shape or not finite raises ValueError.
     """
     layout = _layout(formulation, partition)
     if not layout.factors:
         raise ValueError(f"no transformation chain for formulation {formulation!r}")
     sizes = _fields(partition, layout.sizes)
     given = dict(u=u, v=v, x=x, y=y)
-    diag_factors = [given[name] for name in layout.factors.split()]
     group_dims = _fields(partition, layout.block_rows)
     if pencil.lhs.shape[0] != sum(group_dims):
         raise ValueError(f"pencil of order {pencil.lhs.shape[0]} does not fit the partition's "
                          f"block rows {layout.block_rows} = {group_dims}")
-    for f, blk in zip(diag_factors, group_dims):
-        if f is None:
+    diag_factors = []
+    for name, blk in zip(layout.factors.split(), group_dims):
+        if given[name] is None:
             raise ValueError("missing decomposition factor")
+        f = np.asarray(given[name], dtype=complex)
         if f.shape != (blk, blk):
             raise ValueError(f"factor shape {f.shape} does not match block size {blk}")
+        if not np.all(np.isfinite(f)):
+            raise ValueError(f"factor {name} must not hold non-finite (NaN or Inf) entries")
+        diag_factors.append(f)
 
-    t = _block_diag([np.asarray(f, dtype=complex) for f in diag_factors])
+    t = _block_diag(diag_factors)
     lhs1 = t.conj().T @ pencil.lhs @ t
     rhs1 = t.conj().T @ pencil.rhs @ t
 

@@ -82,7 +82,14 @@ def rank_with_tol(m: np.ndarray) -> RankReport:
 
 
 def write_matrix_text(path, m: np.ndarray) -> None:
+    """Write ``m`` in the text format above.  An input that is not a matrix
+    or holds a non-finite entry, which :func:`read_matrix_text` could not
+    read back, raises ValueError naming ``path`` before the file is opened."""
     m = np.atleast_2d(np.asarray(m))
+    if m.ndim != 2:
+        raise ValueError(f"{path}: cannot write an array of shape {m.shape} as a matrix")
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{path}: cannot write non-finite (NaN or Inf) entries")
     is_real = not np.iscomplexobj(m) or not np.any(m.imag)
     field = "real" if is_real else "complex"
     rows, cols = m.shape

@@ -1,8 +1,9 @@
 """Shared test constructions: structured matrices with known partitions,
 the chordal metric written in the reciprocals, the transformation-chain
 replay through ``lemma_reduce`` that ``verify_reduction`` must match, and
-the per-operator complex double-double reference for the stacked kernels of
-``pencilsvd.ddarith`` (with :func:`cdd_diag`, the diagonal matrices it
+the per-operator double-double reference: real arithmetic (:class:`RefDD`),
+and on it the complex arithmetic (:class:`RefCDD`) for the stacked kernels
+of ``pencilsvd.ddarith`` (with :func:`cdd_diag`, the diagonal matrices it
 multiplies by)."""
 
 import math
@@ -10,7 +11,7 @@ import math
 import numpy as np
 
 from pencilsvd.bench import chordal
-from pencilsvd.ddarith import CDD, DD
+from pencilsvd.ddarith import CDD, DD, _dd_add, _dd_mul, _quick_two_sum
 from pencilsvd.kcf import (
     _LAYOUTS,
     QsvdPartition,
@@ -227,12 +228,59 @@ def cdd_diag(values: DD) -> CDD:
     return CDD(DD(np.diag(values.hi), np.diag(values.lo)), DD(zero, zero))
 
 
-def _dd_copy(x: DD) -> DD:
-    return DD(x.hi.copy(), x.lo.copy())
+def _dd_div(ahi, alo, bhi, blo):
+    """Double-double quotient from three binary64 quotient digits."""
+    q1 = ahi / bhi
+    phi, plo = _dd_mul(bhi, blo, q1, 0.0)
+    rhi, rlo = _dd_add(ahi, alo, -phi, -plo)
+    q2 = rhi / bhi
+    phi, plo = _dd_mul(bhi, blo, q2, 0.0)
+    rhi, rlo = _dd_add(rhi, rlo, -phi, -plo)
+    q3 = rhi / bhi
+    s, e = _quick_two_sum(q1, q2)
+    return _dd_add(s, e, q3, 0.0)
+
+
+def _as_ref(x) -> DD:
+    return x if isinstance(x, DD) else RefDD(x)
+
+
+class RefDD(DD):
+    """Real dd array with the arithmetic operators, one real dd operation
+    per operator on the formulas of ``pencilsvd.ddarith``; the other operand
+    may be any :class:`DD` or a float array."""
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, x: DD) -> "RefDD":
+        return cls(x.hi.copy(), x.lo.copy())
+
+    def __getitem__(self, key):
+        return RefDD(self.hi[key], self.lo[key])
+
+    def __neg__(self):
+        return RefDD(-self.hi, -self.lo)
+
+    def __add__(self, other):
+        other = _as_ref(other)
+        return RefDD(*_dd_add(self.hi, self.lo, other.hi, other.lo))
+
+    def __sub__(self, other):
+        other = _as_ref(other)
+        return RefDD(*_dd_add(self.hi, self.lo, -other.hi, -other.lo))
+
+    def __mul__(self, other):
+        other = _as_ref(other)
+        return RefDD(*_dd_mul(self.hi, self.lo, other.hi, other.lo))
+
+    def __truediv__(self, other):
+        other = _as_ref(other)
+        return RefDD(*_dd_div(self.hi, self.lo, other.hi, other.lo))
 
 
 class RefCDD:
-    """Complex dd array as a (re, im) pair of DD arrays, every complex
+    """Complex dd array as a (re, im) pair of RefDD arrays, every complex
     operation spelled out one real dd operation at a time.
 
     The reference that :func:`ref_cdd_solve` and :meth:`RefCDD.matmul`
@@ -243,17 +291,17 @@ class RefCDD:
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re: DD, im: DD):
+    def __init__(self, re: RefDD, im: RefDD):
         self.re = re
         self.im = im
 
     @classmethod
     def of(cls, z: CDD) -> "RefCDD":
-        return cls(_dd_copy(z.re), _dd_copy(z.im))
+        return cls(RefDD.of(z.re), RefDD.of(z.im))
 
     @classmethod
     def zeros(cls, shape):
-        return cls(DD(np.zeros(shape), np.zeros(shape)), DD(np.zeros(shape), np.zeros(shape)))
+        return cls(RefDD(np.zeros(shape)), RefDD(np.zeros(shape)))
 
     @property
     def shape(self):
@@ -263,7 +311,7 @@ class RefCDD:
         return (self.re.hi, self.re.lo, self.im.hi, self.im.lo)
 
     def copy(self):
-        return RefCDD(_dd_copy(self.re), _dd_copy(self.im))
+        return RefCDD(RefDD.of(self.re), RefDD.of(self.im))
 
     def __getitem__(self, key):
         return RefCDD(self.re[key], self.im[key])
@@ -273,7 +321,7 @@ class RefCDD:
             dst[key] = src
 
     def conj(self):
-        return RefCDD(_dd_copy(self.re), -self.im)
+        return RefCDD(RefDD.of(self.re), -self.im)
 
     def abs2(self) -> DD:
         return self.re * self.re + self.im * self.im

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    RefDD,
     assembled_qsvd_pair,
     assembled_rsvd_triplet,
     chordal_reciprocal,
@@ -271,7 +272,7 @@ def test_criterion_8_property_suites():
     for n, kappa in ((2, 10.0), (7, 1e6), (10, 1e13)):
         grid = true_sigma_grid(n, kappa)
         for j in range(n):
-            prod = grid[j] * grid[n - 1 - j]
+            prod = RefDD.of(grid[j]) * grid[n - 1 - j]
             ok &= abs(prod.to_float() - 1.0) <= 1e-28 * n
     detail.append("sigma grid ok")
 

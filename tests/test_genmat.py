@@ -1,13 +1,15 @@
 import decimal
+import itertools
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
-from helpers import RefCDD, cdd_diag, ref_cdd_solve
+from helpers import RefCDD, RefDD, cdd_diag, ref_cdd_solve
 
 from pencilsvd import genmat
-from pencilsvd.ddarith import CDD, DD, dd_to_decimal_string
+from pencilsvd.ddarith import CDD, dd_to_decimal_string
 from pencilsvd.genmat import (
     GeneratorConfig,
     _grids,
@@ -42,13 +44,15 @@ def test_sigma_grid_worked_example_digits():
 
 
 def test_sigma_grid_symmetry_product_one():
-    for n, kappa in ((2, 10.0), (5, 1e4), (10, 1e13), (11, 7.3)):
+    # generate_rsvd takes 1/eta as the reversed grid: each value is within
+    # 2**-106 of its exact one, so eta_j eta_{n-1-j} is 1 to 2**-105, in
+    # exact rational arithmetic on hi + lo
+    for n, kappa in itertools.product(range(2, 33), (1.0, 7.3, 10.0, 1e4, 1e13, 1e16)):
         grid = true_sigma_grid(n, kappa)
+        exact = [Fraction(hi) + Fraction(lo) for hi, lo in zip(grid.hi, grid.lo)]
         for j in range(n):
-            prod = grid[j] * grid[n - 1 - j]
-            assert abs(prod.to_float() - 1.0) <= 8 * EPS_DD * n
-        ratio = grid[0] / grid[n - 1]
-        assert abs(ratio.to_float() - kappa) <= kappa * 64 * EPS_DD * n
+            assert abs(exact[j] * exact[n - 1 - j] - 1) <= Fraction(2) ** -105, (n, kappa, j)
+        assert abs(exact[0] / exact[-1] / Fraction(kappa) - 1) <= Fraction(2) ** -105, (n, kappa)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 10, 17, 32])
@@ -188,7 +192,7 @@ def test_generate_qsvd_condition_numbers():
 def test_generate_qsvd_quotients_equal_grid():
     cfg = GeneratorConfig(n=5, kappa_sigma=1e3, kappa_y=10.0, seed=9)
     prob = generate_qsvd(cfg)
-    quot = prob.sigma_alpha / prob.sigma_gamma
+    quot = RefDD.of(prob.sigma_alpha) / prob.sigma_gamma
     diff = quot - prob.sigmas
     assert np.max(np.abs(diff.hi) / prob.sigmas.hi) <= 16 * EPS_DD
 
@@ -196,7 +200,8 @@ def test_generate_qsvd_quotients_equal_grid():
 def test_generate_qsvd_normalization():
     cfg = GeneratorConfig(n=4, kappa_sigma=100.0, kappa_y=10.0, seed=13)
     prob = generate_qsvd(cfg)
-    unit = prob.sigma_alpha * prob.sigma_alpha + prob.sigma_gamma * prob.sigma_gamma
+    unit = (RefDD.of(prob.sigma_alpha) * prob.sigma_alpha
+            + RefDD.of(prob.sigma_gamma) * prob.sigma_gamma)
     assert np.max(np.abs(unit.to_float() - 1.0)) <= 16 * EPS_DD
 
 
@@ -291,8 +296,8 @@ def test_generators_match_reference_constructions(n, kappa_sigma, kappa_y, kappa
     uy, vy, ux, vx, u, v = (CDD.from_complex(haar_unitary(n, rng)) for _ in range(6))
     eta_y, eta_x = true_sigma_grid(n, kappa_y), true_sigma_grid(n, kappa_x)
     ref, diag = RefCDD.of, _diag
-    z_y = ref(vy).matmul(diag(DD(1.0) / eta_y)).matmul(ref(uy.conj_t()))
-    z_x = ref(ux).matmul(diag(DD(1.0) / eta_x)).matmul(ref(vx.conj_t()))
+    z_y = ref(vy).matmul(diag(RefDD(1.0) / eta_y)).matmul(ref(uy.conj_t()))
+    z_x = ref(ux).matmul(diag(RefDD(1.0) / eta_x)).matmul(ref(vx.conj_t()))
     want = {
         "a": z_x.matmul(diag(r.sigma_alpha)).matmul(z_y),
         "b": z_x.matmul(ref(u.conj_t())),
@@ -319,8 +324,8 @@ def test_rsvd_stacked_products_equal_the_sequential_ones(n, kappa_sigma, kappa_y
     uy, vy, ux, vx, u, v = (CDD.from_complex(haar_unitary(n, rng)) for _ in range(6))
     eta_y, eta_x = true_sigma_grid(n, kappa_y), true_sigma_grid(n, kappa_x)
     sandwich = genmat._sandwich
-    z_y = sandwich(vy, DD(1.0) / eta_y, uy)
-    z_x = sandwich(ux, DD(1.0) / eta_x, vx)
+    z_y = sandwich(vy, RefDD(1.0) / eta_y, uy)
+    z_x = sandwich(ux, RefDD(1.0) / eta_x, vx)
     want = {
         "a": z_x.scaled(r.sigma_alpha).matmul(z_y),
         "b": z_x.matmul(u.conj_t()),

@@ -253,8 +253,10 @@ def test_lemma_identities_random():
 
 
 def test_lemma_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        lemma_reduce(alpha=0.0, gamma=1.0)
+    for params in (dict(alpha=0.0, gamma=1.0), dict(alpha=np.nan), dict(alpha=1.0, beta=np.inf),
+                   dict(alpha=1.0, gamma=-np.inf)):
+        with pytest.raises(ValueError, match="lemma parameters must be positive and finite"):
+            lemma_reduce(**params)
 
 
 def test_lemma_pencil_spectrum():
@@ -332,9 +334,16 @@ def test_verify_reduction_rsvd_identity_reduces_to_svd():
 def test_verify_reduction_factor_mismatch():
     a = np.diag([3.0]).astype(complex)
     pencil = build_cpf_svd(a)
-    with pytest.raises(ValueError):
-        verify_reduction(pencil, "cpf-svd", svd_partition(1, 1, 1),
-                         u=np.eye(3, dtype=complex), v=np.eye(1, dtype=complex))
+    # list factors are taken as matrices; non-finite ones are named
+    for u, v, match in (
+            (np.eye(3, dtype=complex), np.eye(1, dtype=complex),
+             r"factor shape \(3, 3\) does not match block size 1"),
+            ([[1.0, 0.0], [0.0, 1.0]], [[1.0]],
+             r"factor shape \(2, 2\) does not match block size 1"),
+            (np.array([[np.nan]]), np.eye(1), "factor u must not hold non-finite"),
+            ([[1.0]], [[np.inf]], "factor v must not hold non-finite")):
+        with pytest.raises(ValueError, match=match):
+            verify_reduction(pencil, "cpf-svd", svd_partition(1, 1, 1), u=u, v=v)
 
 
 @pytest.mark.parametrize("other", ["svd", "rsvd"])

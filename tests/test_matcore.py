@@ -133,6 +133,15 @@ def test_matrix_text_roundtrip_real(tmp_path):
     assert path.read_text().splitlines()[0] == "2 2 real"
 
 
+@pytest.mark.parametrize("m", [np.array([[1.0, np.nan]]), np.array([[np.inf + 0j]]),
+                               np.zeros((2, 2, 2))])
+def test_matrix_text_writes_only_what_it_can_read_back(tmp_path, m):
+    path = tmp_path / "m.txt"
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        write_matrix_text(path, m)
+    assert not path.exists()
+
+
 def test_matrix_text_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("3 2 quaternion\n")
