@@ -123,7 +123,7 @@ def _estimates_aug(sol: EigenSolution, n: int) -> np.ndarray:
 
 
 def _estimates_cpf(sol: EigenSolution, n: int) -> np.ndarray:
-    finite = [v for v in sol.values if v.kind == CLASS_FINITE]
+    finite = [v.value for v in sol.values if v.kind == CLASS_FINITE]
     if len(finite) != 4 * n:
         raise SampleFailure(
             f"expected {4 * n} finite eigenvalues, got {len(finite)} "
@@ -320,9 +320,8 @@ def worked_example(seed: int = 7) -> WorkedExample:
     aug_pairs = mags.reshape(n, 2).T  # both members of each +-pair, descending
 
     sol = solve_pencil(_build(problem, "cpf-qsvd"))
-    finite = [v for v in sol.values if v.kind == CLASS_FINITE]
-    quads = group_quadruples(finite)
-    sq_mags = np.sort(np.abs([[m.value for m in q.members] for q in quads]) ** 2, axis=1).T
+    quads = group_quadruples([v.value for v in sol.values if v.kind == CLASS_FINITE])
+    sq_mags = np.sort(np.abs([q.members for q in quads]) ** 2, axis=1).T
     means = np.array([q.sigma for q in quads])
 
     return WorkedExample(

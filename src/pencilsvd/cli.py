@@ -146,18 +146,17 @@ def cmd_kcf(args):
 
 
 def _print_structure(structure):
-    print(f"predicted canonical structure ({structure.rows} x {structure.cols}):")
-    for b in sorted(structure.blocks, key=lambda b: (b.kind, b.rows)):
+    print(f"predicted canonical structure ({structure.order} x {structure.order}):")
+    for b in sorted(structure.blocks, key=lambda b: (b.kind, b.size)):
         if b.kind == KIND_ZERO_BLOCK:
-            print(f"  zero block {b.rows} x {b.cols}")
+            print(f"  zero block {b.size} x {b.size}")
         elif b.kind == KIND_N:
-            print(f"  N_{b.rows} (infinite eigenvalue)")
+            print(f"  N_{b.size} (infinite eigenvalue)")
         else:
             z = b.eigenvalue
-            print(f"  J_{b.rows}({z.real:+.6e}{z.imag:+.6e}i)")
-    counts = structure.eigenvalue_counts()
+            print(f"  J_{b.size}({z.real:+.6e}{z.imag:+.6e}i)")
     print("expected eigenvalue counts: " +
-          ", ".join(f"{k}={v}" for k, v in counts.items()))
+          ", ".join(f"{k}={v}" for k, v in structure.counts.items()))
 
 
 def cmd_sweep(args):

@@ -128,12 +128,10 @@ class DD:
 
     def __init__(self, hi, lo=None):
         self.hi = np.asarray(hi, dtype=np.float64)
-        if lo is None:
-            self.lo = np.zeros_like(self.hi)
-        else:
-            self.lo = np.asarray(lo, dtype=np.float64)
-            if self.lo.shape != self.hi.shape:
-                self.lo = np.broadcast_to(self.lo, self.hi.shape).copy()
+        self.lo = np.zeros_like(self.hi) if lo is None else np.asarray(lo, dtype=np.float64)
+        if self.lo.shape != self.hi.shape:
+            raise ValueError(f"lo of shape {self.lo.shape} does not match hi of "
+                             f"shape {self.hi.shape}")
 
     @property
     def shape(self):
@@ -151,31 +149,24 @@ class CDD:
 
     ``hi`` and ``lo`` are float64 arrays of shape ``(2, *shape)``: index 0
     of the leading axis holds the real part, index 1 the imaginary part.
+    The constructor wraps them without copying.
     """
 
     __slots__ = ("hi", "lo")
 
-    def __init__(self, re: DD, im: DD):
-        self.hi = np.stack([re.hi, im.hi])
-        self.lo = np.stack([re.lo, im.lo])
-
-    @classmethod
-    def _of(cls, hi, lo):
-        """Wrap stacked (re, im) arrays without copying."""
-        z = object.__new__(cls)
-        z.hi, z.lo = hi, lo
-        return z
+    def __init__(self, hi, lo):
+        self.hi, self.lo = hi, lo
 
     @classmethod
     def stack(cls, zs) -> "CDD":
         """Arrays of one shape stacked on a new leading batch axis."""
-        return cls._of(np.stack([z.hi for z in zs], axis=1), np.stack([z.lo for z in zs], axis=1))
+        return cls(np.stack([z.hi for z in zs], axis=1), np.stack([z.lo for z in zs], axis=1))
 
     @classmethod
     def from_complex(cls, z):
         z = np.asarray(z, dtype=np.complex128)
         hi = np.stack([z.real, z.imag])
-        return cls._of(hi, np.zeros_like(hi))
+        return cls(hi, np.zeros_like(hi))
 
     @property
     def shape(self):
@@ -191,7 +182,7 @@ class CDD:
 
     def __getitem__(self, key):
         key = (slice(None),) + (key if isinstance(key, tuple) else (key,))
-        return CDD._of(self.hi[key], self.lo[key])
+        return CDD(self.hi[key], self.lo[key])
 
     def to_complex(self):
         f = self.hi + self.lo
@@ -201,7 +192,7 @@ class CDD:
         """Conjugate transpose of a 2-d array (of each member of a stack)."""
         # negates the imaginary part exactly
         sign = np.array([1.0, -1.0]).reshape((2,) + (1,) * (self.hi.ndim - 1))
-        return CDD._of((sign * self.hi).swapaxes(-1, -2), (sign * self.lo).swapaxes(-1, -2))
+        return CDD((sign * self.hi).swapaxes(-1, -2), (sign * self.lo).swapaxes(-1, -2))
 
     def scaled(self, d: DD) -> "CDD":
         """Elementwise product with the real dd array ``d`` (broadcast).
@@ -209,11 +200,11 @@ class CDD:
         ``m.scaled(d)`` is ``m @ diag(d)`` and ``m.scaled(d[:, None])`` is
         ``diag(d) @ m``, without forming the diagonal matrix.
         """
-        return CDD._of(*_dd_mul(self.hi, self.lo, d.hi, d.lo))
+        return CDD(*_dd_mul(self.hi, self.lo, d.hi, d.lo))
 
     def __sub__(self, other: "CDD") -> "CDD":
         """Difference of two arrays of the same shape."""
-        return CDD._of(*_dd_add(self.hi, self.lo, -other.hi, -other.lo))
+        return CDD(*_dd_add(self.hi, self.lo, -other.hi, -other.lo))
 
     def matmul(self, other: "CDD") -> "CDD":
         """Dense product, accumulated in double-double, of 2-d arrays or of
@@ -245,7 +236,7 @@ class CDD:
             phi, plo = _cdd_mul(ahi[:, cols], alo[:, cols], bhi[:, cols], blo[:, cols])
             for t in range(phi.shape[1]):
                 hi, lo = _dd_add(hi, lo, phi[:, t], plo[:, t])
-        return CDD._of(hi, lo)
+        return CDD(hi, lo)
 
 
 def _refinement_stops(size: float, last: float) -> bool:
@@ -301,7 +292,7 @@ def cdd_solve(a: CDD, b: CDD) -> CDD:
     last = 1.0  # the first x is the correction of x = 0
     while True:
         d = CDD.from_complex(np.linalg.solve(a64, (b2 - a.matmul(x)).to_complex())).hi
-        x = CDD._of(*_dd_add(x.hi, x.lo, d, 0.0))
+        x = CDD(*_dd_add(x.hi, x.lo, d, 0.0))
         dn, xn = ((np.abs(z[0]) + np.abs(z[1])).max(axis=0) for z in (d, x.hi))
         # a zero column of x has a zero correction
         size = float(np.divide(dn, xn, out=np.zeros_like(dn), where=dn > 0.0).max(initial=0.0))

@@ -6,7 +6,9 @@ block for common null directions, nilpotent blocks ``N_k`` at infinity,
 Jordan blocks ``J_2(0)`` at zero, and simple eigenvalues ``+-sqrt(sigma)``,
 ``+-i sqrt(sigma)`` (or ``+-sigma`` for the classical augmented forms).
 
-This module predicts those block multisets from rank data, provides the
+This module predicts those block multisets from rank data, and the
+spectrum counts they give straight from each formulation's layout
+(:func:`eigenvalue_counts`, with no blocks built); it provides the
 explicit 4x4 reductions for a single singular value, and replays the full
 block-diagonalizing transformation chain (diagonal congruence, block
 permutation, per-sigma 4x4 reduction) on concrete matrices, reporting how
@@ -19,7 +21,7 @@ scope: only structures arising from the supported formulations are handled.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -54,61 +56,31 @@ class PartitionError(ValueError):
 
 @dataclass(frozen=True)
 class KcfBlock:
-    """One canonical block: a zero block, ``N_k`` at infinity or ``J_k``."""
+    """One square canonical block of order ``size``: a zero block, ``N_k``
+    at infinity or ``J_k(eigenvalue)``."""
 
     kind: str
-    rows: int
-    cols: int
+    size: int
     eigenvalue: complex | None = None
 
     def __post_init__(self):
         if self.kind not in (KIND_ZERO_BLOCK, KIND_N, KIND_J):
             raise ValueError(f"unknown canonical block kind {self.kind!r}")
-        if self.kind != KIND_ZERO_BLOCK and self.rows != self.cols:
-            raise ValueError("N and J blocks are square")
-
-
-def n_block(size: int) -> KcfBlock:
-    return KcfBlock(KIND_N, size, size)
-
-
-def j_block(size: int, eigenvalue: complex) -> KcfBlock:
-    return KcfBlock(KIND_J, size, size, complex(eigenvalue))
-
-
-def zero_block(rows: int, cols: int) -> KcfBlock:
-    return KcfBlock(KIND_ZERO_BLOCK, rows, cols)
 
 
 @dataclass(frozen=True)
 class KcfStructure:
-    """Multiset of canonical blocks for a k-by-l pencil."""
+    """Multiset of canonical blocks for a pencil of the given order, and
+    the spectrum counts of :func:`eigenvalue_counts` (which the blocks fix,
+    so they stay out of the hash)."""
 
     blocks: tuple[KcfBlock, ...]
-    rows: int
-    cols: int
+    order: int
+    counts: dict[str, int] = field(hash=False)
 
     def __post_init__(self):
-        if sum(b.rows for b in self.blocks) != self.rows \
-                or sum(b.cols for b in self.blocks) != self.cols:
-            raise ValueError("block dimensions do not sum to the pencil shape")
-
-    def eigenvalue_counts(self) -> dict[str, int]:
-        """Expected spectrum counts: N sizes at infinity, J(0) sizes at zero,
-        square zero blocks as indeterminate pairs, remaining J sizes finite."""
-        counts = {CLASS_FINITE: 0, CLASS_ZERO: 0, CLASS_INFINITE: 0,
-                  CLASS_INDETERMINATE: 0}
-        for b in self.blocks:
-            if b.kind == KIND_N:
-                counts[CLASS_INFINITE] += b.rows
-            elif b.kind == KIND_J:
-                if b.eigenvalue == 0:
-                    counts[CLASS_ZERO] += b.rows
-                else:
-                    counts[CLASS_FINITE] += b.rows
-            elif b.kind == KIND_ZERO_BLOCK:
-                counts[CLASS_INDETERMINATE] += min(b.rows, b.cols)
-        return counts
+        if sum(b.size for b in self.blocks) != self.order:
+            raise ValueError("block sizes do not sum to the pencil order")
 
 
 # -- structure partitions ----------------------------------------------------
@@ -394,14 +366,26 @@ def triplet_counts(formulation: str, partition) -> Counter:
 
 # -- block multiset prediction ------------------------------------------------
 
+# class of the values a block ahead of the sigma part gives, one per unit
+# of its order (the layouts' J blocks are all J_k(0))
+_BLOCK_CLASS = {KIND_N: CLASS_INFINITE, KIND_J: CLASS_ZERO,
+                KIND_ZERO_BLOCK: CLASS_INDETERMINATE}
 
-def _sigma_quadruple_blocks(sigmas) -> list[KcfBlock]:
-    blocks = []
-    for s in sigmas:
-        root = np.sqrt(complex(s))
-        blocks += [j_block(1, root), j_block(1, -root),
-                   j_block(1, 1j * root), j_block(1, -1j * root)]
-    return blocks
+
+def eigenvalue_counts(formulation: str, partition) -> dict[str, int]:
+    """Spectrum counts of the formulation's pencil, read from its layout:
+    each ``N_k`` block gives k infinite values, each ``J_k(0)`` block k
+    zeros, the zero block of order c gives c indeterminate pairs, and each
+    sigma 4 finite values (2 for the augmented forms).  An unknown
+    formulation, or a partition of another kind than the formulation's,
+    raises ``ValueError``."""
+    layout = _layout(formulation, partition)
+    per_sigma = 4 if FORMULATIONS[formulation].family == "cpf" else 2
+    counts = {CLASS_FINITE: per_sigma * partition.p1, CLASS_ZERO: 0, CLASS_INFINITE: 0,
+              CLASS_INDETERMINATE: 0}
+    for kind, size, count in _groups(layout, partition):
+        counts[_BLOCK_CLASS[kind]] += size * count
+    return counts
 
 
 def predict_kcf(formulation: str, partition, sigmas=()) -> KcfStructure:
@@ -424,18 +408,18 @@ def predict_kcf(formulation: str, partition, sigmas=()) -> KcfStructure:
     for kind, size, count in _groups(layout, partition):
         if kind == KIND_ZERO_BLOCK:
             # the singular part is one square zero block
-            blocks += [zero_block(count, count)] if count else []
-        elif kind == KIND_N:
-            blocks += [n_block(size)] * count
+            blocks += [KcfBlock(kind, count)] if count else []
         else:
-            blocks += [j_block(size, 0.0)] * count
+            blocks += [KcfBlock(kind, size, 0j if kind == KIND_J else None)] * count
     if FORMULATIONS[formulation].family == "cpf":
-        blocks += _sigma_quadruple_blocks(sigmas)
-    else:
         for s in sigmas:
-            blocks += [j_block(1, s), j_block(1, -s)]
+            root = np.sqrt(complex(s))
+            blocks += [KcfBlock(KIND_J, 1, complex(z))
+                       for z in (root, -root, 1j * root, -1j * root)]
+    else:
+        blocks += [KcfBlock(KIND_J, 1, complex(z)) for s in sigmas for z in (s, -s)]
     dim = sum(_fields(partition, layout.block_rows))
-    return KcfStructure(tuple(blocks), dim, dim)
+    return KcfStructure(tuple(blocks), dim, eigenvalue_counts(formulation, partition))
 
 
 # -- explicit 4x4 reductions ---------------------------------------------------
@@ -680,4 +664,4 @@ class CountsCheck:
 
 def spectrum_counts_check(sol: EigenSolution, predicted: KcfStructure) -> CountsCheck:
     """Compare solver classification counts against a predicted structure."""
-    return CountsCheck(predicted.eigenvalue_counts(), sol.counts())
+    return CountsCheck(predicted.counts, sol.counts())

@@ -24,11 +24,12 @@ unchanged by a quarter turn, a common rotation counts modulo pi/2.  The
 cpf spectra of real sigma >= 0 lie on the axes.
 
 Classification needs the structure partition of the inputs, whose counts
+(read from the cpf layout by :func:`pencilsvd.kcf.eigenvalue_counts`)
 decide the classes of the values, since roundoff splits a size-k block at
 0 or infinity into values of size ``eps**(1/k)`` (Van Dooren, LAA 27,
 1979).  Each quadruple gives a regular triplet, and the other classes --
 (1,1,0), (1,0,1), (1,0,0), (0,1,1) and trivial -- are counted from the
-blocks that back them in the cpf layouts of :mod:`pencilsvd.kcf`.
+blocks that back them in the same layouts.
 """
 
 from __future__ import annotations
@@ -38,8 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensolve import (CLASS_FINITE, CLASS_INDETERMINATE, CLASS_INFINITE, CLASS_ZERO,
-                         EigenSolution, GeneralizedEigenvalue)
+from .eigensolve import CLASS_INDETERMINATE, CLASS_INFINITE, CLASS_ZERO, EigenSolution
 from .kcf import (
     TRIPLET_011,
     TRIPLET_100,
@@ -47,8 +47,8 @@ from .kcf import (
     TRIPLET_110,
     TRIPLET_REGULAR,
     TRIPLET_TRIVIAL,
+    eigenvalue_counts,
     input_dims,
-    predict_kcf,
     triplet_counts,
 )
 from .pencils import FORMULATIONS, Pencil
@@ -69,7 +69,7 @@ class Quadruple:
     eigenvector columns that :func:`extract_vectors` reads.
     """
 
-    members: tuple[GeneralizedEigenvalue, ...]
+    members: tuple[complex, ...]
     member_indices: tuple[int, ...]
     sigma: float
     phase_residual: float
@@ -132,19 +132,17 @@ def group_quadruples(values) -> list[Quadruple]:
 
     Parameters
     ----------
-    values : sequence of GeneralizedEigenvalue or complex
+    values : sequence of complex
         Finite nonzero eigenvalues; the count must be divisible by 4.
     """
-    vals = list(values)
-    if len(vals) % 4:
-        raise GroupingError(f"finite eigenvalue count {len(vals)} is not divisible by 4")
-    lams = np.array([v.value if isinstance(v, GeneralizedEigenvalue) else complex(v)
-                     for v in vals])
+    lams = np.array(values, dtype=complex)
+    if lams.size % 4:
+        raise GroupingError(f"finite eigenvalue count {lams.size} is not divisible by 4")
     if np.any(lams == 0) or not np.all(np.isfinite(lams)):
         raise GroupingError("grouping expects finite nonzero eigenvalues")
     quarter = np.rint(np.angle(lams) / (np.pi / 2)).astype(int) % 4
     sizes = np.bincount(quarter, minlength=4)
-    if np.any(sizes != len(vals) // 4):
+    if np.any(sizes != lams.size // 4):
         raise GroupingError(f"quarter-turn classes hold {sizes.tolist()} eigenvalues; "
                             "each quadruple needs one member in every class")
     # class-major, magnitude-minor (stable): row j takes the j-th of each class
@@ -152,10 +150,7 @@ def group_quadruples(values) -> list[Quadruple]:
     rotated = lams[rows] * _UNTURN
     center = rotated.mean(axis=1)
     residuals = np.abs(rotated - center[:, None]).max(axis=1) / np.abs(center)
-    members = [v if isinstance(v, GeneralizedEigenvalue)
-               else GeneralizedEigenvalue(complex(lam), 1.0 + 0j, CLASS_FINITE)
-               for v, lam in zip(vals, lams)]
-    quads = [Quadruple(tuple(members[i] for i in row), tuple(int(i) for i in row),
+    quads = [Quadruple(tuple(lams[row].tolist()), tuple(row.tolist()),
                        geometric_mean_sigma(lams[row]), float(res))
              for row, res in zip(rows, residuals)]
     quads.sort(key=lambda q: -q.sigma)
@@ -202,11 +197,11 @@ def classify_spectrum(sol: EigenSolution, kind: str, dims,
     least side ratio ``|alpha|/|(alpha, beta)|``, then the infinities those
     of least ``|beta|/|(alpha, beta)|``.  The class gap, the least side ratio
     of the rest over the largest ratio assigned (``inf`` if none is), must
-    reach ``CLASS_GAP_FLOOR`` (``GroupingError`` otherwise).  The rest group
-    into quadruples, one regular triplet each.  The other triplets are those
-    the partition's canonical blocks back, read from the cpf layout
-    (:func:`pencilsvd.kcf.triplet_counts`), in the order 110, 101, 100,
-    011, trivial.
+    reach ``CLASS_GAP_FLOOR`` (``GroupingError`` otherwise).  The rest, as
+    values ``alpha_e / beta_e``, group into quadruples, one regular triplet
+    each.  The other triplets are those the partition's canonical blocks
+    back, read from the cpf layout (:func:`pencilsvd.kcf.triplet_counts`),
+    in the order 110, 101, 100, 011, trivial.
 
     Parameters
     ----------
@@ -225,8 +220,7 @@ def classify_spectrum(sol: EigenSolution, kind: str, dims,
         raise ValueError(f"dims {tuple(dims)} are not the partition's input "
                          f"sizes {input_dims(partition)}")
     formulation = f"cpf-{kind}"
-    # the predicted counts depend on the number of values, not on them
-    counts = predict_kcf(formulation, partition, np.ones(partition.p1)).eigenvalue_counts()
+    counts = eigenvalue_counts(formulation, partition)
     n_zero, n_inf, n_ind = (counts[c] for c in (CLASS_ZERO, CLASS_INFINITE, CLASS_INDETERMINATE))
     vals, order = sol.values, sum(counts.values())
     if len(vals) != order:
@@ -251,11 +245,11 @@ def classify_spectrum(sol: EigenSolution, kind: str, dims,
                             f"{n_zero} zero and {n_inf} infinite values are not apart")
     # member indices point into sol.values, where the classes interleave
     finite = live[finite].tolist()
-    members = [v if v.kind == CLASS_FINITE
-               else GeneralizedEigenvalue(v.alpha_e, v.beta_e, CLASS_FINITE)
-               for v in map(vals.__getitem__, finite)]
+    # a pair with beta_e = 0 is infinite, which grouping rejects
+    lams = [v.alpha_e / v.beta_e if v.beta_e else complex(math.inf)
+            for v in map(vals.__getitem__, finite)]
     quads = [Quadruple(q.members, tuple(finite[i] for i in q.member_indices), q.sigma,
-                       q.phase_residual) for q in group_quadruples(members)]
+                       q.phase_residual) for q in group_quadruples(lams)]
     n = triplet_counts(formulation, partition)
     triplets = [_sigma_to_triplet(q.sigma, q.phase_residual) for q in quads]
     triplets += [SingularTriplet(1.0, 1.0, 0.0, math.inf, TRIPLET_110)] * n[TRIPLET_110]
@@ -285,7 +279,7 @@ def extract_vectors(sol: EigenSolution, quad: Quadruple, pencil: Pencil) -> Reco
     if sol.vectors is None:
         raise ValueError("values-only solution: solve with vectors=True to extract vectors")
     # the member nearest the positive real axis
-    _, idx = min(zip(quad.members, quad.member_indices), key=lambda m: abs(np.angle(m[0].value)))
+    _, idx = min(zip(quad.members, quad.member_indices), key=lambda m: abs(np.angle(m[0])))
     w = sol.vectors[:, idx]
     off = pencil.row_offsets()
     s = [slice(off[i], off[i + 1]) for i in range(4)]

@@ -1,10 +1,12 @@
 """Shared test constructions: structured matrices with known partitions,
-the chordal metric written in the reciprocals, the transformation-chain
-replay through ``lemma_reduce`` that ``verify_reduction`` must match, and
-the per-operator double-double reference: real arithmetic (:class:`RefDD`),
-and on it the complex arithmetic (:class:`RefCDD`) for the stacked kernels
-of ``pencilsvd.ddarith`` (with :func:`cdd_diag`, the diagonal matrices it
-multiplies by)."""
+the chordal metric written in the reciprocals, the spectrum counts walked
+from a block multiset that ``kcf.eigenvalue_counts`` must match, the
+transformation-chain replay through ``lemma_reduce`` that
+``verify_reduction`` must match, and the per-operator double-double
+reference: real arithmetic (:class:`RefDD`), and on it the complex
+arithmetic (:class:`RefCDD`) for the stacked kernels of
+``pencilsvd.ddarith`` (with :func:`cdd_from_parts`, and :func:`cdd_diag`
+for the diagonal matrices it multiplies by)."""
 
 import math
 
@@ -12,8 +14,12 @@ import numpy as np
 
 from pencilsvd.bench import chordal
 from pencilsvd.ddarith import CDD, DD, _dd_add, _dd_mul, _quick_two_sum
+from pencilsvd.eigensolve import CLASS_FINITE, CLASS_INDETERMINATE, CLASS_INFINITE, CLASS_ZERO
 from pencilsvd.kcf import (
     _LAYOUTS,
+    KIND_J,
+    KIND_N,
+    KIND_ZERO_BLOCK,
     QsvdPartition,
     RsvdPartition,
     VerificationReport,
@@ -171,6 +177,21 @@ def structured_problem(kind, counts, rng):
     return part, sigmas, {"a": a, "b": b, "c": c}, {"u": u, "v": v, "x": x, "y": y}
 
 
+def ref_eigenvalue_counts(structure) -> dict[str, int]:
+    """Spectrum counts walked from a predicted block multiset: N sizes at
+    infinity, J(0) sizes at zero, other J sizes finite and zero blocks as
+    indeterminate pairs; ``kcf.eigenvalue_counts`` must equal them."""
+    counts = {CLASS_FINITE: 0, CLASS_ZERO: 0, CLASS_INFINITE: 0, CLASS_INDETERMINATE: 0}
+    for b in structure.blocks:
+        if b.kind == KIND_N:
+            counts[CLASS_INFINITE] += b.size
+        elif b.kind == KIND_J:
+            counts[CLASS_ZERO if b.eigenvalue == 0 else CLASS_FINITE] += b.size
+        elif b.kind == KIND_ZERO_BLOCK:
+            counts[CLASS_INDETERMINATE] += b.size
+    return counts
+
+
 def ref_verify_reduction(pencil, formulation, partition, **factors):
     """``verify_reduction`` with stage 2 through :func:`lemma_reduce`: per
     sigma, the order-4 cpf pencil and its reduction are built and the reduced
@@ -221,11 +242,16 @@ def chordal_reciprocal(sigma: float, approx: float) -> float:
         math.hypot(1.0, 1.0 / sigma) * math.hypot(1.0, 1.0 / approx))
 
 
+def cdd_from_parts(re: DD, im: DD) -> CDD:
+    """Complex dd array of its real and imaginary parts, dd arrays of one shape."""
+    return CDD(np.stack([re.hi, im.hi]), np.stack([re.lo, im.lo]))
+
+
 def cdd_diag(values: DD) -> CDD:
     """Complex dd diagonal matrix of a real dd vector: the product with it
     is the reference for ``CDD.scaled``."""
     zero = np.zeros((values.shape[0],) * 2)
-    return CDD(DD(np.diag(values.hi), np.diag(values.lo)), DD(zero, zero))
+    return cdd_from_parts(DD(np.diag(values.hi), np.diag(values.lo)), DD(zero, zero))
 
 
 def _dd_div(ahi, alo, bhi, blo):

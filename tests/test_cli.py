@@ -232,6 +232,32 @@ def test_kcf_predict_from_files(tmp_path, capsys):
     assert "finite-nonzero=8" in out
 
 
+def test_kcf_prints_every_block_kind(tmp_path, capsys):
+    # a rank-structured qsvd input with sigmas 2 and 0.5 and blocks of every
+    # kind, printed whole: -root carries a negative zero imaginary part
+    _, _, inputs, _ = structured_problem("qsvd", (2, 1, 1, 1, 1, 1), np.random.default_rng(3))
+    for name, m in inputs.items():
+        write_matrix_text(tmp_path / f"{name}.txt", m)
+    out = run_cli(capsys, "kcf", *(f"--{x}={tmp_path / f'{x}.txt'}" for x in inputs))
+    assert out.splitlines() == [
+        "predicted canonical structure (17 x 17):",
+        "  J_1(+1.414214e+00+0.000000e+00i)",
+        "  J_1(-1.414214e+00-0.000000e+00i)",
+        "  J_1(+0.000000e+00+1.414214e+00i)",
+        "  J_1(+0.000000e+00-1.414214e+00i)",
+        "  J_1(+7.071068e-01+0.000000e+00i)",
+        "  J_1(-7.071068e-01-0.000000e+00i)",
+        "  J_1(+0.000000e+00+7.071068e-01i)",
+        "  J_1(+0.000000e+00-7.071068e-01i)",
+        "  J_2(+0.000000e+00+0.000000e+00i)",
+        "  J_2(+0.000000e+00+0.000000e+00i)",
+        "  N_1 (infinite eigenvalue)",
+        "  N_3 (infinite eigenvalue)",
+        "  zero block 1 x 1",
+        "expected eigenvalue counts: finite-nonzero=8, zero=4, infinite=4, indeterminate=1",
+    ]
+
+
 def _write_tiny_sigma_files(tmp_path):
     # A has full column rank, and its quadruple at sqrt(1e-9) lies far
     # inside a 1e-4 class threshold; the ranks still count it finite

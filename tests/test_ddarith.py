@@ -7,7 +7,7 @@ import re
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import RefCDD, RefDD, cdd_diag, ref_cdd_solve
+from helpers import RefCDD, RefDD, cdd_diag, cdd_from_parts, ref_cdd_solve
 
 from pencilsvd import ddarith
 from pencilsvd.ddarith import (
@@ -76,6 +76,19 @@ def test_to_float_rounds_correctly():
     assert b.to_float() == 1.0 + 2.0 ** -52
 
 
+def test_dd_requires_a_lo_of_the_shape_of_hi():
+    assert np.array_equal(DD(np.ones(3)).lo, np.zeros(3))
+    for lo in (0.0, np.zeros(1), np.zeros((3, 1))):
+        with pytest.raises(ValueError, match="does not match hi of shape"):
+            DD(np.ones(3), lo)
+
+
+def test_cdd_wraps_its_arrays_without_copying():
+    hi, lo = np.ones((2, 3)), np.zeros((2, 3))
+    z = CDD(hi, lo)
+    assert z.hi is hi and z.lo is lo and z.shape == (3,)
+
+
 def test_cdd_matmul_precision():
     # Hilbert-like product that loses digits in binary64
     n = 6
@@ -121,8 +134,8 @@ def test_cdd_solve_row_swap_leaves_inputs_unchanged(rhs_shape):
     a_before, b_before = CDD.from_complex(a), CDD.from_complex(b)
     x = cdd_solve(ac, bc)
     assert x.shape == rhs_shape
-    x2 = x if len(rhs_shape) == 2 else CDD(x.re[:, None], x.im[:, None])
-    b2 = bc if len(rhs_shape) == 2 else CDD(bc.re[:, None], bc.im[:, None])
+    x2 = x if len(rhs_shape) == 2 else x[:, None]
+    b2 = bc if len(rhs_shape) == 2 else bc[:, None]
     resid = ac.matmul(x2) - b2
     assert (np.abs(resid.re.hi) + np.abs(resid.im.hi)).max() <= 1e-28
     for got, want in ((ac, a_before), (bc, b_before)):
@@ -159,15 +172,14 @@ def _parts(x: CDD):
 
 def _side_by_side(*blocks: CDD) -> CDD:
     """Right-hand sides concatenated column-wise, as one stacked solve takes them."""
-    return CDD(*(DD(np.concatenate([getattr(b, part).hi for b in blocks], axis=1),
-                    np.concatenate([getattr(b, part).lo for b in blocks], axis=1))
-                 for part in ("re", "im")))
+    return CDD(np.concatenate([b.hi for b in blocks], axis=-1),
+               np.concatenate([b.lo for b in blocks], axis=-1))
 
 
 def _columns(x):
     """A CDD or RefCDD solution as a 2-d CDD, one column per right-hand side."""
-    x = CDD(x.re, x.im)
-    return x if len(x.shape) == 2 else CDD(x.re[:, None], x.im[:, None])
+    x = cdd_from_parts(x.re, x.im)
+    return x if len(x.shape) == 2 else x[:, None]
 
 
 def _max_rows(z: CDD) -> np.ndarray:
@@ -326,7 +338,7 @@ def _random_cdd(rng, shape, zero_mask=None):
             zero = np.copysign(0.0, rng.standard_normal(shape))
             x = DD(np.where(zero_mask, zero, x.hi), np.where(zero_mask, zero, x.lo))
         parts.append(x)
-    return CDD(*parts)
+    return cdd_from_parts(*parts)
 
 
 def _assert_same_bits(got: CDD, want: RefCDD):

@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from helpers import RefCDD, RefDD, cdd_diag, ref_cdd_solve
+from helpers import RefCDD, RefDD, cdd_diag, cdd_from_parts, ref_cdd_solve
 
 from pencilsvd import genmat
 from pencilsvd.ddarith import CDD, dd_to_decimal_string
@@ -262,10 +262,10 @@ def _assert_qsvd_matches_dd_lu(cfg):
     rng = np.random.default_rng(cfg.seed)
     uy, vy, u, v = (CDD.from_complex(haar_unitary(cfg.n, rng)) for _ in range(4))
     y = RefCDD.of(uy).matmul(_diag(true_sigma_grid(cfg.n, cfg.kappa_y))).matmul(RefCDD.of(vy.conj_t()))
-    y_ct = RefCDD.of(CDD(y.re, y.im).conj_t())
+    y_ct = RefCDD.of(cdd_from_parts(y.re, y.im).conj_t())
     for name, f, d in (("a", u, q.sigma_alpha), ("c", v, q.sigma_gamma)):
         x = ref_cdd_solve(y_ct, _diag(d).matmul(RefCDD.of(f.conj_t())))
-        want = CDD(x.re, x.im).conj_t().to_complex()
+        want = cdd_from_parts(x.re, x.im).conj_t().to_complex()
         assert getattr(q, name).tobytes() == want.tobytes(), name
 
 

@@ -10,6 +10,8 @@ from helpers import (
     qsvd_partition_from_counts,
     random_qsvd_counts,
     random_rsvd_counts,
+    random_svd_counts,
+    ref_eigenvalue_counts,
     ref_verify_reduction,
     rsvd_partition_from_counts,
     structured_problem,
@@ -24,6 +26,7 @@ from pencilsvd.kcf import (
     KIND_ZERO_BLOCK,
     KcfBlock,
     PartitionError,
+    eigenvalue_counts,
     lemma_reduce,
     partition_for,
     partition_from_ranks,
@@ -127,7 +130,7 @@ def test_qsvd_partition_from_ranks():
 
 def test_predict_cpf_svd_full_rank():
     st = predict_kcf("cpf-svd", svd_partition(2, 2, 2), sigmas=(3.0, 4.0))
-    assert all(b.kind == KIND_J and b.rows == 1 for b in st.blocks)
+    assert all(b.kind == KIND_J and b.size == 1 for b in st.blocks)
     assert len(st.blocks) == 8
     vals = sorted((b.eigenvalue for b in st.blocks), key=lambda z: (z.real, z.imag))
     r3, r4 = np.sqrt(3), 2.0
@@ -140,8 +143,8 @@ def test_predict_cpf_qsvd_infinite_block():
     part = qsvd_partition_from_counts(p1=0, p2=1, p3=0, q1=0, q2=0, n3=0)
     st = predict_kcf("cpf-qsvd", part)
     assert [b.kind for b in st.blocks] == [KIND_N]
-    assert st.blocks[0].rows == 3
-    assert st.eigenvalue_counts()["infinite"] == 3
+    assert st.blocks[0].size == 3
+    assert st.counts["infinite"] == 3
 
 
 def test_predict_cpf_rsvd_full_rank():
@@ -158,15 +161,15 @@ def test_predict_dimensions_match_pencils():
         part = rsvd_partition_from_counts(*counts)
         sig = rng.uniform(0.5, 2.0, part.p1)
         st = predict_kcf("cpf-rsvd", part, sigmas=sig)
-        assert st.rows == part.p + part.q + part.m + part.n
+        assert st.order == part.p + part.q + part.m + part.n
         st_aug = predict_kcf("aug-rsvd", part, sigmas=sig)
-        assert st_aug.rows == part.p + part.q
+        assert st_aug.order == part.p + part.q
 
 
 def test_predict_aug_rsvd_block_list():
     part = rsvd_partition_from_counts(1, 1, 1, 1, 1, 1, 1, 1, 1, 1)
     st = predict_kcf("aug-rsvd", part, sigmas=(1.5,))
-    kinds = sorted((b.kind, b.rows) for b in st.blocks)
+    kinds = sorted((b.kind, b.size) for b in st.blocks)
     # zero block 2, N1 x2 (p4+q6), N2 x2 (p2, p3), J1(0) x2 (p5+q2), J1(+-1.5)
     assert kinds.count((KIND_N, 1)) == 2
     assert kinds.count((KIND_N, 2)) == 2
@@ -179,8 +182,39 @@ def test_predict_aug_rsvd_block_list():
 
 
 def test_predict_unknown_tag():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no structure prediction"):
         predict_kcf("sq-qsvd", None)
+    with pytest.raises(ValueError, match="no structure prediction"):
+        eigenvalue_counts("sq-qsvd", None)
+
+
+def _helper_partitions(kind, rng, count):
+    """The DEFLATING_COUNTS partitions of a kind, then ``count`` random ones."""
+    draw, build = {
+        "svd": (random_svd_counts, lambda p1, p2, q2: svd_partition(p1 + p2, p1 + q2, p1)),
+        "qsvd": (random_qsvd_counts, qsvd_partition_from_counts),
+        "rsvd": (random_rsvd_counts, rsvd_partition_from_counts)}[kind]
+    counts = [c for k, c in DEFLATING_COUNTS if k == kind]
+    counts += [draw(rng, max_count=3) for _ in range(count)]
+    return [build(*c) for c in counts]
+
+
+@pytest.mark.parametrize("kind", ["svd", "qsvd", "rsvd"])
+def test_eigenvalue_counts_equal_the_block_walk(kind):
+    # the counts read from the layout are those walked from the predicted
+    # blocks, in the same class order, on every formulation of the kind
+    rng = np.random.default_rng(27)
+    names = [name for name in sorted(_LAYOUTS) if FORMULATIONS[name].kind == kind]
+    assert len(names) == 2
+    for part in _helper_partitions(kind, rng, 60):
+        for name in names:
+            sigmas = rng.uniform(0.5, 2.0, part.p1)
+            st = predict_kcf(name, part, sigmas)
+            want = ref_eigenvalue_counts(st)
+            assert list(eigenvalue_counts(name, part).items()) == list(want.items())
+            assert list(st.counts.items()) == list(want.items())
+            assert sum(want.values()) == st.order
+            assert hash(st) == hash(predict_kcf(name, part, sigmas))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
@@ -198,6 +232,7 @@ def test_predict_rejects_a_partition_of_another_kind(formulation):
     kind = FORMULATIONS[formulation].kind
     for other, partition in partitions.items():
         for call in (lambda: predict_kcf(formulation, partition, np.ones(partition.p1)),
+                     lambda: eigenvalue_counts(formulation, partition),
                      lambda: triplet_counts(formulation, partition)):
             if other == kind:
                 call()
@@ -208,9 +243,7 @@ def test_predict_rejects_a_partition_of_another_kind(formulation):
 
 def test_kcf_block_shape_validation():
     with pytest.raises(ValueError):
-        KcfBlock("l-right", 2, 2)
-    with pytest.raises(ValueError):
-        KcfBlock("n-infinite", 2, 3)
+        KcfBlock("l-right", 2)
 
 
 def test_layouts_match_formulation_table():

@@ -13,6 +13,8 @@ from helpers import (
     random_svd_counts,
     structured_problem,
 )
+import pencilsvd
+from pencilsvd import kcf, recovery
 from pencilsvd.eigensolve import (
     CLASS_FINITE,
     EigenSolution,
@@ -71,7 +73,7 @@ def test_group_duplicated_sigma():
     assert len(quads) == 2
     for q in quads:
         assert q.sigma == pytest.approx(25.0)
-        classes = sorted(round(np.angle(m.value) / (np.pi / 2)) % 4 for m in q.members)
+        classes = sorted(round(np.angle(m) / (np.pi / 2)) % 4 for m in q.members)
         assert classes == [0, 1, 2, 3]
 
 
@@ -132,7 +134,7 @@ def test_geometric_mean_independent_of_member_order():
 
 
 def _member_values(quads):
-    return sorted(tuple(sorted((m.value.real, m.value.imag) for m in q.members))
+    return sorted(tuple(sorted((m.real, m.imag) for m in q.members))
                   for q in quads)
 
 
@@ -272,7 +274,9 @@ def test_classify_holds_every_kind_to_the_partition(kind):
         cls = classify_spectrum(sol, kind, dims, partition=partition_for(**mats))
         assert [t.kind for t in cls.triplets] == [TRIPLET_REGULAR] * 2 + [TRIPLET_011]
         assert [t.sigma for t in cls.triplets[:2]] == pytest.approx([1.0, 1e-9], rel=1e-6)
-        assert {m.kind for q in cls.quadruples for m in q.members} == {CLASS_FINITE}
+        # the members are the values of their pairs, whatever their solver class
+        assert all(m == sol.values[i].alpha_e / sol.values[i].beta_e for q in cls.quadruples
+                   for m, i in zip(q.members, q.member_indices))
 
 
 def test_classify_rejects_a_spectrum_of_another_order():
@@ -352,6 +356,24 @@ def test_classify_counts_every_class_as_the_oracle():
             oracle[TRIPLET_100] -= part.n3 if kind == "qsvd" else part.m3 + part.n4
         aug = triplet_counts(f"aug-{kind}", part)
         assert {t: aug[t] for t in order} == {t: oracle.get(t, 0) for t in order}
+
+
+def test_classify_builds_no_block_multiset(monkeypatch):
+    # the counts come from the layouts: with predict_kcf raising wherever
+    # it can be reached, every DEFLATING_COUNTS spectrum classifies as before
+    cases = []
+    for kind, counts in DEFLATING_COUNTS:
+        part, _, inputs, _ = structured_problem(kind, counts, np.random.default_rng(6))
+        sol = solve_general(FORMULATIONS[f"cpf-{kind}"].build_from(inputs))
+        cases.append((sol, kind, part, classify_spectrum(sol, kind, input_dims(part), part)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("classify_spectrum built a block multiset")
+
+    for owner in (kcf, recovery, pencilsvd):
+        monkeypatch.setattr(owner, "predict_kcf", refuse, raising=False)
+    for sol, kind, part, want in cases:
+        assert classify_spectrum(sol, kind, input_dims(part), part) == want
 
 
 def test_extract_vectors_scalar_qsvd():
