@@ -18,6 +18,7 @@ from .genmat import GeneratorConfig, generate
 from .kcf import (
     KIND_N,
     KIND_ZERO_BLOCK,
+    PartitionError,
     input_dims,
     partition_for,
     partition_from_ranks,
@@ -222,8 +223,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GroupingError as exc:
-        # a spectrum that cannot be grouped is a result, not misuse
+    except (GroupingError, PartitionError) as exc:
+        # ranks that fit no partition, or an ungroupable spectrum: a result, not misuse
         raise SystemExit(str(exc)) from exc
     except (ValueError, OSError) as exc:
         # invalid values the library rejects (a kappa, a matrix file) and

@@ -31,11 +31,11 @@ relative of the exact reciprocal.
 
 The grids (sigma, alpha, gamma, and eta of ``Y`` and ``X``) are evaluated
 at 50 digits in ``decimal`` and rounded to double-double once
-(:func:`_grids`).  Random numbers are generated in binary64 and promoted
-exactly; the products run in double-double, and the quotient generator's
-solves factor ``Y*`` in binary64 and refine in double-double
-(``cdd_solve``); the matrices are rounded to working precision only at
-the very end.
+(:func:`_sigma_grid`, :func:`_grids`).  Random numbers are generated in
+binary64 and promoted exactly; the products run in double-double, and
+the quotient generator's solves factor ``Y*`` in binary64 and refine in
+double-double (``cdd_solve``); the matrices are rounded to working
+precision only at the very end.
 The Haar factors are binary64 samples, unitary only to about 1e-16, so
 the grid values match the singular values of the double-double problem to
 5e-18..3e-16 relative (n = 4, kappa_Y = 1e7), not to 30 digits; rounding
@@ -129,37 +129,47 @@ def true_sigma_grid(n: int, kappa: float) -> DD:
 
     The grid is nonincreasing with ``sigma_1 * sigma_n = 1`` and
     ``sigma_1 / sigma_n = kappa`` (all ones for ``kappa = 1``).  The
-    returned arrays are shared and read-only (see :func:`_grids`).
+    returned arrays are shared and read-only (see :func:`_sigma_grid`).
     """
     if n < 2:
         raise ValueError("grid needs n >= 2")
     if not 1.0 <= kappa < math.inf:  # NaN fails both comparisons
         raise ValueError(f"kappa must be finite and >= 1, got {kappa!r}")
-    return _grids(n, kappa)[0]
+    return _sigma_grid(n, kappa)[1]
+
+
+_GRID_CONTEXT = Context(prec=50, rounding=ROUND_HALF_EVEN)  # copied by localcontext
+
+
+def _read_only(x: DD) -> DD:
+    x.hi.setflags(write=False)
+    x.lo.setflags(write=False)
+    return x
+
+
+@functools.lru_cache
+def _sigma_grid(n: int, kappa: float) -> tuple[tuple[Decimal, ...], DD]:
+    """The grid of one ``(n, kappa)`` at 50 digits and in double-double,
+    computed once (the eta grids of ``Y`` and ``X`` read only this).  The
+    values are evaluated in a fresh ``decimal`` context and rounded by
+    :func:`dd_from_decimal`, so each ``hi + lo`` is within about ``2**-106``
+    relative of the exact value (exactly ones for ``kappa = 1``).  Every
+    problem of the same key shares the arrays, so they are read-only."""
+    with localcontext(_GRID_CONTEXT):
+        log_kappa = Decimal(kappa).ln()
+        sigmas = tuple((log_kappa * (n - 1 - 2 * j) / (2 * (n - 1))).exp() for j in range(n))
+        return sigmas, _read_only(dd_from_decimal(sigmas))
 
 
 @functools.lru_cache
 def _grids(n: int, kappa: float) -> tuple[DD, DD, DD]:
-    """``(sigmas, alpha, gamma)`` for one ``(n, kappa)``, computed once.
-
-    The values are evaluated at 50 significant digits in a fresh
-    ``decimal`` context (the caller's precision and rounding do not reach
-    it) and rounded to double-double by :func:`dd_from_decimal`, so each
-    ``hi + lo`` is within about ``2**-106`` relative of the exact value;
-    the grid of ``kappa = 1`` is exactly ones.  Every problem generated
-    with the same ``(n, kappa)`` shares these arrays, so their ``hi`` and
-    ``lo`` parts are read-only.
-    """
-    with localcontext(Context(prec=50, rounding=ROUND_HALF_EVEN)):
-        log_kappa = Decimal(kappa).ln()
-        sigmas = [(log_kappa * (n - 1 - 2 * j) / (2 * (n - 1))).exp() for j in range(n)]
+    """``(sigmas, alpha, gamma)`` of the grid of :func:`_sigma_grid`,
+    alpha and gamma computed once per ``(n, kappa)`` in the same way."""
+    sigmas, grid = _sigma_grid(n, kappa)
+    with localcontext(_GRID_CONTEXT):
         roots = [(1 + s * s).sqrt() for s in sigmas]
-        grids = (dd_from_decimal(sigmas), dd_from_decimal(s / r for s, r in zip(sigmas, roots)),
-                 dd_from_decimal(1 / r for r in roots))
-    for x in grids:
-        x.hi.setflags(write=False)
-        x.lo.setflags(write=False)
-    return grids
+        return (grid, _read_only(dd_from_decimal(s / r for s, r in zip(sigmas, roots))),
+                _read_only(dd_from_decimal(1 / r for r in roots)))
 
 
 def _sandwich(u: CDD, d: DD, v: CDD) -> CDD:

@@ -21,7 +21,7 @@ scope: only structures arising from the supported formulations are handled.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -86,33 +86,50 @@ class KcfStructure:
 # -- structure partitions ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SvdPartition:
-    """Ordinary SVD sizes: p1 = q1 = rank, p2/q2 the row/column deficiencies."""
+class _Partition:
+    """Base of the structure partitions, frozen dataclasses of nonnegative
+    counts.  ``COUPLED`` pairs each coupled count with the free count it
+    must equal, so the free counts fix a partition (:meth:`of`).  The input
+    sizes ``p``, ``q`` (and ``m``, ``n`` where the class has those counts)
+    are the sums of the counts of their letter, set once and kept out of
+    ``==``, ``hash`` and ``repr``."""
 
+    def __post_init__(self):
+        for coupled, free in self.COUPLED:
+            got, want = getattr(self, coupled), getattr(self, free)
+            if got != want:
+                raise PartitionError(f"coupling {coupled} = {got} != {free} = {want}")
+        sizes = {}
+        for name, count in vars(self).items():  # only the fields so far, in order
+            if count < 0:
+                raise PartitionError(f"derived count {name} is negative ({count}); "
+                                     "ranks inconsistent")
+            sizes[name[0]] = sizes.get(name[0], 0) + count
+        for size, total in sizes.items():  # not fields, and the dataclass is frozen
+            object.__setattr__(self, size, total)
+
+    @classmethod
+    def of(cls, **free):
+        """The partition of the given free counts, its coupled ones filled in."""
+        return cls(**free, **{coupled: free[f] for coupled, f in cls.COUPLED})
+
+
+@dataclass(frozen=True)
+class SvdPartition(_Partition):
+    """Ordinary SVD sizes: p1 = rank, p2/q2 the row/column deficiencies."""
+
+    COUPLED = (("q1", "p1"),)
     p1: int
     p2: int
     q1: int
     q2: int
 
-    def __post_init__(self):
-        if self.p1 != self.q1:
-            raise PartitionError("p1 and q1 must agree")
-        _check_nonneg(self)
-
-    @property
-    def p(self):
-        return self.p1 + self.p2
-
-    @property
-    def q(self):
-        return self.q1 + self.q2
-
 
 @dataclass(frozen=True)
-class QsvdPartition:
-    """Quotient SVD sizes with the coupling n2 = p1 = q3, n1 = q2, p2 = q4."""
+class QsvdPartition(_Partition):
+    """Quotient SVD sizes."""
 
+    COUPLED = (("q3", "p1"), ("n2", "p1"), ("n1", "q2"), ("q4", "p2"))
     p1: int
     p2: int
     p3: int
@@ -124,29 +141,13 @@ class QsvdPartition:
     n2: int
     n3: int
 
-    def __post_init__(self):
-        if not (self.n2 == self.p1 == self.q3 and self.n1 == self.q2
-                and self.p2 == self.q4):
-            raise PartitionError("quotient partition couplings violated")
-        _check_nonneg(self)
-
-    @property
-    def p(self):
-        return self.p1 + self.p2 + self.p3
-
-    @property
-    def q(self):
-        return self.q1 + self.q2 + self.q3 + self.q4
-
-    @property
-    def n(self):
-        return self.n1 + self.n2 + self.n3
-
 
 @dataclass(frozen=True)
-class RsvdPartition:
+class RsvdPartition(_Partition):
     """Restricted SVD sizes; the six ranks they derive from are sums of them."""
 
+    COUPLED = (("q3", "p1"), ("q4", "p2"), ("q5", "p3"), ("q6", "p4"), ("n1", "q2"),
+               ("m4", "p5"), ("n2", "p1"), ("m1", "p1"), ("n3", "p3"), ("m2", "p2"))
     p1: int
     p2: int
     p3: int
@@ -168,60 +169,18 @@ class RsvdPartition:
     n3: int
     n4: int
 
-    def __post_init__(self):
-        couplings = (
-            ("q3", self.q3, self.p1), ("q4", self.q4, self.p2),
-            ("q5", self.q5, self.p3), ("q6", self.q6, self.p4),
-            ("n1", self.n1, self.q2), ("m4", self.m4, self.p5),
-            ("n2", self.n2, self.p1), ("m1", self.m1, self.p1),
-            ("n3", self.n3, self.p3), ("m2", self.m2, self.p2),
-        )
-        for name, got, want in couplings:
-            if got != want:
-                raise PartitionError(f"coupling {name} = {got} != {want}")
-        _check_nonneg(self)
-
-    @property
-    def p(self):
-        return self.p1 + self.p2 + self.p3 + self.p4 + self.p5 + self.p6
-
-    @property
-    def q(self):
-        return self.q1 + self.q2 + self.q3 + self.q4 + self.q5 + self.q6
-
-    @property
-    def m(self):
-        return self.m1 + self.m2 + self.m3 + self.m4
-
-    @property
-    def n(self):
-        return self.n1 + self.n2 + self.n3 + self.n4
-
 
 _PARTITIONS = {"svd": SvdPartition, "qsvd": QsvdPartition, "rsvd": RsvdPartition}
 
 
-def _check_nonneg(partition) -> None:
-    for f in fields(partition):
-        if getattr(partition, f.name) < 0:
-            raise PartitionError(f"derived count {f.name} is negative "
-                                 f"({getattr(partition, f.name)}); ranks inconsistent")
-
-
 def svd_partition(p: int, q: int, rank: int) -> SvdPartition:
-    return SvdPartition(rank, p - rank, rank, q - rank)
+    return SvdPartition.of(p1=rank, p2=p - rank, q2=q - rank)
 
 
 def qsvd_partition_from_ranks(p: int, q: int, n: int, r_a: int, r_c: int,
                               r_ac: int) -> QsvdPartition:
-    p1 = r_a + r_c - r_ac
-    p2 = r_ac - r_c
-    q2 = r_ac - r_a
-    return QsvdPartition(
-        p1=p1, p2=p2, p3=p - r_a,
-        q1=q - r_ac, q2=q2, q3=p1, q4=p2,
-        n1=q2, n2=p1, n3=n - r_c,
-    )
+    return QsvdPartition.of(p1=r_a + r_c - r_ac, p2=r_ac - r_c, p3=p - r_a,
+                            q1=q - r_ac, q2=r_ac - r_a, n3=n - r_c)
 
 
 def partition_from_ranks(p: int, q: int, m: int, n: int,
@@ -229,18 +188,10 @@ def partition_from_ranks(p: int, q: int, m: int, n: int,
                          r_ab: int, r_ac: int, r_abc: int) -> RsvdPartition:
     """Restricted-problem partition from the six ranks of A, B, C,
     [A B], [A; C] and [A B; C 0]."""
-    p1 = r_abc + r_a - r_ab - r_ac
-    p2 = r_ac + r_b - r_abc
-    p3 = r_ab + r_c - r_abc
-    p4 = r_abc - r_b - r_c
-    p5 = r_ab - r_a
-    q2 = r_ac - r_a
-    return RsvdPartition(
-        p1=p1, p2=p2, p3=p3, p4=p4, p5=p5, p6=p - r_ab,
-        q1=q - r_ac, q2=q2, q3=p1, q4=p2, q5=p3, q6=p4,
-        m1=p1, m2=p2, m3=m - r_b, m4=p5,
-        n1=q2, n2=p1, n3=p3, n4=n - r_c,
-    )
+    return RsvdPartition.of(
+        p1=r_abc + r_a - r_ab - r_ac, p2=r_ac + r_b - r_abc, p3=r_ab + r_c - r_abc,
+        p4=r_abc - r_b - r_c, p5=r_ab - r_a, p6=p - r_ab,
+        q1=q - r_ac, q2=r_ac - r_a, m3=m - r_b, n4=n - r_c)
 
 
 def input_dims(partition) -> tuple[int, ...]:

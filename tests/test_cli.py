@@ -190,6 +190,24 @@ def test_ungroupable_spectrum_is_a_result_not_a_usage_error(tmp_path, command):
     assert "usage:" not in proc.stdout + proc.stderr
 
 
+@pytest.mark.parametrize("command", [["solve", "--formulation", "cpf", "--recover"],
+                                     ["kcf"]])
+def test_ranks_without_a_partition_are_a_result_not_a_usage_error(tmp_path, command):
+    # A = 1e-20 I_3 has rank 3 at its own cutoff, but [A; C] has rank 1 for
+    # C = [[1, 0, 0]], so the ranks give q2 = r_ac - r_a = -2
+    mats = {"a": 1e-20 * np.eye(3), "c": np.array([[1.0, 0.0, 0.0]])}
+    for name, m in mats.items():
+        write_matrix_text(tmp_path / f"{name}.txt", m)
+    args = [f"--{x}={tmp_path / f'{x}.txt'}" for x in mats]
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "pencilsvd.cli", *command, *args],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 1
+    assert proc.stderr == "derived count q2 is negative (-2); ranks inconsistent\n"
+    assert "usage:" not in proc.stdout + proc.stderr
+
+
 def test_solve_prints_an_ungroupable_spectrum(tmp_path, capsys):
     # the spectrum above, printed without --recover: nothing is grouped
     mats = {"a": 1e-20, "b": 1.0, "c": 1.0}

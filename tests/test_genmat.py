@@ -22,6 +22,11 @@ from pencilsvd.matcore import haar_unitary, rank_with_tol
 EPS_DD = 2.0 ** -104
 
 
+def _clear_grids():
+    genmat._sigma_grid.cache_clear()
+    _grids.cache_clear()
+
+
 def test_sigma_grid_n2():
     grid = true_sigma_grid(2, 100.0)
     assert np.allclose(grid.to_float(), [10.0, 0.1], rtol=1e-15)
@@ -71,14 +76,14 @@ def test_grids_against_a_60_digit_oracle(n):
 
 def test_grids_ignore_the_callers_decimal_context():
     keys = [(17, 10.0), (5, 1e3), (32, 1e16), (3, 1.0)]
-    _grids.cache_clear()
+    _clear_grids()
     want = [[(g.hi.tobytes(), g.lo.tobytes()) for g in _grids(*key)] for key in keys]
     with decimal.localcontext() as ctx:
         ctx.prec, ctx.rounding = 5, decimal.ROUND_DOWN
-        _grids.cache_clear()
+        _clear_grids()
         got = [[(g.hi.tobytes(), g.lo.tobytes()) for g in _grids(*key)] for key in keys]
         assert (ctx.prec, ctx.rounding) == (5, decimal.ROUND_DOWN)
-    _grids.cache_clear()
+    _clear_grids()
     assert got == want
 
 
@@ -392,13 +397,26 @@ def test_generate_dispatches_on_kind():
 @pytest.mark.parametrize("generate", [generate_qsvd, generate_rsvd])
 def test_memoised_grids_give_the_same_bits_cold_and_warm(generate):
     cfg = GeneratorConfig(n=5, kappa_sigma=1e3, kappa_y=1e4, kappa_x=10.0, seed=43)
-    _grids.cache_clear()
+    _clear_grids()
     cold = _field_bytes(generate(cfg))
+    assert genmat._sigma_grid.cache_info().currsize > 0
     assert _grids.cache_info().currsize > 0
     assert _field_bytes(generate(cfg)) == cold
     # an int kappa is the same key as the equal float, and the same bits
     same = GeneratorConfig(n=5, kappa_sigma=1000, kappa_y=10000, kappa_x=10, seed=43)
     assert _field_bytes(generate(same)) == cold
+
+
+def test_eta_grids_leave_alpha_and_gamma_unevaluated():
+    _clear_grids()
+    generate_rsvd(GeneratorConfig(n=4, kappa_sigma=1e3, kappa_y=1e5, kappa_x=7.0, seed=3))
+    generate_qsvd(GeneratorConfig(n=4, kappa_sigma=1e3, kappa_y=1e6, seed=3))
+    # four grid keys, (4, 1e3), (4, 1e5), (4, 7) and (4, 1e6), each evaluated
+    # once; alpha and gamma only for kappa_sigma, from its memoised grid
+    sigma, alpha_gamma = genmat._sigma_grid.cache_info(), _grids.cache_info()
+    assert (sigma.misses, sigma.currsize) == (4, 4)
+    assert (alpha_gamma.misses, alpha_gamma.currsize) == (1, 1)
+    _clear_grids()
 
 
 def test_memoised_grids_are_read_only():
@@ -411,7 +429,7 @@ def test_memoised_grids_are_read_only():
 
 
 def test_memoised_grid_n2_and_kappa_one():
-    _grids.cache_clear()
+    _clear_grids()
     for _ in range(2):  # cold, then from the memo
         assert true_sigma_grid(2, 100.0).to_float().tolist() == pytest.approx([10.0, 0.1],
                                                                              rel=1e-15)

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError, fields
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from helpers import (
 from pencilsvd.eigensolve import solve_general
 from pencilsvd.kcf import (
     _LAYOUTS,
+    _PARTITIONS,
     _canonical_pair,
     _kron_eye,
     KIND_J,
@@ -26,7 +29,11 @@ from pencilsvd.kcf import (
     KIND_ZERO_BLOCK,
     KcfBlock,
     PartitionError,
+    QsvdPartition,
+    RsvdPartition,
+    SvdPartition,
     eigenvalue_counts,
+    input_dims,
     lemma_reduce,
     partition_for,
     partition_from_ranks,
@@ -123,6 +130,97 @@ def test_qsvd_partition_from_ranks():
     part = qsvd_partition_from_ranks(p=1, q=3, n=2, r_a=1, r_c=1, r_ac=2)
     assert (part.p1, part.p2, part.p3) == (0, 1, 0)
     assert (part.q1, part.q2, part.n3) == (1, 1, 1)
+
+
+# -- coupling tables ----------------------------------------------------------
+
+_COUPLINGS = [(cls, coupled, free) for cls in _PARTITIONS.values()
+              for coupled, free in cls.COUPLED]
+
+
+@pytest.mark.parametrize("cls, coupled, free", _COUPLINGS,
+                         ids=[f"{c.__name__}-{a}={b}" for c, a, b in _COUPLINGS])
+def test_each_coupling_is_checked_naming_the_coupled_count(cls, coupled, free):
+    counts = {f.name: 1 for f in fields(cls)}  # all ones meet every coupling
+    counts[coupled] = 2
+    with pytest.raises(PartitionError, match=rf"^coupling {coupled} = 2 != {free} = 1$"):
+        cls(**counts)
+
+
+def test_coupling_tables_fit_their_classes():
+    assert len(_COUPLINGS) == 15
+    for cls in _PARTITIONS.values():
+        names = [f.name for f in fields(cls)]
+        coupled = [c for c, _ in cls.COUPLED]
+        assert len(set(coupled)) == len(coupled), cls
+        assert set(coupled) <= set(names), cls
+        # each count a coupled one copies is free, so `of` fills them all
+        assert {f for _, f in cls.COUPLED} <= set(names) - set(coupled), cls
+    # the field order is the keyword constructor the benchmark calls
+    assert [f.name for f in fields(QsvdPartition)] == \
+        "p1 p2 p3 q1 q2 q3 q4 n1 n2 n3".split()
+
+
+@pytest.mark.parametrize("cls", _PARTITIONS.values(), ids=lambda c: c.__name__)
+def test_a_negative_free_count_is_named(cls):
+    coupled = {c for c, _ in cls.COUPLED}
+    free = [f.name for f in fields(cls) if f.name not in coupled]
+    for name in free:
+        counts = dict.fromkeys(free, 1) | {name: -1}
+        with pytest.raises(PartitionError, match=rf"^derived count {name} is negative \(-1\)"):
+            cls.of(**counts)
+
+
+def _partition_cases():
+    rng = np.random.default_rng(28)
+    cases = list(DEFLATING_COUNTS)
+    for _ in range(80):
+        cases += [("svd", random_svd_counts(rng)), ("qsvd", random_qsvd_counts(rng)),
+                  ("rsvd", random_rsvd_counts(rng))]
+    return cases
+
+
+def test_of_fills_the_coupled_counts_and_the_sizes():
+    cases = _partition_cases()
+    assert len(cases) >= 150
+    for kind, counts in cases:
+        if kind == "svd":
+            p1, p2, q2 = counts
+            part = SvdPartition.of(p1=p1, p2=p2, q2=q2)
+            assert part == SvdPartition(p1=p1, p2=p2, q1=p1, q2=q2)
+            want = {"p": p1 + p2, "q": p1 + q2}
+        elif kind == "qsvd":
+            p1, p2, p3, q1, q2, n3 = counts
+            part = QsvdPartition.of(p1=p1, p2=p2, p3=p3, q1=q1, q2=q2, n3=n3)
+            assert part == qsvd_partition_from_counts(*counts)
+            assert part == QsvdPartition(p1=p1, p2=p2, p3=p3, q1=q1, q2=q2, q3=p1, q4=p2,
+                                         n1=q2, n2=p1, n3=n3)
+            want = {"p": p1 + p2 + p3, "q": q1 + q2 + p1 + p2, "n": q2 + p1 + n3}
+        else:
+            p1, p2, p3, p4, p5, p6, q1, q2, m3, n4 = counts
+            part = RsvdPartition.of(p1=p1, p2=p2, p3=p3, p4=p4, p5=p5, p6=p6,
+                                    q1=q1, q2=q2, m3=m3, n4=n4)
+            assert part == rsvd_partition_from_counts(*counts)
+            assert part == RsvdPartition(
+                p1=p1, p2=p2, p3=p3, p4=p4, p5=p5, p6=p6,
+                q1=q1, q2=q2, q3=p1, q4=p2, q5=p3, q6=p4,
+                m1=p1, m2=p2, m3=m3, m4=p5, n1=q2, n2=p1, n3=p3, n4=n4)
+            want = {"p": p1 + p2 + p3 + p4 + p5 + p6, "q": q1 + q2 + p1 + p2 + p3 + p4,
+                    "m": p1 + p2 + m3 + p5, "n": q2 + p1 + p3 + n4}
+        assert {d: getattr(part, d) for d in "pqmn" if hasattr(part, d)} == want, counts
+        assert input_dims(part) == tuple(want.values())
+
+
+def test_sizes_stay_out_of_eq_hash_and_repr():
+    part = rsvd_partition_from_counts(2, 1, 1, 1, 1, 1, 1, 1, 1, 1)
+    twin = RsvdPartition(**{f.name: getattr(part, f.name) for f in fields(part)})
+    object.__setattr__(twin, "p", 0)
+    assert (part.p, twin.p) == (7, 0)
+    assert twin == part and hash(twin) == hash(part) and repr(twin) == repr(part)
+    assert repr(part) == "RsvdPartition(" + ", ".join(
+        f"{f.name}={getattr(part, f.name)}" for f in fields(part)) + ")"
+    with pytest.raises(FrozenInstanceError):
+        part.q = 3
 
 
 # -- block prediction -----------------------------------------------------------

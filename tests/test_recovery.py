@@ -15,6 +15,7 @@ from helpers import (
 )
 import pencilsvd
 from pencilsvd import kcf, recovery
+from pencilsvd.bench import chordal
 from pencilsvd.eigensolve import (
     CLASS_FINITE,
     EigenSolution,
@@ -512,3 +513,25 @@ def test_classify_rejects_a_partition_of_another_kind(kind):
     assert len(classify_spectrum(sol, "qsvd", input_dims(partition), partition).triplets) == 2
     with pytest.raises(ValueError, match="needs a"):
         classify_spectrum(sol, kind, input_dims(partition), partition)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the cpf pencil puts identities beside the input blocks, so a "
+                          "common input scale moves its values (ROADMAP item 5)")
+def test_cpf_values_ignore_a_common_input_scale():
+    # (s A0, s C0) has the quotient values of (A0, C0); the cpf values move
+    # by 3e-12 at s = 1e-6, 1.5e-3 at 1e-8 and 5e-2 at 1e-10, where the aug
+    # ones stay within 4e-16
+    rng = np.random.default_rng(0)
+    a0 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    c0 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+
+    def sigmas(s):
+        a, c = s * a0, s * c0
+        part = partition_for(a, c=c)
+        cls = classify_spectrum(solve_general(build_cpf_qsvd(a, c)), "qsvd",
+                                input_dims(part), part)
+        return np.sort([q.sigma for q in cls.quadruples])
+
+    want, got = sigmas(1.0), sigmas(1e-8)
+    assert max(chordal(w, g) for w, g in zip(want, got)) <= 1e-12
