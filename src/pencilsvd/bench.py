@@ -15,13 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensolve import (
-    CLASS_FINITE,
-    EigenSolution,
-    NotDefiniteError,
-    solve_general,
-    solve_hpd,
-)
+from .eigensolve import EigenSolution, NotDefiniteError, solve_general, solve_hpd
 from .genmat import GeneratedProblem, GeneratorConfig, generate, generate_qsvd
 from .pencils import FORMULATIONS, Pencil
 # the builders stay module attributes so a profiler can wrap them here;
@@ -105,7 +99,7 @@ def solve_pencil(pencil: Pencil) -> EigenSolution:
         return solve_general(pencil)
 
 
-def _estimates_sq(sol: EigenSolution, n: int) -> np.ndarray:
+def _estimates_sq(sol: EigenSolution) -> np.ndarray:
     lams = np.array([v.value for v in sol.values])
     # the QZ fallback of an indefinite pencil can return a non-real spectrum
     imag = np.abs(lams.imag).max(initial=0.0)
@@ -114,25 +108,28 @@ def _estimates_sq(sol: EigenSolution, n: int) -> np.ndarray:
     return np.sqrt(np.clip(lams.real, 0.0, None))[::-1]
 
 
-def _estimates_aug(sol: EigenSolution, n: int) -> np.ndarray:
-    mags = np.sort(np.abs([v.value for v in sol.values]))[::-1]
-    if mags.size != 2 * n:
-        raise SampleFailure(f"expected {2 * n} eigenvalues, got {mags.size}")
-    # the spectrum is symmetric: average each +-sigma pair
-    return 0.5 * (mags[0::2] + mags[1::2])
+def _pm_pairs(sol: EigenSolution) -> np.ndarray:
+    """The magnitudes of a symmetric spectrum, descending, as a (2, n) array:
+    column j holds both members of the j-th +-sigma pair."""
+    return np.sort(np.abs([v.value for v in sol.values]))[::-1].reshape(-1, 2).T
 
 
-def _estimates_cpf(sol: EigenSolution, n: int) -> np.ndarray:
-    finite = [v.value for v in sol.values if v.kind == CLASS_FINITE]
-    if len(finite) != 4 * n:
-        raise SampleFailure(
-            f"expected {4 * n} finite eigenvalues, got {len(finite)} "
-            f"(counts {sol.counts()})")
+def _estimates_aug(sol: EigenSolution) -> np.ndarray:
+    return 0.5 * _pm_pairs(sol).sum(axis=0)
+
+
+def _quadruples(sol: EigenSolution):
+    """The sigma quadruples of a generated problem's cpf spectrum: all of
+    its values, as full rank leaves no zero, infinite or indeterminate one
+    (``value`` makes those 0, inf and NaN, and grouping rejects them)."""
     try:
-        quads = group_quadruples(finite)
+        return group_quadruples([v.value for v in sol.values])
     except GroupingError as exc:
         raise SampleFailure(str(exc)) from exc
-    return np.array([q.sigma for q in quads])
+
+
+def _estimates_cpf(sol: EigenSolution) -> np.ndarray:
+    return np.array([q.sigma for q in _quadruples(sol)])
 
 
 # singular value estimates from the spectrum of each family's pencil
@@ -158,7 +155,7 @@ def evaluate_sample(problem: GeneratedProblem, formulation: str) -> ExperimentRe
     try:
         sol = solve_pencil(_build(problem, formulation))
         estimate = _ESTIMATORS[FORMULATIONS[formulation].family]
-        estimates = estimate(sol, problem.n)
+        estimates = estimate(sol)
         if not np.all(np.isfinite(estimates)):
             bad = int(np.count_nonzero(~np.isfinite(estimates)))
             raise SampleFailure(f"{bad} of {estimates.size} estimates are not finite")
@@ -308,19 +305,13 @@ class WorkedExample:
 
 def worked_example(seed: int = 7) -> WorkedExample:
     """Replay the small illustration: n=4, kappa_Y=1e7, kappa_Sigma=10."""
-    n = 4
-    cfg = GeneratorConfig(n=n, kappa_sigma=10.0, kappa_y=1e7, seed=seed)
+    cfg = GeneratorConfig(n=4, kappa_sigma=10.0, kappa_y=1e7, seed=seed)
     problem = generate_qsvd(cfg)
     truth = problem.sigmas.to_float()
 
-    sq = _estimates_sq(solve_pencil(_build(problem, "sq-qsvd")), n)
-
-    sol_aug = solve_pencil(_build(problem, "aug-qsvd"))
-    mags = np.sort(np.abs([v.value for v in sol_aug.values]))[::-1]
-    aug_pairs = mags.reshape(n, 2).T  # both members of each +-pair, descending
-
-    sol = solve_pencil(_build(problem, "cpf-qsvd"))
-    quads = group_quadruples([v.value for v in sol.values if v.kind == CLASS_FINITE])
+    sq = _estimates_sq(solve_pencil(_build(problem, "sq-qsvd")))
+    aug_pairs = _pm_pairs(solve_pencil(_build(problem, "aug-qsvd")))
+    quads = _quadruples(solve_pencil(_build(problem, "cpf-qsvd")))
     sq_mags = np.sort(np.abs([q.members for q in quads]) ** 2, axis=1).T
     means = np.array([q.sigma for q in quads])
 

@@ -175,12 +175,8 @@ def solve_general(pencil: Pencil, class_tol_rel: float | None = None,
                                       "pencil that is not Hermitian; only a Hermitian "
                                       "pencil deflates")
 
-    if vectors:
-        (alphas, betas), vr = sla.eig(lhs, rhs, right=True, homogeneous_eigvals=True)
-    else:
-        # Pencil has already rejected NaN and Inf
-        alphas, betas = sla.eig(lhs, rhs, right=False, homogeneous_eigvals=True,
-                                check_finite=False)
+    out = sla.eig(lhs, rhs, right=vectors, homogeneous_eigvals=True)
+    (alphas, betas), vr = out if vectors else (out, None)
 
     values = [GeneralizedEigenvalue(complex(a), complex(b),
                                     classify_pair(a, b, tol_abs, tol_abs))

@@ -21,7 +21,7 @@ scope: only structures arising from the supported formulations are handled.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -237,14 +237,13 @@ class _Layout:
     the class the blocks back (the aug pencils, of order p+q, have no blocks
     for those counted by ``n3``, ``m3`` and ``n4``).  The cpf formulations
     also carry their transformation chain: ``factors`` of the diagonal
-    congruence (one per block row) and the fields of the blocks that the
-    permutations ``perm_x``/``perm_y`` (1-indexed) move.
+    congruence (one per block row) and the permutations ``perm_x``/``perm_y``
+    (1-indexed) of the blocks of :func:`_chain_sizes`.
     """
 
     block_rows: str
     groups: tuple[tuple[str, int, str, str], ...]
     factors: str = ""
-    sizes: str = ""
     perm_x: tuple[int, ...] = ()
     perm_y: tuple[int, ...] = ()
 
@@ -260,13 +259,13 @@ _LAYOUTS = {
                                 (KIND_J, 1, "p5 q2", TRIPLET_011))),
     "cpf-svd": _Layout(
         "p q p q", ((KIND_J, 2, "p2", TRIPLET_011), (KIND_J, 2, "q2", TRIPLET_011)),
-        factors="u v u v", sizes="p1 p2 q1 q2 p1 p2 q1 q2",
+        factors="u v u v",
         perm_x=(2, 6, 4, 8, 1, 3, 5, 7), perm_y=(6, 2, 8, 4, 1, 3, 5, 7)),
     "cpf-qsvd": _Layout(
         "p q p n", ((KIND_ZERO_BLOCK, 1, "q1", TRIPLET_TRIVIAL), (KIND_N, 1, "n3", TRIPLET_100),
                     (KIND_N, 3, "p2", TRIPLET_110), (KIND_J, 2, "p3", TRIPLET_011),
                     (KIND_J, 2, "q2", TRIPLET_011)),
-        factors="u y u v", sizes="p1 p2 p3 q1 q2 q3 q4 p1 p2 p3 n1 n2 n3",
+        factors="u y u v",
         perm_x=(4, 13, 7, 9, 2, 3, 10, 5, 11, 1, 6, 8, 12),
         perm_y=(4, 13, 2, 9, 7, 10, 3, 11, 5, 1, 6, 8, 12)),
     "cpf-rsvd": _Layout(
@@ -275,7 +274,6 @@ _LAYOUTS = {
                     (KIND_N, 3, "p2", TRIPLET_110), (KIND_N, 3, "p3", TRIPLET_101),
                     (KIND_J, 2, "p5", TRIPLET_011), (KIND_J, 2, "q2", TRIPLET_011)),
         factors="x y u v",
-        sizes="p1 p2 p3 p4 p5 p6 q1 q2 q3 q4 q5 q6 m1 m2 m3 m4 n1 n2 n3 n4",
         perm_x=(6, 7, 12, 4, 15, 20, 10, 14, 2, 3, 19, 11, 5, 16, 8, 17, 1, 9, 13, 18),
         perm_y=(6, 7, 4, 12, 15, 20, 2, 14, 10, 11, 19, 3, 16, 5, 17, 8, 1, 9, 13, 18)),
 }
@@ -283,6 +281,13 @@ _LAYOUTS = {
 
 def _fields(partition, names: str) -> list[int]:
     return [getattr(partition, name) for name in names.split()]
+
+
+def _chain_sizes(layout: _Layout, partition) -> list[int]:
+    """Sizes of the blocks the chain permutes: each block row expands to the
+    partition's fields of its letter, in field order."""
+    return [getattr(partition, f.name) for row in layout.block_rows.split()
+            for f in fields(partition) if f.name[0] == row]
 
 
 def _groups(layout: _Layout, partition):
@@ -537,7 +542,7 @@ def verify_reduction(pencil: Pencil, formulation: str, partition,
     layout = _layout(formulation, partition)
     if not layout.factors:
         raise ValueError(f"no transformation chain for formulation {formulation!r}")
-    sizes = _fields(partition, layout.sizes)
+    sizes = _chain_sizes(layout, partition)
     given = dict(u=u, v=v, x=x, y=y)
     group_dims = _fields(partition, layout.block_rows)
     if pencil.lhs.shape[0] != sum(group_dims):

@@ -26,7 +26,7 @@ from pencilsvd.kcf import (
     _block_diag,
     _block_permutation_indices,
     _canonical_cpf_expected,
-    _fields,
+    _chain_sizes,
     lemma_reduce,
     partition_from_ranks,
     qsvd_partition_from_ranks,
@@ -200,7 +200,7 @@ def ref_verify_reduction(pencil, formulation, partition, **factors):
     layout = _LAYOUTS[formulation]
     t = _block_diag([np.asarray(factors[name], dtype=complex)
                      for name in layout.factors.split()])
-    sizes = _fields(partition, layout.sizes)
+    sizes = _chain_sizes(layout, partition)
     cols = _block_permutation_indices(layout.perm_x, sizes)
     rows = _block_permutation_indices(layout.perm_y, sizes)
     lhs = (t.conj().T @ pencil.lhs @ t)[np.ix_(rows, cols)]

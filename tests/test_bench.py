@@ -18,7 +18,14 @@ from pencilsvd.bench import (
     worked_example,
     write_sweep_csv,
 )
-from pencilsvd.eigensolve import CLASS_FINITE, EigenSolution, GeneralizedEigenvalue
+from pencilsvd.eigensolve import (
+    CLASS_FINITE,
+    CLASS_INDETERMINATE,
+    CLASS_INFINITE,
+    CLASS_ZERO,
+    EigenSolution,
+    GeneralizedEigenvalue,
+)
 from pencilsvd.genmat import GeneratorConfig, generate, generate_qsvd
 
 
@@ -178,10 +185,10 @@ def test_sq_estimates_nonreal_tolerance_edge():
         vals = tuple(GeneralizedEigenvalue(complex(x), 1 + 0j, CLASS_FINITE) for x in lams)
         return EigenSolution(vals, np.eye(len(lams), dtype=complex), False)
     below = 0.5 * NONREAL_TOL * 4.0
-    est = _estimates_sq(solution([1.0, 4.0 + below * 1j]), 2)
+    est = _estimates_sq(solution([1.0, 4.0 + below * 1j]))
     assert np.allclose(est, [2.0, 1.0])
     with pytest.raises(SampleFailure, match="non-real spectrum"):
-        _estimates_sq(solution([1.0, 4.0 + 4 * below * 1j]), 2)
+        _estimates_sq(solution([1.0, 4.0 + 4 * below * 1j]))
 
 
 def test_non_finite_estimate_is_a_failure():
@@ -205,6 +212,29 @@ def test_ill_conditioned_cpf_samples_are_measured():
     # classes: still a counted failure
     lams = [1.5 * np.exp(1j * (np.pi / 4 + k * np.pi / 2 + d))
             for k, d in enumerate((-1e-9, 1e-9, -1e-9, 1e-9))]
-    vals = tuple(GeneralizedEigenvalue(complex(x), 1 + 0j, CLASS_FINITE) for x in lams)
     with pytest.raises(SampleFailure, match="quarter-turn classes"):
-        _estimates_cpf(EigenSolution(vals, np.eye(4, dtype=complex), False), 1)
+        _estimates_cpf(_cpf_solution(lams, [CLASS_FINITE] * 4))
+
+
+def _cpf_solution(lams, kinds):
+    vals = tuple(GeneralizedEigenvalue(complex(x), 1 + 0j, k) for x, k in zip(lams, kinds))
+    return EigenSolution(vals, None, None)
+
+
+def test_cpf_estimates_ignore_the_solver_classes():
+    # a generated problem's cpf spectrum is 4n finite values: the harness
+    # groups them all, whatever class the solver's threshold gave them
+    lams = [1.5 * 1j ** k for k in range(4)]
+    finite = _estimates_cpf(_cpf_solution(lams, [CLASS_FINITE] * 4))
+    assert finite.tolist() == pytest.approx([2.25])
+    zero = _estimates_cpf(_cpf_solution(lams, [CLASS_ZERO] * 4))
+    assert zero.tolist() == finite.tolist()
+
+
+@pytest.mark.parametrize("member, kind", [(1.5, CLASS_INFINITE), (1.5, CLASS_INDETERMINATE),
+                                          (0.0, CLASS_FINITE)])
+def test_cpf_estimates_reject_a_value_that_is_not_finite_and_nonzero(member, kind):
+    lams = [member, -1.5, 1.5j, -1.5j]
+    kinds = [kind, CLASS_FINITE, CLASS_FINITE, CLASS_FINITE]
+    with pytest.raises(SampleFailure, match="grouping expects finite nonzero eigenvalues"):
+        _estimates_cpf(_cpf_solution(lams, kinds))

@@ -23,6 +23,7 @@ from pencilsvd.kcf import (
     _LAYOUTS,
     _PARTITIONS,
     _canonical_pair,
+    _chain_sizes,
     _kron_eye,
     KIND_J,
     KIND_N,
@@ -313,6 +314,20 @@ def test_eigenvalue_counts_equal_the_block_walk(kind):
             assert list(st.counts.items()) == list(want.items())
             assert sum(want.values()) == st.order
             assert hash(st) == hash(predict_kcf(name, part, sigmas))
+
+
+@pytest.mark.parametrize("formulation, names", [
+    ("cpf-svd", "p1 p2 q1 q2 p1 p2 q1 q2"),
+    ("cpf-qsvd", "p1 p2 p3 q1 q2 q3 q4 p1 p2 p3 n1 n2 n3"),
+    ("cpf-rsvd", "p1 p2 p3 p4 p5 p6 q1 q2 q3 q4 q5 q6 m1 m2 m3 m4 n1 n2 n3 n4"),
+])
+def test_chain_sizes_expand_the_block_rows(formulation, names):
+    # each block row letter expands to the partition's fields of that
+    # letter, in field order: the sizes the layouts once spelled out
+    layout = _LAYOUTS[formulation]
+    for part in _helper_partitions(FORMULATIONS[formulation].kind,
+                                   np.random.default_rng(31), 20):
+        assert _chain_sizes(layout, part) == [getattr(part, n) for n in names.split()]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])

@@ -3,9 +3,10 @@
 No linter is a dependency of the package or its tests, so the rules that
 changes keep breaking are checked here with ``ast``: an import left
 without a use (pyflakes F401), a private helper, constant or class that
-no module of the package reads any more, and an import of a package that
-is neither the standard library nor a runtime dependency (the test-only
-``mpmath`` oracle, say).  It also lists every library name that the
+no module of the package reads any more, a function parameter that its
+body never reads, and an import of a package that is neither the
+standard library nor a runtime dependency (the test-only ``mpmath``
+oracle, say).  It also lists every library name that the
 benchmark in ``perfbench/`` reaches and the library no longer has, where a
 benchmark run stops at the first ``AttributeError``.
 """
@@ -121,6 +122,44 @@ def test_src_private_names_are_read_in_src():
     texts = [path.read_text() for path in sorted(SRC.glob("*.py"))]
     assert len(texts) >= 10
     assert unread_private_names(texts) == []
+
+
+def unused_parameters(text: str) -> list[str]:
+    """``function.parameter`` for every parameter, positional, keyword-only
+    or starred, that its function's body never reads (a read in a nested
+    function or lambda counts), in source order."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs,
+                  *(x for x in (a.vararg, a.kwarg) if x is not None)]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [(p.lineno, p.col_offset, f"{node.name}.{p.arg}")
+                  for p in params if p.arg not in read]
+    return [name for *_, name in sorted(found)]
+
+
+def test_unused_parameter_check_sees_a_parameter_never_read():
+    text = ("def f(a, b, *args, c=1, **kw):\n"
+            "    b = 2\n"
+            "    return a + sum(args)\n"
+            "class K:\n"
+            "    def m(self, x):\n"
+            "        return lambda: self.y + x\n"
+            "    def n(self, y, z=None):\n"
+            "        def g(w):\n"
+            "            return y\n"
+            "        return self.wrap(g)\n")
+    assert unused_parameters(text) == ["f.b", "f.c", "f.kw", "n.z", "g.w"]
+
+
+def test_src_reads_every_function_parameter():
+    found = {path.name: unused_parameters(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert len(found) >= 10
+    assert {name: names for name, names in found.items() if names} == {}
 
 
 def foreign_imports(text: str, allowed) -> list[str]:
