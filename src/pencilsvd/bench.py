@@ -100,7 +100,7 @@ def solve_pencil(pencil: Pencil) -> EigenSolution:
 
 
 def _estimates_sq(sol: EigenSolution) -> np.ndarray:
-    lams = np.array([v.value for v in sol.values])
+    lams = np.array([v.ratio for v in sol.values])
     # the QZ fallback of an indefinite pencil can return a non-real spectrum
     imag = np.abs(lams.imag).max(initial=0.0)
     if imag > NONREAL_TOL * np.abs(lams).max(initial=0.0):
@@ -111,7 +111,7 @@ def _estimates_sq(sol: EigenSolution) -> np.ndarray:
 def _pm_pairs(sol: EigenSolution) -> np.ndarray:
     """The magnitudes of a symmetric spectrum, descending, as a (2, n) array:
     column j holds both members of the j-th +-sigma pair."""
-    return np.sort(np.abs([v.value for v in sol.values]))[::-1].reshape(-1, 2).T
+    return np.sort(np.abs([v.ratio for v in sol.values]))[::-1].reshape(-1, 2).T
 
 
 def _estimates_aug(sol: EigenSolution) -> np.ndarray:
@@ -121,9 +121,9 @@ def _estimates_aug(sol: EigenSolution) -> np.ndarray:
 def _quadruples(sol: EigenSolution):
     """The sigma quadruples of a generated problem's cpf spectrum: all of
     its values, as full rank leaves no zero, infinite or indeterminate one
-    (``value`` makes those 0, inf and NaN, and grouping rejects them)."""
+    (``ratio`` makes those 0, inf and NaN, and grouping rejects them)."""
     try:
-        return group_quadruples([v.value for v in sol.values])
+        return group_quadruples([v.ratio for v in sol.values])
     except GroupingError as exc:
         raise SampleFailure(str(exc)) from exc
 

@@ -15,8 +15,9 @@ share its small ufunc calls (about 240 for 10 columns; their number, not
 their flops, is the dd layer's cost).  The kernels perform
 the IEEE operations of the per-operator formulas (one real dd operation at
 a time) in the same order, so they match those bit for bit.  :func:`cdd_solve`
-refines a binary64 solve in double-double: it agrees with a dd LU to about
-``cond(a) * n * 2**-104`` relative, not bit for bit.
+refines a binary64 solve in double-double, one dd residual product per step,
+and stops once the next correction could not move a bit of ``x``: it agrees
+with a dd LU to about ``cond(a) * n * 2**-104`` relative, not bit for bit.
 
 Only what the generators and ground-truth bookkeeping need is implemented:
 a real container (:class:`DD`, with no arithmetic of its own), for complex
@@ -51,11 +52,13 @@ _OUTER_PRODUCT_BUDGET = 8192
 
 # Stopping rule of cdd_solve's refinement (see _refinement_stops).  The dd
 # residual carries a rounding noise of n units of 2**-104 or more, so a
-# correction of at most _REFINE_RESOLUTION (16 units) has converged.  One
-# above _REFINE_SHRINK times the one before has stopped shrinking: it is
-# that noise, about cond(a) * n * 2**-104, or the refinement diverges; the
-# stop is accepted at or below _REFINE_STALL_LIMIT, the binary64 unit
-# roundoff, where x is more accurate than any binary64 solve makes it.
+# correction of at most _REFINE_RESOLUTION (16 units) has converged, and so
+# has one that shrank by at least _REFINE_SHRINK if the next, shrunk by the
+# same ratio, would be at most _REFINE_RESOLUTION.  One above _REFINE_SHRINK
+# times the one before has stopped shrinking: it is that noise, about
+# cond(a) * n * 2**-104, or the refinement diverges; the stop is accepted at
+# or below _REFINE_STALL_LIMIT, the binary64 unit roundoff, where x is more
+# accurate than any binary64 solve makes it.
 _REFINE_RESOLUTION = 2.0 ** -100
 _REFINE_SHRINK = 0.5
 _REFINE_STALL_LIMIT = 2.0 ** -53
@@ -241,12 +244,15 @@ class CDD:
 
 def _refinement_stops(size: float, last: float) -> bool:
     """Whether refinement stops after a correction of relative ``size``
-    that followed one of relative ``last``; raises ValueError when it stops
-    unconverged (also for a NaN size)."""
+    (already added to ``x``) that followed one of relative ``last``: at the
+    resolution; when it shrank and the next, extrapolated as ``size**2 /
+    last``, would be at the resolution (Demmel et al., ACM TOMS 32, 2006);
+    or when it stalled below the stall limit.  Raises ValueError when it
+    stops unconverged (also for a NaN size)."""
     if size <= _REFINE_RESOLUTION:
         return True
     if size <= _REFINE_SHRINK * last:
-        return False
+        return size * size / last <= _REFINE_RESOLUTION
     if size <= _REFINE_STALL_LIMIT:
         return True
     raise ValueError(f"cdd_solve: refinement stopped converging at a relative correction "
@@ -264,8 +270,11 @@ def cdd_solve(a: CDD, b: CDD) -> CDD:
     the error by about ``cond(a) * n * eps``; while that is well below one,
     ``x`` converges to about ``cond(a) * n * 2**-104`` relative.  The
     columns of a 2-d ``b`` share one stopping rule (:func:`_refinement_stops`,
-    on the largest column's correction relative to that column of ``x``);
-    each step that goes on at least halves it, so there are at most ~100.
+    on the largest column's correction relative to that column of ``x``):
+    it stops once the next correction, shrunk by the ratio of the last two,
+    would be at most ``2**-100`` of ``x``, which is two steps (two dd
+    products) for ``cond(a)`` from about 1e3 to 1e6.  Each step that goes
+    on at least halves the correction, so there are at most ~100.
 
     Raises
     ------

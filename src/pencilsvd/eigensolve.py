@@ -69,9 +69,17 @@ class GeneralizedEigenvalue:
     def value(self) -> complex:
         if self.kind == CLASS_INDETERMINATE:
             return complex(np.nan, np.nan)
-        if self.kind == CLASS_INFINITE or not self.beta_e:
+        if self.kind == CLASS_INFINITE:
             return complex(np.inf, 0.0)
-        return self.alpha_e / self.beta_e
+        return self.ratio
+
+    @property
+    def ratio(self) -> complex:
+        """``alpha_e / beta_e`` whatever the class: inf where ``beta_e == 0``
+        and NaN for ``(0, 0)``, with no threshold."""
+        if self.beta_e:
+            return self.alpha_e / self.beta_e
+        return complex(np.inf, 0.0) if self.alpha_e else complex(np.nan, np.nan)
 
 
 @dataclass(frozen=True)

@@ -34,8 +34,10 @@ at 50 digits in ``decimal`` and rounded to double-double once
 (:func:`_sigma_grid`, :func:`_grids`).  Random numbers are generated in
 binary64 and promoted exactly; the products run in double-double, and
 the quotient generator's solves factor ``Y*`` in binary64 and refine in
-double-double (``cdd_solve``); the matrices are rounded to working
-precision only at the very end.
+double-double (``cdd_solve``), which stops once a further step could not
+move a bit: one product for ``Y`` and two residual products per solve
+from ``kappa_Y`` 1e3 to 1e6, one or two per solve at 1e1; the matrices
+are rounded to working precision only at the very end.
 The Haar factors are binary64 samples, unitary only to about 1e-16, so
 the grid values match the singular values of the double-double problem to
 5e-18..3e-16 relative (n = 4, kappa_Y = 1e7), not to 30 digits; rounding

@@ -246,8 +246,7 @@ def classify_spectrum(sol: EigenSolution, kind: str, dims,
     # member indices point into sol.values, where the classes interleave
     finite = live[finite].tolist()
     # a pair with beta_e = 0 is infinite, which grouping rejects
-    lams = [v.alpha_e / v.beta_e if v.beta_e else complex(math.inf)
-            for v in map(vals.__getitem__, finite)]
+    lams = [vals[i].ratio for i in finite]
     quads = [Quadruple(q.members, tuple(finite[i] for i in q.member_indices), q.sigma,
                        q.phase_residual) for q in group_quadruples(lams)]
     n = triplet_counts(formulation, partition)

@@ -227,14 +227,27 @@ def test_cpf_estimates_ignore_the_solver_classes():
     lams = [1.5 * 1j ** k for k in range(4)]
     finite = _estimates_cpf(_cpf_solution(lams, [CLASS_FINITE] * 4))
     assert finite.tolist() == pytest.approx([2.25])
-    zero = _estimates_cpf(_cpf_solution(lams, [CLASS_ZERO] * 4))
-    assert zero.tolist() == finite.tolist()
+    for kind in (CLASS_ZERO, CLASS_INFINITE):
+        tagged = _estimates_cpf(_cpf_solution(lams, [kind] + [CLASS_FINITE] * 3))
+        assert tagged.tolist() == finite.tolist()
+
+
+def test_sweep_estimators_read_the_pairs_not_the_threshold():
+    # at kappa_sigma = 1e15 the threshold calls one of the 8 cpf values
+    # infinite although its beta_e is nonzero; its ratio is grouped
+    prob = generate("qsvd", GeneratorConfig(n=2, kappa_sigma=1e15, kappa_y=1e8, seed=0))
+    rec = evaluate_sample(prob, "cpf-qsvd")
+    assert not rec.failed, rec.failure_reason
+    assert rec.max_error <= 1e-8
 
 
 @pytest.mark.parametrize("member, kind", [(1.5, CLASS_INFINITE), (1.5, CLASS_INDETERMINATE),
                                           (0.0, CLASS_FINITE)])
 def test_cpf_estimates_reject_a_value_that_is_not_finite_and_nonzero(member, kind):
-    lams = [member, -1.5, 1.5j, -1.5j]
-    kinds = [kind, CLASS_FINITE, CLASS_FINITE, CLASS_FINITE]
+    # the pair of each class: (x, 0) is infinite and (0, 0) indeterminate
+    alpha, beta = {CLASS_INFINITE: (member, 0), CLASS_INDETERMINATE: (0, 0)}.get(kind, (member, 1))
+    rest = _cpf_solution([-1.5, 1.5j, -1.5j], [CLASS_FINITE] * 3).values
+    sol = EigenSolution((GeneralizedEigenvalue(complex(alpha), complex(beta), kind),) + rest,
+                        None, None)
     with pytest.raises(SampleFailure, match="grouping expects finite nonzero eigenvalues"):
-        _estimates_cpf(_cpf_solution(lams, kinds))
+        _estimates_cpf(sol)

@@ -216,9 +216,17 @@ def test_stacked_solve_agrees_with_separate_solves():
 
 def test_refinement_stops_at_each_constant_edge():
     up = np.nextafter
-    # a correction at the resolution has converged; one just above goes on
+    # a correction at the resolution has converged, whether it shrank or not
     assert _refinement_stops(_REFINE_RESOLUTION, 1.0)
-    assert not _refinement_stops(up(_REFINE_RESOLUTION, 1.0), 1.0)
+    assert _refinement_stops(_REFINE_RESOLUTION, _REFINE_RESOLUTION)
+    # a shrinking correction stops once the next one, shrunk by the same
+    # ratio, would be at the resolution: size**2 / last at it stops (2**-50
+    # after 1, 2**-60 after 2**-20), one ulp above goes on
+    for last in (1.0, 2.0 ** -20):
+        edge = (_REFINE_RESOLUTION * last) ** 0.5
+        assert edge * edge / last == _REFINE_RESOLUTION
+        assert _refinement_stops(edge, last)
+        assert not _refinement_stops(up(edge, 1.0), last)
     # shrinking by _REFINE_SHRINK goes on; less has stalled, which is
     # accepted below the stall limit (2**-71) and raises above it (2**-41)
     low, high = 2.0 ** -70, 2.0 ** -40

@@ -9,6 +9,7 @@ from pencilsvd.eigensolve import (
     CLASS_INDETERMINATE,
     CLASS_INFINITE,
     CLASS_ZERO,
+    GeneralizedEigenvalue,
     NotDefiniteError,
     SingularPencilError,
     classify_pair,
@@ -59,6 +60,16 @@ def test_solve_general_infinite():
     assert kinds == [CLASS_FINITE, CLASS_INFINITE]
     (fin,) = [v for v in sol.values if v.kind == CLASS_FINITE]
     assert abs(fin.value - 1.0) <= 1e-13
+
+
+def test_ratio_reads_the_pair_and_not_the_class():
+    # value follows the threshold's class, ratio only alpha_e and beta_e
+    tagged = GeneralizedEigenvalue(3.0 + 0j, 1.5 + 0j, CLASS_INFINITE)
+    assert tagged.value == complex(np.inf, 0.0) and tagged.ratio == 2.0
+    assert GeneralizedEigenvalue(1e-20 + 0j, 1.0 + 0j, CLASS_ZERO).ratio == 1e-20
+    assert GeneralizedEigenvalue(2j, 0j, CLASS_FINITE).ratio == complex(np.inf, 0.0)
+    indeterminate = GeneralizedEigenvalue(0j, 0j, CLASS_FINITE).ratio
+    assert np.isnan(indeterminate.real) and np.isnan(indeterminate.imag)
 
 
 def test_solve_general_lemma_pencil():

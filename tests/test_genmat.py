@@ -1,4 +1,5 @@
 import decimal
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 
 from helpers import RefCDD, RefDD, cdd_diag, cdd_from_parts, ref_cdd_solve
 
-from pencilsvd import genmat
+from pencilsvd import ddarith, genmat
 from pencilsvd.ddarith import CDD, dd_to_decimal_string
 from pencilsvd.genmat import (
     GeneratorConfig,
@@ -252,6 +253,51 @@ def test_generator_determinism():
     p2 = generate_qsvd(cfg)
     assert np.array_equal(p1.a, p2.a)
     assert np.array_equal(p1.c, p2.c)
+
+
+# sha256 of a.tobytes() + c.tobytes() of generate_qsvd (kappa_sigma 1e3,
+# seed 0): a change to cdd_solve's refinement, such as when it stops, must
+# leave every stored byte where it was
+_QSVD_STORED_BYTES = {
+    (4, 1e1): "c4b765a373ba57fdb9b29c774b7acb839671938c9a23241bacaaa421f28eb47b",
+    (4, 1e3): "1d89818f60f6b997e74ce29806d4c6b80d77c9257d1f77b49b65104f0cbec897",
+    (4, 1e7): "76531b5ad51000ecef2e89ecf635f51ae67b23074ef6517e70f0f3c193d4b316",
+    (4, 1e12): "a7177807ebf596a004599f3774a346413d1fe9b20809572d0ac1508bf9196141",
+    (10, 1e1): "fda250bd08fcd7570a7bb8e2e1f08043e25893d67fabcdc6364a951792a69f1a",
+    (10, 1e3): "0910ed98fd8e2c73bb9b6ca5ad4e848a827e99308d11faccba5527cdf0f5c973",
+    (10, 1e7): "b2f6962b252f68fc4d3b24d0c1a549312840d5b301587b1ec8c6b09343d015b1",
+    (10, 1e12): "d2c080ae9b3aa93869b4ca09f77a5bc10882d0d4105234543a68d3e7776a4eb5",
+    (32, 1e1): "d0e649466732f00387ef384ba12938f642ff4f0e754701aa0e14448a70267ad7",
+    (32, 1e3): "b7c59def4208ea8bd663550aca961d9e30bbb346e94c48fd27a24270770e3e7e",
+    (32, 1e7): "5cf59a2015cbad713a45768de5461b842e19b81a9bae2c00a230d67df7967bb4",
+    (32, 1e12): "9713dd607959d4644bca166ee46889209f881cc4cdba6bff3e0596caddb8af39",
+}
+
+
+@pytest.mark.parametrize("n, kappa_y", list(_QSVD_STORED_BYTES))
+def test_qsvd_stored_bytes_are_pinned(n, kappa_y):
+    q = generate_qsvd(GeneratorConfig(n=n, kappa_sigma=1e3, kappa_y=kappa_y, seed=0))
+    digest = hashlib.sha256(q.a.tobytes() + q.c.tobytes()).hexdigest()
+    assert digest == _QSVD_STORED_BYTES[n, kappa_y]
+
+
+@pytest.mark.parametrize("kappa_y, most", [(1e1, 4), (1e3, 5), (1e7, 5)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_qsvd_makes_few_dd_products(monkeypatch, kappa_y, most, seed):
+    # one product builds Y and each residual of the two solves is one more.
+    # A solve stops once its next correction would be below 2**-100 of x:
+    # after two steps at kappa_y 1e3 and 1e7, and after one or two at 1e1,
+    # where the first correction (~2**-50) sits at that edge
+    products = []
+    matmul = ddarith.CDD.matmul
+
+    def counted(a, b):
+        products.append(b.shape)
+        return matmul(a, b)
+
+    monkeypatch.setattr(ddarith.CDD, "matmul", counted)
+    generate_qsvd(GeneratorConfig(n=10, kappa_sigma=1e3, kappa_y=kappa_y, seed=seed))
+    assert 3 <= len(products) <= most
 
 
 def _diag(d):

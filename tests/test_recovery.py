@@ -34,6 +34,7 @@ from pencilsvd.pencils import (
 )
 from pencilsvd.recovery import (
     CLASS_GAP_FLOOR,
+    NORM_FLOOR,
     TRIPLET_100,
     TRIPLET_011,
     TRIPLET_101,
@@ -401,6 +402,31 @@ def test_extract_vectors_rejects_a_values_only_solution():
     cls = classify_spectrum(sol, "qsvd", (1, 1, 1), partition=partition_for(a, c=c))
     with pytest.raises(ValueError, match="values-only"):
         extract_vectors(sol, cls.quadruples[0], pencil)
+
+
+def test_extract_vectors_norm_floor_edge():
+    # a needed block of norm NORM_FLOOR * |w| carries no direction; one of
+    # twice that is read.  Every column of the solution becomes w, whose
+    # blocks are (x, z, u, v); x is not needed for a quotient problem
+    a = np.array([[2.0]])
+    c = np.array([[1.0]])
+    pencil = build_cpf_qsvd(a, c)
+    sol = solve_general(pencil, vectors=True)
+    quad = classify_spectrum(sol, "qsvd", (1, 1, 1), partition=partition_for(a, c=c)).quadruples[0]
+    base = np.array([0.0, 0.0, 1.0, 1.0], dtype=complex)
+    for scale in (1.0, 2.0):
+        w = base.copy()
+        w[1] = scale * NORM_FLOOR * np.linalg.norm(base)
+        assert np.linalg.norm(w) == np.linalg.norm(base)
+        assert np.linalg.norm(w[1:2]) == scale * NORM_FLOOR * np.linalg.norm(w)
+        edited = EigenSolution(sol.values, np.tile(w[:, None], (1, 4)), True)
+        if scale == 1.0:
+            with pytest.raises(ValueError, match="degenerate eigenvector"):
+                extract_vectors(edited, quad, pencil)
+        else:
+            rec = extract_vectors(edited, quad, pencil)
+            assert rec.u == pytest.approx(np.array([1.0 + 0j]))
+            assert rec.v == pytest.approx(np.array([1.0 + 0j]))
 
 
 def test_extract_vectors_cpf_svd_diag():

@@ -4,11 +4,12 @@ No linter is a dependency of the package or its tests, so the rules that
 changes keep breaking are checked here with ``ast``: an import left
 without a use (pyflakes F401), a private helper, constant or class that
 no module of the package reads any more, a function parameter that its
-body never reads, and an import of a package that is neither the
-standard library nor a runtime dependency (the test-only ``mpmath``
-oracle, say).  It also lists every library name that the
-benchmark in ``perfbench/`` reaches and the library no longer has, where a
-benchmark run stops at the first ``AttributeError``.
+body never reads, a float constant (a tolerance, say) that no test
+names, and an import of a package that is neither the standard library
+nor a runtime dependency (the test-only ``mpmath`` oracle, say).  It also
+lists every library name that the benchmark in ``perfbench/`` reaches and
+the library no longer has, where a benchmark run stops at the first
+``AttributeError``.
 """
 
 import ast
@@ -71,15 +72,24 @@ def test_src_has_no_unused_imports():
     assert {name: names for name, names in found.items() if names} == {}
 
 
+def assigned_names(node: ast.stmt) -> list[str]:
+    """Names a statement binds by assignment (none for other statements)."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
 def private_definitions(tree: ast.Module) -> list[str]:
     """Private names (one leading underscore) a module binds at top level."""
     names = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names.append(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        names += assigned_names(node)
     return [n for n in names if n.startswith("_") and not n.startswith("__")]
 
 
@@ -160,6 +170,48 @@ def test_src_reads_every_function_parameter():
     found = {path.name: unused_parameters(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     assert len(found) >= 10
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def float_constants(text: str, namespace) -> list[str]:
+    """Upper-case names a module assigns at top level whose value in the
+    module's ``namespace`` is a float (numpy's float64 counts), in order."""
+    names = [name for node in ast.parse(text).body for name in assigned_names(node)]
+    return [name for name in names if name.isupper() and isinstance(namespace[name], float)]
+
+
+def test_float_constant_check_sees_tolerances_only():
+    text = ("import math\n"
+            "from math import pi as PI\n"
+            "TOL = 1e-12\n"
+            "_EDGE: float = 2.0 ** -53\n"
+            "LIMIT, NAMES = 8, ('a',)\n"
+            "ROOT = math.sqrt(2.0)\n"
+            "lower = 0.5\n"
+            "def f():\n"
+            "    INNER = 1.0\n")
+    namespace = {}
+    exec(text, namespace)
+    assert float_constants(text, namespace) == ["TOL", "_EDGE", "ROOT"]
+
+
+# (module, name) of float constants that decide nothing: the Dekker split
+# constant is arithmetic
+_NOT_TOLERANCES = {("ddarith", "_SPLITTER")}
+
+
+def test_every_float_constant_in_src_is_named_in_a_test():
+    # read as code or spelled as a string (monkeypatch.setattr's target) in
+    # a test module other than this one, which names constants to exempt them
+    trees = [ast.parse(path.read_text()) for path in sorted((ROOT / "tests").glob("*.py"))
+             if path.name != Path(__file__).name]
+    named = set().union(*(read_names(tree) for tree in trees),
+                        (n.value for tree in trees for n in ast.walk(tree)
+                         if isinstance(n, ast.Constant) and isinstance(n.value, str)))
+    found = [(path.stem, name) for path in sorted(SRC.glob("*.py"))
+             for name in float_constants(path.read_text(),
+                                         vars(importlib.import_module(f"pencilsvd.{path.stem}")))]
+    assert len(found) >= 8 and _NOT_TOLERANCES <= set(found)
+    assert [c for c in found if c[1] not in named and c not in _NOT_TOLERANCES] == []
 
 
 def foreign_imports(text: str, allowed) -> list[str]:
