@@ -413,20 +413,18 @@ def test_extract_vectors_norm_floor_edge():
     pencil = build_cpf_qsvd(a, c)
     sol = solve_general(pencil, vectors=True)
     quad = classify_spectrum(sol, "qsvd", (1, 1, 1), partition=partition_for(a, c=c)).quadruples[0]
-    base = np.array([0.0, 0.0, 1.0, 1.0], dtype=complex)
-    for scale in (1.0, 2.0):
-        w = base.copy()
-        w[1] = scale * NORM_FLOOR * np.linalg.norm(base)
-        assert np.linalg.norm(w) == np.linalg.norm(base)
+
+    def with_z_block(scale):
+        w = np.array([0.0, 0.0, 1.0, 1.0], dtype=complex)
+        w[1] = scale * NORM_FLOOR * np.linalg.norm(w)
         assert np.linalg.norm(w[1:2]) == scale * NORM_FLOOR * np.linalg.norm(w)
-        edited = EigenSolution(sol.values, np.tile(w[:, None], (1, 4)), True)
-        if scale == 1.0:
-            with pytest.raises(ValueError, match="degenerate eigenvector"):
-                extract_vectors(edited, quad, pencil)
-        else:
-            rec = extract_vectors(edited, quad, pencil)
-            assert rec.u == pytest.approx(np.array([1.0 + 0j]))
-            assert rec.v == pytest.approx(np.array([1.0 + 0j]))
+        return EigenSolution(sol.values, np.tile(w[:, None], (1, 4)), True)
+
+    with pytest.raises(ValueError, match="degenerate eigenvector"):
+        extract_vectors(with_z_block(1.0), quad, pencil)
+    rec = extract_vectors(with_z_block(2.0), quad, pencil)
+    assert rec.u == pytest.approx(np.array([1.0 + 0j]))
+    assert rec.v == pytest.approx(np.array([1.0 + 0j]))
 
 
 def test_extract_vectors_cpf_svd_diag():
