@@ -135,8 +135,8 @@ def cmd_kcf(args):
     mats = _load_inputs(args)
     kind = problem_kind(mats.get("b"), mats.get("c"))
     partition = partition_for(mats["a"], mats.get("b"), mats.get("c"))
-    if kind == "svd":
-        # the singular values of A themselves
+    if "c" not in mats:
+        # A alone: the singular values of A themselves
         sigmas = rank_with_tol(mats["a"]).values[: partition.p1]
     else:
         sol = solve_pencil(_build_pencil("cpf", mats)[0])

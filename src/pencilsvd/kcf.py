@@ -33,8 +33,7 @@ from .eigensolve import (
     EigenSolution,
 )
 from .matcore import rank_with_tol
-from .pencils import (FORMULATIONS, Pencil, _checked, build_cpf_rsvd, generic_pencil,
-                      problem_kind)
+from .pencils import FORMULATIONS, Pencil, _checked, build_cpf_rsvd, generic_pencil
 
 KIND_ZERO_BLOCK = "zero-block"
 KIND_N = "n-infinite"
@@ -115,17 +114,6 @@ class _Partition:
 
 
 @dataclass(frozen=True)
-class SvdPartition(_Partition):
-    """Ordinary SVD sizes: p1 = rank, p2/q2 the row/column deficiencies."""
-
-    COUPLED = (("q1", "p1"),)
-    p1: int
-    p2: int
-    q1: int
-    q2: int
-
-
-@dataclass(frozen=True)
 class QsvdPartition(_Partition):
     """Quotient SVD sizes."""
 
@@ -170,11 +158,7 @@ class RsvdPartition(_Partition):
     n4: int
 
 
-_PARTITIONS = {"svd": SvdPartition, "qsvd": QsvdPartition, "rsvd": RsvdPartition}
-
-
-def svd_partition(p: int, q: int, rank: int) -> SvdPartition:
-    return SvdPartition.of(p1=rank, p2=p - rank, q2=q - rank)
+_PARTITIONS = {"qsvd": QsvdPartition, "rsvd": RsvdPartition}
 
 
 def qsvd_partition_from_ranks(p: int, q: int, n: int, r_a: int, r_c: int,
@@ -195,25 +179,27 @@ def partition_from_ranks(p: int, q: int, m: int, n: int,
 
 
 def input_dims(partition) -> tuple[int, ...]:
-    """Input sizes (p, q), (p, q, n) or (p, q, m, n) of a partition."""
+    """Input sizes (p, q, n) or (p, q, m, n) of a partition."""
     return tuple(getattr(partition, d) for d in "pqmn" if hasattr(partition, d))
 
 
 def partition_for(a, b=None, c=None):
-    """Partition of A (svd), (A, C) (qsvd) or (A, B, C) (rsvd) from the
-    numerical ranks of the inputs.  The inputs pass the pencil builders'
-    checks (:func:`pencilsvd.pencils._checked`): B without C, an input that
-    is not a finite matrix, or shapes that do not fit raise ValueError."""
+    """Partition of (A, C) (qsvd) or (A, B, C) (rsvd) from the numerical
+    ranks of the inputs; A alone is the quotient pair ``(A, I_q)``, whose
+    ranks rank(C) = rank([A; I_q]) = q hold exactly, so only A is ranked.
+    The inputs pass the pencil builders' checks
+    (:func:`pencilsvd.pencils._checked`): B without C, an input that is not
+    a finite matrix, or shapes that do not fit raise ValueError."""
     def rank(m):
         return rank_with_tol(m).rank
 
-    kind = problem_kind(b, c)
+    identity_c = c is None
     a, b, c = _checked(a, b, c)
     p, q = a.shape
-    if kind == "svd":
-        return svd_partition(p, q, rank(a))
     n = c.shape[0]
-    if kind == "qsvd":
+    if identity_c:
+        return qsvd_partition_from_ranks(p, q, q, rank(a), q, q)
+    if b is None:
         return qsvd_partition_from_ranks(p, q, n, rank(a), rank(c),
                                          rank(np.vstack([a, c])))
     m = b.shape[1]
@@ -249,7 +235,6 @@ class _Layout:
 
 
 _LAYOUTS = {
-    "aug-svd": _Layout("p q", ((KIND_J, 1, "p2 q2", TRIPLET_011),)),
     "aug-qsvd": _Layout("p q", ((KIND_ZERO_BLOCK, 1, "q1", TRIPLET_TRIVIAL),
                                 (KIND_N, 2, "p2", TRIPLET_110),
                                 (KIND_J, 1, "p3 q2", TRIPLET_011))),
@@ -257,10 +242,6 @@ _LAYOUTS = {
                                 (KIND_N, 1, "p4 q6", TRIPLET_100),
                                 (KIND_N, 2, "p2", TRIPLET_110), (KIND_N, 2, "p3", TRIPLET_101),
                                 (KIND_J, 1, "p5 q2", TRIPLET_011))),
-    "cpf-svd": _Layout(
-        "p q p q", ((KIND_J, 2, "p2", TRIPLET_011), (KIND_J, 2, "q2", TRIPLET_011)),
-        factors="u v u v",
-        perm_x=(2, 6, 4, 8, 1, 3, 5, 7), perm_y=(6, 2, 8, 4, 1, 3, 5, 7)),
     "cpf-qsvd": _Layout(
         "p q p n", ((KIND_ZERO_BLOCK, 1, "q1", TRIPLET_TRIVIAL), (KIND_N, 1, "n3", TRIPLET_100),
                     (KIND_N, 3, "p2", TRIPLET_110), (KIND_J, 2, "p3", TRIPLET_011),
@@ -350,8 +331,9 @@ def predict_kcf(formulation: str, partition, sigmas=()) -> KcfStructure:
     ``sigmas`` are the finite nonzero singular values (length p1); the
     classical augmented restricted form needs the per-sigma weights only
     for eigenvalue positions, which stay ``+-sigma`` regardless.  The
-    partition must be of the formulation's kind (``SvdPartition`` for an
-    svd formulation, and so on) and the sigmas finite and positive;
+    partition must be of the formulation's kind (``QsvdPartition`` for a
+    qsvd formulation, ``RsvdPartition`` for an rsvd one; A alone has the
+    quotient partition of ``(A, I)``) and the sigmas finite and positive;
     ``ValueError`` otherwise.
     """
     layout = _layout(formulation, partition)
@@ -530,8 +512,9 @@ def verify_reduction(pencil: Pencil, formulation: str, partition,
     """Replay the block-diagonalizing transformation chain on a concrete pencil.
 
     Stage 0 applies the diagonal congruence built from the decomposition
-    factors (``diag(U, V, U, V)`` for ordinary, ``diag(U, Y, U, V)`` for
-    quotient, ``diag(X, Y, U, V)`` for restricted problems); stage 1 the
+    factors (``diag(U, Y, U, V)`` for quotient problems, with ``Y = V``
+    for the pair ``(A, I)`` of an ordinary SVD, and ``diag(X, Y, U, V)``
+    for restricted ones); stage 1 the
     exact block permutations; stage 2 the per-sigma 4x4 reductions.  The
     report carries the largest deviation from the predicted canonical
     form, checked separately for the constant and the lambda coefficient.
@@ -572,16 +555,12 @@ def verify_reduction(pencil: Pencil, formulation: str, partition,
     k = lhs2.shape[0]
     f0 = k - 4 * p1
     d_alpha = np.real(np.diagonal(lhs2[f0:f0 + p1, f0 + p1:f0 + 2 * p1]))
-    # the decomposition fixes which of beta, gamma are 1 (see lemma_reduce)
-    kind = FORMULATIONS[formulation].kind
-    if kind == "rsvd":
+    # a quotient problem has beta = 1 (see lemma_reduce)
+    if FORMULATIONS[formulation].kind == "rsvd":
         d_beta = np.real(np.diagonal(rhs2[f0:f0 + p1, f0 + 2 * p1:f0 + 3 * p1]))
     else:
         d_beta = np.ones(p1)
-    if kind == "svd":
-        d_gamma = np.ones(p1)
-    else:
-        d_gamma = np.real(np.diagonal(rhs2[f0 + p1:f0 + 2 * p1, f0 + 3 * p1:]))
+    d_gamma = np.real(np.diagonal(rhs2[f0 + p1:f0 + 2 * p1, f0 + 3 * p1:]))
 
     exp_lhs, exp_rhs = _canonical_cpf_expected(layout, partition,
                                                d_alpha, d_beta, d_gamma)

@@ -52,12 +52,11 @@ class Pencil:
 
 
 def problem_kind(b=None, c=None) -> str:
-    """The decomposition that inputs with these B and C pose: ``"svd"``
-    without C, ``"qsvd"`` with C alone, ``"rsvd"`` with B and C."""
-    if c is None:
-        if b is not None:
-            raise ValueError("B needs C: a restricted problem takes A, B and C")
-        return "svd"
+    """The decomposition that inputs with these B and C pose: ``"qsvd"``
+    without B (A alone is the quotient pair ``(A, I)``, whose values are
+    the ordinary singular values of A), ``"rsvd"`` with B and C."""
+    if c is None and b is not None:
+        raise ValueError("B needs C: a restricted problem takes A, B and C")
     return "qsvd" if b is None else "rsvd"
 
 
@@ -91,14 +90,18 @@ def _require(cond: bool, msg: str) -> None:
 
 def _checked(a, b=None, c=None):
     """``(A, B, C)`` as finite complex matrices, checked for the problem
-    kind their presence poses (:func:`problem_kind`); absent ones stay
-    ``None``."""
+    kind their presence poses (:func:`problem_kind`).  An absent C is
+    ``I_q``, so A alone poses the quotient problem of ``(A, I)``; an absent
+    B stays ``None``."""
+    problem_kind(b, c)
     a = _as_matrix(a, "A")
     b = None if b is None else _as_matrix(b, "B")
-    c = None if c is None else _as_matrix(c, "C")
     if c is None:
         _require(a.size > 0, "A must be nonempty")
-    elif b is None:
+        c = np.eye(a.shape[1], dtype=np.complex128)
+    else:
+        c = _as_matrix(c, "C")
+    if b is None:
         _require(a.shape[1] == c.shape[1], f"A and C must share columns, got {a.shape} and {c.shape}")
     else:
         _require(b.shape[0] == a.shape[0], f"B must have {a.shape[0]} rows, got {b.shape[0]}")
@@ -106,16 +109,15 @@ def _checked(a, b=None, c=None):
     return a, b, c
 
 
-# one assembler per family; an absent B or C stands for the identity
+# one assembler per family; an absent B stands for the identity
 
-def _sq(formulation, a, c=None) -> Pencil:
+def _sq(formulation, a, c) -> Pencil:
     a, _, c = _checked(a, c=c)
-    q = a.shape[1]
-    rhs = np.eye(q, dtype=np.complex128) if c is None else _hermitize(c.conj().T @ c)
-    return Pencil(_hermitize(a.conj().T @ a), rhs, formulation, (q,))
+    rhs = _hermitize(c.conj().T @ c)
+    return Pencil(_hermitize(a.conj().T @ a), rhs, formulation, (a.shape[1],))
 
 
-def _aug(formulation, a, b=None, c=None) -> Pencil:
+def _aug(formulation, a, b, c) -> Pencil:
     a, b, c = _checked(a, b, c)
     p, q = a.shape
     lhs = np.zeros((p + q, p + q), dtype=np.complex128)
@@ -123,17 +125,17 @@ def _aug(formulation, a, b=None, c=None) -> Pencil:
     lhs[p:, :p] = a.conj().T
     rhs = np.zeros_like(lhs)
     rhs[:p, :p] = np.eye(p) if b is None else _hermitize(b @ b.conj().T)
-    rhs[p:, p:] = np.eye(q) if c is None else _hermitize(c.conj().T @ c)
+    rhs[p:, p:] = _hermitize(c.conj().T @ c)
     return Pencil(lhs, rhs, formulation, (p, q))
 
 
-def _cpf(formulation, a, b=None, c=None) -> Pencil:
+def _cpf(formulation, a, b, c) -> Pencil:
     """lhs = diag([0 A; A* 0], I, I); rhs has B in block (1,3), C* in (2,4)
     and their conjugate transposes mirrored below the diagonal."""
     a, b, c = _checked(a, b, c)
     p, q = a.shape
     b13 = np.eye(p, dtype=np.complex128) if b is None else b
-    b24 = np.eye(q, dtype=np.complex128) if c is None else c.conj().T
+    b24 = c.conj().T
     blocks = (p, q, b13.shape[1], b24.shape[1])
     off = np.concatenate(([0], np.cumsum(blocks)))
     lhs = np.zeros((off[-1], off[-1]), dtype=np.complex128)
@@ -150,24 +152,31 @@ def _cpf(formulation, a, b=None, c=None) -> Pencil:
     return Pencil(lhs, rhs, formulation, blocks)
 
 
+# the ordinary SVD of A is the quotient SVD of (A, I)
+
 def build_sq_svd(a) -> Pencil:
-    """``(A*A, I)`` of order q; eigenvalues are squared singular values."""
-    return _sq("sq-svd", a)
+    """``(A*A, I)``, the sq-qsvd pencil of ``(A, I)``."""
+    return build_sq_qsvd(a, None)
 
 
 def build_aug_svd(a) -> Pencil:
-    """``([0 A; A* 0], I)`` of order p+q; eigenvalues come in +-sigma pairs."""
-    return _aug("aug-svd", a)
+    """``([0 A; A* 0], I)``, the aug-qsvd pencil of ``(A, I)``."""
+    return build_aug_qsvd(a, None)
+
+
+def build_cpf_svd(a) -> Pencil:
+    """The cpf-qsvd pencil of ``(A, I)``, order 2(p+q)."""
+    return build_cpf_qsvd(a, None)
 
 
 def build_sq_qsvd(a, c) -> Pencil:
-    """``(A*A, C*C)`` of order q."""
+    """``(A*A, C*C)`` of order q; ``C = None`` is the identity."""
     return _sq("sq-qsvd", a, c)
 
 
 def build_aug_qsvd(a, c) -> Pencil:
-    """``([0 A; A* 0], [I 0; 0 C*C])`` of order p+q."""
-    return _aug("aug-qsvd", a, c=c)
+    """``([0 A; A* 0], [I 0; 0 C*C])`` of order p+q; ``C = None`` is I."""
+    return _aug("aug-qsvd", a, None, c)
 
 
 def build_aug_rsvd(a, b, c) -> Pencil:
@@ -175,14 +184,9 @@ def build_aug_rsvd(a, b, c) -> Pencil:
     return _aug("aug-rsvd", a, b, c)
 
 
-def build_cpf_svd(a) -> Pencil:
-    """Cross-product-free pencil of the ordinary SVD, order 2(p+q)."""
-    return _cpf("cpf-svd", a)
-
-
 def build_cpf_qsvd(a, c) -> Pencil:
-    """Cross-product-free pencil of the QSVD, order p+q+p+n."""
-    return _cpf("cpf-qsvd", a, c=c)
+    """Cross-product-free pencil of the QSVD, order p+q+p+n; ``C = None`` is I."""
+    return _cpf("cpf-qsvd", a, None, c)
 
 
 def build_cpf_rsvd(a, b, c) -> Pencil:
@@ -194,7 +198,7 @@ def build_cpf_rsvd(a, b, c) -> Pencil:
 class Formulation:
     """One pencil formulation: what it decomposes and how it is built.
 
-    ``kind`` is the decomposition (``svd``, ``qsvd``, ``rsvd``), ``family``
+    ``kind`` is the decomposition (``qsvd``, ``rsvd``), ``family``
     the pencil family (``sq``, ``aug``, ``cpf``) and ``inputs`` the names of
     the matrices the builder takes, in order.
     """
@@ -206,18 +210,16 @@ class Formulation:
     build: Callable[..., Pencil]
 
     def build_from(self, mats) -> Pencil:
-        """Build from a mapping of input names (``"a"``, ``"b"``, ...) to matrices."""
-        return self.build(*(mats[k] for k in self.inputs))
+        """Build from a mapping of input names (``"a"``, ``"b"``, ...) to
+        matrices; an absent ``"c"`` is the identity."""
+        return self.build(*(mats.get(k) for k in self.inputs))
 
 
 # every formulation, keyed by name
 FORMULATIONS = {f.name: f for f in (
-    Formulation("sq-svd", "svd", "sq", ("a",), build_sq_svd),
-    Formulation("aug-svd", "svd", "aug", ("a",), build_aug_svd),
     Formulation("sq-qsvd", "qsvd", "sq", ("a", "c"), build_sq_qsvd),
     Formulation("aug-qsvd", "qsvd", "aug", ("a", "c"), build_aug_qsvd),
     Formulation("aug-rsvd", "rsvd", "aug", ("a", "b", "c"), build_aug_rsvd),
-    Formulation("cpf-svd", "svd", "cpf", ("a",), build_cpf_svd),
     Formulation("cpf-qsvd", "qsvd", "cpf", ("a", "c"), build_cpf_qsvd),
     Formulation("cpf-rsvd", "rsvd", "cpf", ("a", "b", "c"), build_cpf_rsvd),
 )}

@@ -98,7 +98,7 @@ class RecoveredVectors:
 
     ``u`` and ``v`` are unit vectors; ``z`` is the y-direction vector
     scaled so that ``A z ~ sigma B u`` and ``C z ~ v`` (B = identity for
-    ordinary/quotient problems); ``x`` is the extra direction vector of
+    quotient problems); ``x`` is the extra direction vector of
     restricted problems (None otherwise).  ``residual_a`` and
     ``residual_c`` are the 2-norms of those two relations.
     """
@@ -208,11 +208,13 @@ def classify_spectrum(sol: EigenSolution, kind: str, dims,
     sol : EigenSolution
         Spectrum of the cpf pencil of the stated kind, at any threshold; its
         order must be the partition's (``ValueError`` otherwise).
-    kind : {'svd', 'qsvd', 'rsvd'}
+    kind : {'qsvd', 'rsvd'}
+        The problem kind (:func:`pencilsvd.pencils.problem_kind`); A alone
+        is the quotient pair ``(A, I)``.
     dims : tuple
-        Input matrix dimensions: (p, q) / (p, q, n) / (p, q, m, n); they
-        must be the partition's (``ValueError`` otherwise).
-    partition : SvdPartition, QsvdPartition or RsvdPartition
+        Input matrix dimensions: (p, q, n) / (p, q, m, n); they must be
+        the partition's (``ValueError`` otherwise).
+    partition : QsvdPartition or RsvdPartition
         Structure partition of the inputs, e.g. from
         :func:`pencilsvd.kcf.partition_for`.
     """
@@ -268,8 +270,8 @@ def extract_vectors(sol: EigenSolution, quad: Quadruple, pencil: Pencil) -> Reco
     normalized from the third block, ``v`` from the fourth, and the second
     block is rescaled by the least-squares factor minimizing
     ``|A z - sigma B u|^2 + |C z - v|^2``.  ``A``, ``B`` and ``C*`` are read
-    from the pencil's blocks (1,2), (1,3) and (2,4), where ordinary and
-    quotient pencils hold identities; a pencil of another family raises
+    from the pencil's blocks (1,2), (1,3) and (2,4), where quotient
+    pencils hold an identity for B; a pencil of another family raises
     ``ValueError``.
     """
     form = FORMULATIONS.get(pencil.formulation)

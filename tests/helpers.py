@@ -30,13 +30,13 @@ from pencilsvd.kcf import (
     lemma_reduce,
     partition_from_ranks,
     qsvd_partition_from_ranks,
-    svd_partition,
 )
 from pencilsvd.matcore import haar_unitary
 
 
 def random_svd_counts(rng, max_count=2):
-    """Free counts (p1, p2, q2) with p1 >= 1."""
+    """Free counts (p1, p2, q2) of A alone with p1 >= 1: rank, row and
+    column deficiency."""
     c = rng.integers(0, max_count + 1, 3)
     return (int(c[0]) + 1,) + tuple(int(x) for x in c[1:])
 
@@ -50,6 +50,11 @@ def random_qsvd_counts(rng, max_count=2):
 def qsvd_partition_from_counts(p1, p2, p3, q1, q2, n3) -> QsvdPartition:
     return QsvdPartition(p1=p1, p2=p2, p3=p3, q1=q1, q2=q2, q3=p1, q4=p2,
                          n1=q2, n2=p1, n3=n3)
+
+
+def svd_partition_from_counts(p1, p2, q2) -> QsvdPartition:
+    """The partition of A alone: the quotient one of ``(A, I)``."""
+    return qsvd_partition_from_counts(p1, 0, p2, 0, q2, 0)
 
 
 def random_rsvd_counts(rng, max_count=2):
@@ -157,15 +162,17 @@ def structured_problem(kind, counts, rng):
     """``(partition, sigmas, inputs, factors)`` of a rank-structured svd,
     qsvd or rsvd problem with Haar factors and sigmas spread over [0.5, 2];
     ``inputs`` maps "a", "b", "c" to the matrices, ``factors`` holds the
-    keyword arguments of ``verify_reduction``."""
+    keyword arguments of ``verify_reduction``.  An svd problem is A alone,
+    whose partition is the quotient one of ``(A, I)``: ``A = U A0 V*`` with
+    the null columns first, the qsvd chain's block order, and ``Y = V``."""
     if kind == "svd":
         p1, p2, q2 = counts
-        part = svd_partition(p1 + p2, p1 + q2, p1)
+        part = svd_partition_from_counts(*counts)
         sigmas = np.linspace(0.5, 2.0, p1)
         a0 = np.zeros((part.p, part.q))
-        a0[:p1, :p1] = np.diag(sigmas)
+        a0[:p1, q2:] = np.diag(sigmas)
         u, v = haar_unitary(part.p, rng), haar_unitary(part.q, rng)
-        return part, sigmas, {"a": u @ a0 @ v.conj().T}, {"u": u, "v": v}
+        return part, sigmas, {"a": u @ a0 @ v.conj().T}, {"u": u, "v": v, "y": v}
     if kind == "qsvd":
         part = qsvd_partition_from_counts(*counts)
         sigmas = np.linspace(0.5, 2.0, part.p1)
@@ -213,9 +220,7 @@ def ref_verify_reduction(pencil, formulation, partition, **factors):
     d_beta = np.ones(p1)
     if formulation == "cpf-rsvd":
         d_beta = np.real(np.diagonal(rhs[at[0]:at[1], at[2]:at[3]]))
-    d_gamma = np.ones(p1)
-    if formulation != "cpf-svd":
-        d_gamma = np.real(np.diagonal(rhs[at[1]:at[2], at[3]:]))
+    d_gamma = np.real(np.diagonal(rhs[at[1]:at[2], at[3]:]))
     exp_lhs, exp_rhs = _canonical_cpf_expected(layout, partition, d_alpha, d_beta, d_gamma)
     stage1 = max(np.abs(lhs - exp_lhs).max(initial=0.0),
                  np.abs(rhs - exp_rhs).max(initial=0.0))

@@ -30,7 +30,6 @@ from pencilsvd.kcf import (
     predict_kcf,
     qsvd_partition_from_ranks,
     spectrum_counts_check,
-    svd_partition,
     verify_reduction,
 )
 from pencilsvd.matcore import EPS, haar_unitary
@@ -82,9 +81,10 @@ def test_criterion_2_kcf_spectrum_counts():
         a0 = np.zeros((p, q), dtype=complex)
         a0[:p1, :p1] = np.diag(sig)
         a = u @ a0 @ v.conj().T
+        # A alone: the cpf-qsvd pencil of (A, I) and its quotient partition
         sol = solve_general(build_cpf_svd(a), class_tol_rel=1e-4)
-        chk = spectrum_counts_check(
-            sol, predict_kcf("cpf-svd", svd_partition(p, q, p1), sigmas=sig))
+        part = qsvd_partition_from_ranks(p, q, q, p1, q, q)
+        chk = spectrum_counts_check(sol, predict_kcf("cpf-qsvd", part, sigmas=sig))
         if not chk.ok:
             mismatches.append(("cpf-svd", i, chk.mismatches()))
 

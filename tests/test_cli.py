@@ -218,9 +218,14 @@ def test_solve_prints_an_ungroupable_spectrum(tmp_path, capsys):
     assert len(out.strip().splitlines()) == 4
 
 
-@pytest.mark.parametrize("command", [["solve", "--formulation", "cpf", "--recover"], ["kcf"]],
-                         ids=["solve-recover", "kcf"])
-@pytest.mark.parametrize("kind, counts", DEFLATING_COUNTS)
+# free counts (p1, p2, q2) of rank-deficient inputs given as A alone
+SVD_COUNTS = (("svd", (2, 1, 1)), ("svd", (1, 0, 2)), ("svd", (3, 2, 0)))
+
+
+@pytest.mark.parametrize("command", [["solve", "--formulation", "cpf", "--recover"], ["kcf"],
+                                     ["kcf", "--formulation", "aug"]],
+                         ids=["solve-recover", "kcf", "kcf-aug"])
+@pytest.mark.parametrize("kind, counts", DEFLATING_COUNTS + SVD_COUNTS)
 def test_rank_structured_files(tmp_path, capsys, kind, counts, command):
     # Jordan blocks at zero or infinity: the ranks fix the classes, and the
     # values group
@@ -231,7 +236,8 @@ def test_rank_structured_files(tmp_path, capsys, kind, counts, command):
         args.append(f"--{name}={tmp_path / f'{name}.txt'}")
     out = run_cli(capsys, *command, *args)
     if command[0] == "kcf":
-        assert f"finite-nonzero={4 * len(sigmas)}," in out
+        per_sigma = 2 if "aug" in command else 4
+        assert f"finite-nonzero={per_sigma * len(sigmas)}," in out
     else:
         got = sorted(float(ln.split()[4]) for ln in out.splitlines()
                      if ln.startswith("regular"))
@@ -308,7 +314,7 @@ def test_solve_recovers_sigmas_spread_over_nine_decades(tmp_path, capsys, kind, 
     rng = np.random.default_rng((24, hi, kind == "rsvd"))
     draw = random_qsvd_counts if kind == "qsvd" else random_rsvd_counts
     build = qsvd_partition_from_counts if kind == "qsvd" else rsvd_partition_from_counts
-    for _ in range(50):
+    for i in range(50):
         counts = draw(rng, max_count=3)
         part = build(*counts)
         exps = rng.uniform(lo, hi, part.p1)
@@ -318,10 +324,14 @@ def test_solve_recovers_sigmas_spread_over_nine_decades(tmp_path, capsys, kind, 
             mats = dict(zip("ac", assembled_qsvd_pair(part, sigmas, rng)))
         else:
             mats = dict(zip("abc", assembled_rsvd_triplet(part, sigmas, rng)))
+        # new files for each sample: rewriting an existing file can cost
+        # far more than creating one on some file systems
+        folder = tmp_path / str(i)
+        folder.mkdir()
         args = []
         for name, m in mats.items():
-            write_matrix_text(tmp_path / f"{name}.txt", m)
-            args.append(f"--{name}={tmp_path / f'{name}.txt'}")
+            write_matrix_text(folder / f"{name}.txt", m)
+            args.append(f"--{name}={folder / f'{name}.txt'}")
         out = run_cli(capsys, "solve", "--formulation", "cpf", "--recover", *args)
         got = sorted(float(ln.split()[4]) for ln in out.splitlines() if ln.startswith("regular"))
         assert got == pytest.approx(sigmas, rel=1e-6), (counts, sigmas)

@@ -17,7 +17,9 @@ from helpers import (
     ref_verify_reduction,
     rsvd_partition_from_counts,
     structured_problem,
+    svd_partition_from_counts,
 )
+from pencilsvd import kcf
 from pencilsvd.eigensolve import solve_general
 from pencilsvd.kcf import (
     _LAYOUTS,
@@ -32,7 +34,6 @@ from pencilsvd.kcf import (
     PartitionError,
     QsvdPartition,
     RsvdPartition,
-    SvdPartition,
     eigenvalue_counts,
     input_dims,
     lemma_reduce,
@@ -41,7 +42,6 @@ from pencilsvd.kcf import (
     predict_kcf,
     qsvd_partition_from_ranks,
     spectrum_counts_check,
-    svd_partition,
     triplet_counts,
     verify_reduction,
 )
@@ -127,6 +127,19 @@ def test_partition_for_takes_nested_lists_like_arrays():
     assert partition_for(a, c=c) == partition_for(np.array(a), c=np.array(c))
 
 
+def test_partition_for_fills_the_ranks_of_the_identity_exactly(monkeypatch):
+    # A alone is (A, I_q), where rank(C) = rank([A; I_q]) = q hold exactly,
+    # so only A is ranked.  Ranking [A; I_2] at A = diag(1e17, 0) would
+    # drop the identity's rows below the cutoff relative to 1e17
+    a = np.diag([1e17, 0.0])
+    ranked, rank_with_tol = [], kcf.rank_with_tol
+    monkeypatch.setattr(kcf, "rank_with_tol", lambda m: ranked.append(m.shape) or rank_with_tol(m))
+    assert partition_for(a) == QsvdPartition.of(p1=1, p2=0, p3=1, q1=0, q2=1, n3=0)
+    assert ranked == [(2, 2)]
+    with pytest.raises(PartitionError, match=r"^derived count p2 is negative \(-1\)"):
+        partition_for(a, c=np.eye(2))
+
+
 def test_qsvd_partition_from_ranks():
     part = qsvd_partition_from_ranks(p=1, q=3, n=2, r_a=1, r_c=1, r_ac=2)
     assert (part.p1, part.p2, part.p3) == (0, 1, 0)
@@ -149,7 +162,7 @@ def test_each_coupling_is_checked_naming_the_coupled_count(cls, coupled, free):
 
 
 def test_coupling_tables_fit_their_classes():
-    assert len(_COUPLINGS) == 15
+    assert len(_COUPLINGS) == 14
     for cls in _PARTITIONS.values():
         names = [f.name for f in fields(cls)]
         coupled = [c for c, _ in cls.COUPLED]
@@ -186,10 +199,12 @@ def test_of_fills_the_coupled_counts_and_the_sizes():
     assert len(cases) >= 150
     for kind, counts in cases:
         if kind == "svd":
+            # A alone (rank p1, deficiencies p2, q2): the partition of (A, I)
             p1, p2, q2 = counts
-            part = SvdPartition.of(p1=p1, p2=p2, q2=q2)
-            assert part == SvdPartition(p1=p1, p2=p2, q1=p1, q2=q2)
-            want = {"p": p1 + p2, "q": p1 + q2}
+            p, q = p1 + p2, p1 + q2
+            part = QsvdPartition.of(p1=p1, p2=0, p3=p2, q1=0, q2=q2, n3=0)
+            assert part == qsvd_partition_from_ranks(p, q, q, p1, q, q)
+            want = {"p": p, "q": q, "n": q}
         elif kind == "qsvd":
             p1, p2, p3, q1, q2, n3 = counts
             part = QsvdPartition.of(p1=p1, p2=p2, p3=p3, q1=q1, q2=q2, n3=n3)
@@ -228,7 +243,8 @@ def test_sizes_stay_out_of_eq_hash_and_repr():
 
 
 def test_predict_cpf_svd_full_rank():
-    st = predict_kcf("cpf-svd", svd_partition(2, 2, 2), sigmas=(3.0, 4.0))
+    # A alone: the cpf-qsvd pencil of (A, I)
+    st = predict_kcf("cpf-qsvd", partition_for(np.diag([3.0, 4.0])), sigmas=(3.0, 4.0))
     assert all(b.kind == KIND_J and b.size == 1 for b in st.blocks)
     assert len(st.blocks) == 8
     vals = sorted((b.eigenvalue for b in st.blocks), key=lambda z: (z.real, z.imag))
@@ -290,7 +306,7 @@ def test_predict_unknown_tag():
 def _helper_partitions(kind, rng, count):
     """The DEFLATING_COUNTS partitions of a kind, then ``count`` random ones."""
     draw, build = {
-        "svd": (random_svd_counts, lambda p1, p2, q2: svd_partition(p1 + p2, p1 + q2, p1)),
+        "svd": (random_svd_counts, svd_partition_from_counts),
         "qsvd": (random_qsvd_counts, qsvd_partition_from_counts),
         "rsvd": (random_rsvd_counts, rsvd_partition_from_counts)}[kind]
     counts = [c for k, c in DEFLATING_COUNTS if k == kind]
@@ -303,7 +319,8 @@ def test_eigenvalue_counts_equal_the_block_walk(kind):
     # the counts read from the layout are those walked from the predicted
     # blocks, in the same class order, on every formulation of the kind
     rng = np.random.default_rng(27)
-    names = [name for name in sorted(_LAYOUTS) if FORMULATIONS[name].kind == kind]
+    pencil_kind = "rsvd" if kind == "rsvd" else "qsvd"  # A alone is (A, I)
+    names = [name for name in sorted(_LAYOUTS) if FORMULATIONS[name].kind == pencil_kind]
     assert len(names) == 2
     for part in _helper_partitions(kind, rng, 60):
         for name in names:
@@ -317,7 +334,6 @@ def test_eigenvalue_counts_equal_the_block_walk(kind):
 
 
 @pytest.mark.parametrize("formulation, names", [
-    ("cpf-svd", "p1 p2 q1 q2 p1 p2 q1 q2"),
     ("cpf-qsvd", "p1 p2 p3 q1 q2 q3 q4 p1 p2 p3 n1 n2 n3"),
     ("cpf-rsvd", "p1 p2 p3 p4 p5 p6 q1 q2 q3 q4 q5 q6 m1 m2 m3 m4 n1 n2 n3 n4"),
 ])
@@ -333,15 +349,17 @@ def test_chain_sizes_expand_the_block_rows(formulation, names):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
 @pytest.mark.parametrize("formulation", ["cpf-svd", "aug-svd"])
 def test_predict_rejects_sigmas_that_are_not_finite_and_positive(formulation, bad):
+    # the pencils of A alone: those of the quotient pair (A, I)
+    family = formulation.removesuffix("-svd")
     with pytest.raises(ValueError, match="finite and positive"):
-        predict_kcf(formulation, svd_partition(2, 2, 2), sigmas=(1.0, bad))
+        predict_kcf(f"{family}-qsvd", partition_for(np.eye(2)), sigmas=(1.0, bad))
 
 
 @pytest.mark.parametrize("formulation", sorted(_LAYOUTS))
 def test_predict_rejects_a_partition_of_another_kind(formulation):
     eye = np.eye(2, dtype=complex)
-    partitions = {"svd": partition_for(eye), "qsvd": partition_for(eye, c=eye),
-                  "rsvd": partition_for(eye, eye, eye)}
+    partitions = {"qsvd": partition_for(eye, c=eye), "rsvd": partition_for(eye, eye, eye)}
+    assert partition_for(eye) == partitions["qsvd"]  # A alone is (A, I)
     kind = FORMULATIONS[formulation].kind
     for other, partition in partitions.items():
         for call in (lambda: predict_kcf(formulation, partition, np.ones(partition.p1)),
@@ -421,10 +439,12 @@ def test_lemma_pencil_spectrum():
 
 
 def test_verify_reduction_cpf_svd_diag():
+    # the quotient chain of (A, I), whose factor Y is V
     a = np.diag([3.0, 4.0]).astype(complex)
     pencil = build_cpf_svd(a)
-    report = verify_reduction(pencil, "cpf-svd", svd_partition(2, 2, 2),
-                              u=np.eye(2, dtype=complex), v=np.eye(2, dtype=complex))
+    assert pencil.formulation == "cpf-qsvd"
+    eye = np.eye(2, dtype=complex)
+    report = verify_reduction(pencil, "cpf-qsvd", partition_for(a), u=eye, v=eye, y=eye)
     assert report.off_structure <= 1e-14
 
 
@@ -489,15 +509,21 @@ def test_verify_reduction_factor_mismatch():
             (np.array([[np.nan]]), np.eye(1), "factor u must not hold non-finite"),
             ([[1.0]], [[np.inf]], "factor v must not hold non-finite")):
         with pytest.raises(ValueError, match=match):
-            verify_reduction(pencil, "cpf-svd", svd_partition(1, 1, 1), u=u, v=v)
+            verify_reduction(pencil, "cpf-qsvd", partition_for(a), u=u, v=v, y=np.eye(1))
 
 
 @pytest.mark.parametrize("other", ["svd", "rsvd"])
 def test_verify_reduction_rejects_a_partition_of_another_kind(other):
+    # A alone (svd) has the quotient partition of (A, I), which the
+    # restricted chain refuses; the quotient chain refuses a restricted one
     eye = np.eye(2, dtype=complex)
-    partition = partition_for(eye) if other == "svd" else partition_for(eye, eye, eye)
-    with pytest.raises(ValueError, match="needs a QsvdPartition"):
-        verify_reduction(build_cpf_qsvd(eye, eye), "cpf-qsvd", partition, u=eye, v=eye, y=eye)
+    if other == "svd":
+        partition, formulation, want = partition_for(eye), "cpf-rsvd", "RsvdPartition"
+    else:
+        partition, formulation, want = partition_for(eye, eye, eye), "cpf-qsvd", "QsvdPartition"
+    pencil = FORMULATIONS[formulation].build_from({"a": eye, "b": eye, "c": eye})
+    with pytest.raises(ValueError, match=f"needs a {want}"):
+        verify_reduction(pencil, formulation, partition, u=eye, v=eye, x=eye, y=eye)
 
 
 def test_verify_reduction_rejects_a_pencil_of_another_order():

@@ -45,6 +45,21 @@ def test_sq_svd_diag_spectrum():
     assert_spectrum(build_sq_svd(np.diag([3.0, 4.0])), [9, 16])
 
 
+def test_svd_builders_return_the_qsvd_pencils_of_a_and_the_identity():
+    # the ordinary SVD of A is the quotient SVD of (A, I): each svd builder
+    # is its family's qsvd builder with C absent, which is I_q bit for bit
+    # in the sq and aug families and up to the sign of zero imaginary
+    # parts in cpf (see test_cpf_rsvd_identity_reduction)
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    for svd, qsvd in ((build_sq_svd, build_sq_qsvd), (build_aug_svd, build_aug_qsvd),
+                      (build_cpf_svd, build_cpf_qsvd)):
+        got, want = svd(a), qsvd(a, np.eye(2))
+        assert got.formulation == want.formulation == qsvd(a, None).formulation
+        assert np.array_equal(got.lhs, want.lhs) and np.array_equal(got.rhs, want.rhs)
+        assert got.row_blocks == want.row_blocks
+
+
 def test_sq_qsvd_scalar():
     p = build_sq_qsvd(np.array([[1.0]]), np.array([[1.0]]))
     assert_spectrum(p, [1.0])

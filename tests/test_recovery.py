@@ -31,6 +31,7 @@ from pencilsvd.pencils import (
     build_cpf_rsvd,
     build_cpf_svd,
     generic_pencil,
+    problem_kind,
 )
 from pencilsvd.recovery import (
     CLASS_GAP_FLOOR,
@@ -267,13 +268,12 @@ def test_classify_holds_every_kind_to_the_partition(kind):
     # A has full column rank, and its quadruple at sqrt(1e-9) lies far
     # inside a 1e-4 class threshold, but the zero rows of A fix the zero
     # and deflated counts, so the small sigma keeps its quadruple whatever
-    # threshold the solve classified at
+    # threshold the solve classified at; A alone (svd) is the pair (A, I)
     a = np.array([[1.0, 0.0], [0.0, 1e-9], [0.0, 0.0]])
     mats = {"a": a} if kind == "svd" else {"a": a, "c": np.eye(2)}
-    dims = (3, 2) if kind == "svd" else (3, 2, 2)
     for class_tol_rel in (None, 1e-4):
-        sol = solve_general(FORMULATIONS[f"cpf-{kind}"].build_from(mats), class_tol_rel)
-        cls = classify_spectrum(sol, kind, dims, partition=partition_for(**mats))
+        sol = solve_general(FORMULATIONS["cpf-qsvd"].build_from(mats), class_tol_rel)
+        cls = classify_spectrum(sol, "qsvd", (3, 2, 2), partition=partition_for(**mats))
         assert [t.kind for t in cls.triplets] == [TRIPLET_REGULAR] * 2 + [TRIPLET_011]
         assert [t.sigma for t in cls.triplets[:2]] == pytest.approx([1.0, 1e-9], rel=1e-6)
         # the members are the values of their pairs, whatever their solver class
@@ -291,7 +291,7 @@ def test_classify_rejects_a_spectrum_of_another_order():
 
 
 def _gap_spectrum(gap):
-    """A hand-made cpf-svd spectrum of ``A = [[1, 0]]``: the quadruple of
+    """A hand-made cpf spectrum of ``A = [[1, 0]]`` alone: the quadruple of
     sigma = 1, whose side ratios are 1/sqrt(2), and two zero values whose
     ratio is ``1 / (sqrt(2) gap)``, so the class gap is ``gap``."""
     r = 1 / (math.sqrt(2) * gap)
@@ -305,8 +305,8 @@ def test_classify_class_gap_floor_edge():
     assert CLASS_GAP_FLOOR == 2.0
     partition = partition_for(np.array([[1.0, 0.0]]))
     with pytest.raises(GroupingError, match="class gap 1.9 is below 2.0"):
-        classify_spectrum(_gap_spectrum(1.9), "svd", (1, 2), partition=partition)
-    cls = classify_spectrum(_gap_spectrum(2.1), "svd", (1, 2), partition=partition)
+        classify_spectrum(_gap_spectrum(1.9), "qsvd", (1, 2, 2), partition=partition)
+    cls = classify_spectrum(_gap_spectrum(2.1), "qsvd", (1, 2, 2), partition=partition)
     assert cls.class_gap == pytest.approx(2.1, rel=1e-12)
     assert [t.sigma for t in cls.triplets] == [pytest.approx(1.0), 0.0]
     # a spectrum with no value predicted at zero or infinity has no gap
@@ -329,8 +329,6 @@ def test_classify_holds_the_deflated_pairs_to_the_partition():
 def _triplet_oracle(kind, part):
     """Triplets of each class without a finite value (De Moor & Golub,
     SIMAX 12(3), 1991), written out from the partition fields."""
-    if kind == "svd":
-        return {TRIPLET_011: part.p2 + part.q2}
     if kind == "qsvd":
         return {TRIPLET_110: part.p2, TRIPLET_100: part.n3,
                 TRIPLET_011: part.p3 + part.q2, TRIPLET_TRIVIAL: part.q1}
@@ -348,14 +346,14 @@ def test_classify_counts_every_class_as_the_oracle():
     order = (TRIPLET_110, TRIPLET_101, TRIPLET_100, TRIPLET_011, TRIPLET_TRIVIAL)
     for kind, counts in cases:
         part, _, inputs, _ = structured_problem(kind, counts, rng)
+        kind = problem_kind(inputs.get("b"), inputs.get("c"))  # A alone is (A, I)
         sol = solve_general(FORMULATIONS[f"cpf-{kind}"].build_from(inputs))
         cls = classify_spectrum(sol, kind, input_dims(part), partition=part)
         oracle = _triplet_oracle(kind, part)
         want = [TRIPLET_REGULAR] * part.p1 + [t for t in order for _ in range(oracle.get(t, 0))]
         assert [t.kind for t in cls.triplets] == want, (kind, counts)
         # the augmented pencils, of order p+q, have no blocks for n3, m3, n4
-        if kind != "svd":
-            oracle[TRIPLET_100] -= part.n3 if kind == "qsvd" else part.m3 + part.n4
+        oracle[TRIPLET_100] -= part.n3 if kind == "qsvd" else part.m3 + part.n4
         aug = triplet_counts(f"aug-{kind}", part)
         assert {t: aug[t] for t in order} == {t: oracle.get(t, 0) for t in order}
 
@@ -431,7 +429,7 @@ def test_extract_vectors_cpf_svd_diag():
     a = np.diag([3.0])
     pencil = build_cpf_svd(a)
     sol = solve_general(pencil, vectors=True)
-    cls = classify_spectrum(sol, "svd", (1, 1), partition=partition_for(a))
+    cls = classify_spectrum(sol, "qsvd", (1, 1, 1), partition=partition_for(a))
     rec = extract_vectors(sol, cls.quadruples[0], pencil)
     assert rec.u == pytest.approx(np.array([1.0 + 0j]))
     assert rec.z == pytest.approx(np.array([1.0 + 0j]), abs=1e-10)
@@ -448,7 +446,7 @@ def test_extract_vectors_rsvd_identity_reduction():
     sol_s = solve_general(pencil_s, vectors=True)
     cls_r = classify_spectrum(sol_r, "rsvd", (2, 2, 2, 2),
                               partition=partition_for(a, np.eye(2), np.eye(2)))
-    cls_s = classify_spectrum(sol_s, "svd", (2, 2), partition=partition_for(a))
+    cls_s = classify_spectrum(sol_s, "qsvd", (2, 2, 2), partition=partition_for(a))
     for qr, qs in zip(cls_r.quadruples, cls_s.quadruples):
         rr = extract_vectors(sol_r, qr, pencil_r)
         rs = extract_vectors(sol_s, qs, pencil_s)
@@ -530,12 +528,13 @@ def test_extract_vectors_unit_norms():
 def test_classify_rejects_a_partition_of_another_kind(kind):
     # the cpf-qsvd spectrum of A = C = I_2 with its quotient partition,
     # read as another kind: a typed error, not an AttributeError (rsvd) or
-    # two regular triplets (svd)
+    # two regular triplets (svd, a kind no layout has: A alone is (A, I))
     a = c = np.eye(2, dtype=complex)
     partition = partition_for(a, c=c)
     sol = solve_general(build_cpf_qsvd(a, c))
     assert len(classify_spectrum(sol, "qsvd", input_dims(partition), partition).triplets) == 2
-    with pytest.raises(ValueError, match="needs a"):
+    match = {"rsvd": "needs a RsvdPartition", "svd": "no structure prediction for formulation 'cpf-svd'"}
+    with pytest.raises(ValueError, match=match[kind]):
         classify_spectrum(sol, kind, input_dims(partition), partition)
 
 
