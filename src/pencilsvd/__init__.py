@@ -36,7 +36,7 @@ from .pencils import (
     build_sq_qsvd,
     build_sq_svd,
 )
-from .recovery import GroupingError, classify_spectrum, extract_vectors, group_quadruples
+from .recovery import GroupingError, classify_spectrum, extract_vectors, group_quadruples, recover
 
 __all__ = [
     "EigenSolution",
@@ -63,6 +63,7 @@ __all__ = [
     "partition_for",
     "predict_kcf",
     "read_matrix_text",
+    "recover",
     "run_sweep",
     "solve_general",
     "solve_hpd",

@@ -23,23 +23,23 @@ across a class boundary, unbalances the classes.  Since a quadruple is
 unchanged by a quarter turn, a common rotation counts modulo pi/2.  The
 cpf spectra of real sigma >= 0 lie on the axes.
 
-Classification needs the structure partition of the inputs, whose counts
-(read from the cpf layout by :func:`pencilsvd.kcf.eigenvalue_counts`)
-decide the classes of the values, since roundoff splits a size-k block at
-0 or infinity into values of size ``eps**(1/k)`` (Van Dooren, LAA 27,
-1979).  Each quadruple gives a regular triplet, and the other classes --
-(1,1,0), (1,0,1), (1,0,0), (0,1,1) and trivial -- are counted from the
-blocks that back them in the same layouts.
+:func:`recover` runs the chain from inputs to triplets.  Its last step,
+:func:`classify_spectrum`, needs the inputs' structure partition, whose counts
+(read from the cpf layout by :func:`pencilsvd.kcf.eigenvalue_counts`) decide
+the classes of the values, since roundoff splits a size-k block at 0 or
+infinity into values of size ``eps**(1/k)`` (Van Dooren, LAA 27, 1979).  Each
+quadruple gives a regular triplet, and the other classes -- (1,1,0), (1,0,1),
+(1,0,0), (0,1,1) and trivial -- are counted from the layout blocks backing them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigensolve import CLASS_INDETERMINATE, CLASS_INFINITE, CLASS_ZERO, EigenSolution
+from .eigensolve import CLASS_INDETERMINATE, CLASS_INFINITE, CLASS_ZERO, EigenSolution, solve_general
 from .kcf import (
     TRIPLET_011,
     TRIPLET_100,
@@ -47,11 +47,14 @@ from .kcf import (
     TRIPLET_110,
     TRIPLET_REGULAR,
     TRIPLET_TRIVIAL,
+    QsvdPartition,
+    RsvdPartition,
     eigenvalue_counts,
     input_dims,
+    partition_for,
     triplet_counts,
 )
-from .pencils import FORMULATIONS, Pencil
+from .pencils import FORMULATIONS, Pencil, problem_kind
 
 
 class GroupingError(ValueError):
@@ -179,17 +182,30 @@ def _sigma_to_triplet(sigma: float, phase_residual: float) -> SingularTriplet:
 
 @dataclass(frozen=True)
 class SpectrumClassification:
-    """Triplets recovered from a cpf spectrum, the quadruples behind them,
-    and the class gap that separated the classes (see classify_spectrum)."""
+    """Triplets recovered from a cpf spectrum, the quadruples behind them, the
+    class gap (see classify_spectrum), the partition and the solution (not in ``==``)."""
 
     triplets: tuple[SingularTriplet, ...]
     quadruples: tuple[Quadruple, ...]
     class_gap: float
+    partition: QsvdPartition | RsvdPartition
+    solution: EigenSolution = field(compare=False, repr=False)
+
+
+def recover(a, b=None, c=None) -> SpectrumClassification:
+    """Singular triplets of ``(A, C)`` (qsvd), ``(A, B, C)`` (rsvd) or ``(A, I)``:
+    the values-only solve of their cpf pencil, read by :func:`classify_spectrum`
+    with the partition of the input ranks (raising as it and ``partition_for`` do)."""
+    partition = partition_for(a, b, c)
+    kind = problem_kind(b, c)
+    pencil = FORMULATIONS[f"cpf-{kind}"].build_from({"a": a, "b": b, "c": c})
+    return classify_spectrum(solve_general(pencil), kind, input_dims(partition), partition)
 
 
 def classify_spectrum(sol: EigenSolution, kind: str, dims,
                       partition) -> SpectrumClassification:
-    """Convert a cpf pencil spectrum into singular triplets.
+    """Convert a cpf pencil spectrum into singular triplets (the last step
+    of :func:`recover`).
 
     The classes follow the partition's predicted counts, not the solver's:
     the exact ``(0, 0)`` pairs of deflation must number the indeterminate
@@ -201,7 +217,8 @@ def classify_spectrum(sol: EigenSolution, kind: str, dims,
     values ``alpha_e / beta_e``, group into quadruples, one regular triplet
     each.  The other triplets are those the partition's canonical blocks
     back, read from the cpf layout (:func:`pencilsvd.kcf.triplet_counts`),
-    in the order 110, 101, 100, 011, trivial.
+    in the order 110, 101, 100, 011, trivial.  The record also keeps the
+    partition and ``sol``.
 
     Parameters
     ----------
@@ -258,7 +275,7 @@ def classify_spectrum(sol: EigenSolution, kind: str, dims,
     triplets += [SingularTriplet(1.0, 0.0, 0.0, math.inf, TRIPLET_100)] * n[TRIPLET_100]
     triplets += [SingularTriplet(0.0, 1.0, 1.0, 0.0, TRIPLET_011)] * n[TRIPLET_011]
     triplets += [SingularTriplet(0.0, 0.0, 0.0, math.nan, TRIPLET_TRIVIAL)] * n[TRIPLET_TRIVIAL]
-    return SpectrumClassification(tuple(triplets), tuple(quads), gap)
+    return SpectrumClassification(tuple(triplets), tuple(quads), gap, partition, sol)
 
 
 def extract_vectors(sol: EigenSolution, quad: Quadruple, pencil: Pencil) -> RecoveredVectors:

@@ -157,6 +157,9 @@ DEFLATING_COUNTS = (
     ("rsvd", (2, 1, 0, 1, 0, 1, 2, 1, 0, 1)),
 )
 
+# free counts (p1, p2, q2) of rank-deficient inputs given as A alone
+SVD_COUNTS = (("svd", (2, 1, 1)), ("svd", (1, 0, 2)), ("svd", (3, 2, 0)))
+
 
 def structured_problem(kind, counts, rng):
     """``(partition, sigmas, inputs, factors)`` of a rank-structured svd,

@@ -8,6 +8,7 @@ import pytest
 
 from helpers import (
     DEFLATING_COUNTS,
+    SVD_COUNTS,
     assembled_qsvd_pair,
     assembled_rsvd_triplet,
     qsvd_partition_from_counts,
@@ -218,10 +219,6 @@ def test_solve_prints_an_ungroupable_spectrum(tmp_path, capsys):
     assert len(out.strip().splitlines()) == 4
 
 
-# free counts (p1, p2, q2) of rank-deficient inputs given as A alone
-SVD_COUNTS = (("svd", (2, 1, 1)), ("svd", (1, 0, 2)), ("svd", (3, 2, 0)))
-
-
 @pytest.mark.parametrize("command", [["solve", "--formulation", "cpf", "--recover"], ["kcf"],
                                      ["kcf", "--formulation", "aug"]],
                          ids=["solve-recover", "kcf", "kcf-aug"])
@@ -366,6 +363,26 @@ def test_kcf_generated_verification(capsys, kind, n, kappa_y):
                   "--kappa-y", kappa_y, "--kappa-x", "10", "--seed", "2")
     assert "verification: " in out
     assert "spectrum counts vs prediction: ok" in out
+
+
+@pytest.mark.parametrize("kind", ["qsvd", "rsvd"])
+def test_kcf_generated_checks_by_the_partition(capsys, kind):
+    # the solver's dim * eps threshold calls one value of this spectrum
+    # infinite; the partition's counts read all eight
+    out = run_cli(capsys, "kcf", "--generated", "--kind", kind, "--n", "2",
+                  "--kappa-y", "1e8", "--kappa-sigma", "1e15")
+    assert out.splitlines()[-1] == "spectrum counts vs prediction: ok"
+
+
+def test_kcf_generated_spectrum_the_partition_cannot_read_is_a_result():
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "pencilsvd.cli", "kcf", "--generated",
+                           "--n", "4", "--kappa-y", "1e15", "--kappa-sigma", "10"],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 1
+    assert proc.stderr.strip() and "usage:" not in proc.stdout + proc.stderr
+    assert "spectrum counts vs prediction" not in proc.stdout
 
 
 @pytest.mark.parametrize("extra", [("--a",), ("--b",), ("--c",), ("--formulation", "aug")])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     DEFLATING_COUNTS,
+    SVD_COUNTS,
     random_qsvd_counts,
     random_rsvd_counts,
     random_svd_counts,
@@ -23,7 +24,7 @@ from pencilsvd.eigensolve import (
     solve_general,
 )
 from pencilsvd.genmat import GeneratorConfig, generate_qsvd
-from pencilsvd.kcf import input_dims, partition_for, triplet_counts
+from pencilsvd.kcf import PartitionError, input_dims, partition_for, triplet_counts
 from pencilsvd.pencils import (
     FORMULATIONS,
     build_aug_rsvd,
@@ -47,6 +48,7 @@ from pencilsvd.recovery import (
     extract_vectors,
     geometric_mean_sigma,
     group_quadruples,
+    recover,
 )
 
 
@@ -538,9 +540,64 @@ def test_classify_rejects_a_partition_of_another_kind(kind):
         classify_spectrum(sol, kind, input_dims(partition), partition)
 
 
+def _hand_wired(a, b=None, c=None):
+    # the chain as the command line wired it before recover owned it
+    kind = problem_kind(b, c)
+    sol = solve_general(FORMULATIONS[f"cpf-{kind}"].build_from({"a": a, "b": b, "c": c}))
+    partition = partition_for(a, b, c)
+    return classify_spectrum(sol, kind, input_dims(partition), partition)
+
+
+def _outcome(chain, inputs):
+    """What a chain gives: every float as its repr (so equal means equal to
+    the bit), the partition, or the error it raises."""
+    try:
+        cls = chain(**inputs)
+    except ValueError as exc:  # PartitionError and GroupingError too
+        return type(exc), str(exc)
+    values = [(v.alpha_e, v.beta_e, v.kind) for v in cls.solution.values]
+    return repr((cls.triplets, cls.quadruples, cls.class_gap, values)), cls.partition
+
+
+def test_recover_is_the_hand_wired_chain():
+    rng = np.random.default_rng(33)
+    draw = {"svd": random_svd_counts, "qsvd": random_qsvd_counts, "rsvd": random_rsvd_counts}
+    cases = list(DEFLATING_COUNTS + SVD_COUNTS)
+    cases += [(kind, draw[kind](rng)) for kind in draw for _ in range(150)]
+    for kind, counts in cases:
+        part, _, inputs, _ = structured_problem(kind, counts, rng)
+        got = _outcome(recover, inputs)
+        assert got == _outcome(_hand_wired, inputs), (kind, counts)
+        assert got[1] == part, (kind, counts)
+
+
+@pytest.mark.parametrize("inputs, error, message", [
+    (dict(a=1e-20 * np.eye(3), c=np.array([[1.0, 0.0, 0.0]])), PartitionError,
+     "derived count q2 is negative"),
+    (dict(a=np.array([[1e-20]]), b=np.array([[1.0]]), c=np.array([[1.0]])), GroupingError,
+     "grouping expects finite nonzero eigenvalues"),
+    (dict(a=np.eye(2), b=np.eye(2)), ValueError, "B needs C"),
+], ids=["partition", "grouping", "b-without-c"])
+def test_recover_passes_errors_through(inputs, error, message):
+    with pytest.raises(error, match=message) as exc:
+        recover(**inputs)
+    assert _outcome(_hand_wired, inputs) == (type(exc.value), str(exc.value))
+
+
+def test_classification_equality_skips_the_solution():
+    # a solution with vectors holds an array, whose == has no single truth
+    # value; the records still compare, by what was recovered
+    a, c = np.diag([2.0, 0.5]), np.eye(2)
+    part = partition_for(a, c=c)
+    first, second = (classify_spectrum(solve_general(build_cpf_qsvd(a, c), vectors=True),
+                                       "qsvd", input_dims(part), part) for _ in range(2))
+    assert first.solution.vectors is not second.solution.vectors
+    assert first == second and first.partition == part
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="the cpf pencil puts identities beside the input blocks, so a "
-                          "common input scale moves its values (ROADMAP item 5)")
+                          "common input scale moves its values (ROADMAP item 18)")
 def test_cpf_values_ignore_a_common_input_scale():
     # (s A0, s C0) has the quotient values of (A0, C0); the cpf values move
     # by 3e-12 at s = 1e-6, 1.5e-3 at 1e-8 and 5e-2 at 1e-10, where the aug
@@ -550,11 +607,7 @@ def test_cpf_values_ignore_a_common_input_scale():
     c0 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
 
     def sigmas(s):
-        a, c = s * a0, s * c0
-        part = partition_for(a, c=c)
-        cls = classify_spectrum(solve_general(build_cpf_qsvd(a, c)), "qsvd",
-                                input_dims(part), part)
-        return np.sort([q.sigma for q in cls.quadruples])
+        return np.sort([q.sigma for q in recover(s * a0, c=s * c0).quadruples])
 
     want, got = sigmas(1.0), sigmas(1e-8)
     assert max(chordal(w, g) for w, g in zip(want, got)) <= 1e-12

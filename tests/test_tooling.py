@@ -9,10 +9,12 @@ names, and an import of a package that is neither the standard library
 nor a runtime dependency (the test-only ``mpmath`` oracle, say).  It also
 lists every library name that the benchmark in ``perfbench/`` reaches and
 the library no longer has, where a benchmark run stops at the first
-``AttributeError``.
+``AttributeError``, and checks the README's list of root exports against
+``pencilsvd.__all__``.
 """
 
 import ast
+import fnmatch
 import importlib
 import importlib.util
 import re
@@ -20,6 +22,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import pencilsvd
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "pencilsvd"
@@ -275,3 +279,28 @@ def test_every_library_name_the_benchmark_reaches_resolves():
     missing += [f"{module}.{attr}" for module, attr in sorted(reads)
                 if not hasattr(importlib.import_module(f"pencilsvd.{module}"), attr)]
     assert missing == []
+
+
+def readme_root_exports(text: str, exported) -> tuple[list[str], list[str]]:
+    """``(missing, extra)``: the exported names the README's "The package
+    root re-exports" list leaves out, and the backticked names in it that
+    are not exported; a name with ``*`` is a glob over ``exported``."""
+    listed = re.search(r"The package root re-exports(.*?)everything else is imported",
+                       text, re.S).group(1)
+    names = re.findall(r"`([^`]+)`", listed)
+    covered = {e for n in names for e in fnmatch.filter(exported, n)}
+    extra = [n for n in names if not fnmatch.filter(exported, n)]
+    return sorted(set(exported) - covered), extra
+
+
+def test_readme_export_check_sees_a_missing_and_an_extra_name():
+    text = ("The package root re-exports `solve`, the `build_*` builders and\n"
+            "`gone`; everything else is imported from its module: `other`.")
+    exported = ["build_a", "build_b", "recover", "solve"]
+    assert readme_root_exports(text, exported) == (["recover"], ["gone"])
+
+
+def test_readme_names_every_root_export():
+    text = (ROOT / "README.md").read_text()
+    assert len(pencilsvd.__all__) >= 20
+    assert readme_root_exports(text, pencilsvd.__all__) == ([], [])
